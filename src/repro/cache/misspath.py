@@ -414,8 +414,9 @@ def build_misspath(config) -> MissPath | None:
     """The configured miss path of ``config``; ``None`` when disabled.
 
     ``None`` (rather than a no-op object) is the zero-cost contract: the
-    hierarchy and the fused kernels test ``misspath is None`` once and
-    run the exact baseline code.
+    hierarchy tests ``misspath is None`` once and runs the exact
+    baseline code, and the config stays inside the generated kernel's
+    feature matrix (:func:`repro.core.kernel.specializable`).
     """
     if config.mechanism == "none":
         return None

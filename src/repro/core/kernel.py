@@ -1,0 +1,884 @@
+"""The fused reference kernel: one generated loop per machine shape.
+
+A simulated data reference on the layered path -- :class:`~repro.core.
+machine.Machine`'s general path over :mod:`repro.cache.hierarchy`,
+:mod:`repro.cpu.timing` and :mod:`repro.cpu.speculation` -- crosses eight
+Python call frames, and at Figure-5 reference volumes those frames, not
+the arithmetic, dominate wall time.  :func:`compiled_kernel` returns a
+loop, generated from the templates below and compiled with :func:`exec`
+against one config's constants, that costs a whole *chunk* of entries
+in one frame.  A chunk is three parallel containers: ``kinds[i]`` (one
+of the entry kinds below), ``ops[i]`` (its integer operand) and a sparse
+``extras`` dict (prefetch line counts, forwarded references'
+resolutions).  Two callers feed it:
+
+* the Machine fast path, which appends each cheap operation's kind and
+  address to a pending chunk and drains it through the kernel (DESIGN.md
+  Section 5b);
+* replay, whose decoder yields chunks in the same layout
+  (:class:`repro.trace.kernels.SpecializedSession`).
+
+The layered path stays the specification: every float operation here
+happens in the same order on the same values as there, so the resulting
+:class:`~repro.core.stats.MachineStats` are bit-identical.  The
+fast/general, batch and kernel parity suites enforce that contract.
+Constants baked in:
+
+* line size, set masks, associativities, latencies, MSHR capacity,
+  store-buffer depth, IPC, per-instruction overhead and the malloc/free
+  cost model are baked in as literals (floats via :func:`repr`, which
+  round-trips exactly);
+* the replacement policy is specialized at generation time -- the LRU
+  promote-on-hit shift is emitted only for LRU caches, the xorshift
+  victim picker only for random ones, so FIFO/random kernels carry no
+  dead branches;
+* the hot counters (cycle, stall buckets, hit/miss counters, traffic,
+  latency sums) are promoted to loop locals and written back to the
+  component objects only at the end of the chunk and around the rare
+  entry kinds (forwarded references, software prefetches) that run
+  against the layered components.
+
+On top of the literal-folding, the generated loop applies a set of
+transformations that are *provably* state-equivalent to the layered
+path (each argued in comments/docstrings below):
+
+* **MSHR probe elision.**  A local upper bound on the latest in-flight
+  fill completion skips the per-reference MSHR dictionary probe whenever
+  every entry has provably expired.  Expired entries are then deleted a
+  little later than the general path deletes them -- but always before
+  any observation: the allocate-path floor scan (which runs whenever an
+  expired entry exists, because the floor is below it) removes every
+  expired entry before ``len``/``min`` are consulted.
+* **Sentinel tag probes.**  :class:`repro.cache.cache.Cache` keeps the
+  ``-1`` sentinel in every vacant tag slot (see its docstring), so the
+  kernel probes way 0 -- the hit position for the overwhelming majority
+  of references under LRU -- with a single compare and no occupancy
+  fetch, and scans the remaining ways to the constant associativity
+  bound (vacant slots can never match).
+* **Hit-arm completion inlining.**  The dominant way-0 load hit
+  completes in place instead of falling through the shared staging/tail:
+  and when the config's hit latency sits inside the OoO window with half
+  a cycle of margin, the residual check is dropped entirely.  That is
+  exact only while every reference starts below ``2**49`` (see
+  :func:`_elides_residual`); both callers guard it.
+* **Speculation counter derivation.**  ``loads_checked`` increments in
+  lockstep with ``ref.load.count`` (and ``stores_tracked`` with
+  ``ref.store.count``) on every path through the kernel, so the
+  per-reference speculator counter increments are dropped and the totals
+  are recovered from the latency counts at spill time.
+* **Counters-only speculation.**  When a stream contains no forwarded
+  reference at all (replay knows this at decode time), a misspeculation
+  is impossible: every store queue entry has initial == final, so the
+  collision test ``store_initial != load_word`` can never pass, and the
+  queue/map/count structures are observable only through that test and
+  the stats.  :data:`SPEC_COUNTERS` kernels then skip the store-queue
+  bookkeeping and the per-load map probe entirely.  A live machine
+  cannot know that in advance and always uses :data:`SPEC_FULL`.
+
+Supported-feature matrix (see DESIGN.md Section 5g): a config is
+:func:`specializable` iff it uses no timeline sampling, no event log,
+no L1 miss-path mechanism and no adaptive relocation.  Everything else
+-- all replacement policies, speculation on or off, any geometry,
+latency or cost values -- is covered.  Other configs stay on the
+layered path.
+"""
+
+from __future__ import annotations
+
+from string import Template
+from typing import TYPE_CHECKING, Callable
+
+from repro.cache.hierarchy import MemoryHierarchy
+from repro.cpu.timing import TimingModel
+
+if TYPE_CHECKING:
+    from repro.core.machine import MachineConfig
+
+#: Reference start cycles below this keep the hit-arm residual elision
+#: exact (see :func:`_elides_residual`).
+CYCLE_GUARD = 2.0 ** 49
+
+# Chunk entry kinds (the per-entry ``kinds`` byte).  LOAD and STORE are
+# unforwarded references (final == initial); the _FWD kinds carry their
+# forwarding resolution ``(final, hops)`` in ``extras``.
+LOAD = 0
+STORE = 1
+EXEC = 2        # plain computation: instruction count
+ACCESS_R = 3    # Read_FBit / Unforwarded_Read: timed read of one word
+ACCESS_W = 4    # Unforwarded_Write: timed write of one word
+LOAD_FWD = 5
+STORE_FWD = 6
+PREFETCH = 7    # address; ``extras`` holds the line count
+MALLOC = 8      # nbytes (the cost is config-dependent)
+FREE = 9        # forwarding-chain length (ditto)
+TRAP = 10       # trap handler installed / removed
+
+#: Replacement-mode constants, mirrored from repro.cache.cache.
+_LRU = 0
+_RANDOM = 2
+
+#: Speculation modes of the generated kernel.
+SPEC_OFF = 0        #: speculation_window == 0: no speculator at all.
+SPEC_FULL = 1       #: stream may forward references: full bookkeeping.
+SPEC_COUNTERS = 2   #: no forwarded references: counters only (see above).
+
+
+class SpecializationError(Exception):
+    """The config uses a feature the specializer does not cover."""
+
+
+def specializable(config: MachineConfig) -> bool:
+    """True iff ``config`` is covered by the generated kernel.
+
+    The exclusions are exactly the features whose accounting lives
+    outside the fused reference pipeline: timeline sampling (per
+    reference tick hooks), the discrete event log (it reports L2
+    inclusion victims the kernel inlines away), the L1 miss-path
+    mechanisms (their stage pipeline is not templated), and adaptive
+    relocation (which implies a timeline).  Such configs run the
+    layered path, on a live machine and in replay alike.
+    """
+    return (
+        config.timeline_interval == 0
+        and config.events_capacity == 0
+        and config.hierarchy.mechanism == "none"
+        and config.adapt is None
+    )
+
+
+# ----------------------------------------------------------------------
+# Code generation
+# ----------------------------------------------------------------------
+
+def _emit(lines: list[str], level: int, block: str) -> None:
+    """Append ``block`` (written at indent 0) at ``level`` * 4 spaces."""
+    pad = "    " * level
+    for line in block.strip("\n").split("\n"):
+        lines.append(pad + line if line else "")
+
+
+def _load_tail(c: dict, counted: bool, arm: str) -> str:
+    """The load-completion accounting for one hit/merge arm.
+
+    ``arm`` picks what is statically known about ``ready``:
+
+    * ``"hit"`` -- ``ready`` is ``start + hit_latency`` with ``start ==
+      cycle`` untouched so far.  When :func:`_elides_residual` holds for
+      the config, the OoO-window check is dropped (the residual is
+      provably negative, see there) and ``start``/``ready`` are never
+      materialized; the latency sum still performs the identical
+      ``(cycle + hit) - cycle`` float operations the general path does.
+    * ``"merge"`` -- ``start`` and ``ready`` are already bound (``ready``
+      came from an in-flight fill): the full residual check plus latency
+      accounting, exactly the general path's shared tail.
+    """
+    if arm == "hit":
+        if _elides_residual(c):
+            if not counted:
+                return "pass"
+            return "load_ord += (cycle + $L1_HIT_LATENCY) - cycle"
+        # The residual can stall here (hit latency ~ window), so stage
+        # start before cycle mutates, exactly like the general path.
+        body = """\
+start = cycle
+ready = start + $L1_HIT_LATENCY
+residual = ready - start - $OOO_WINDOW
+if residual > 0.0:
+    load_stall += residual
+    cycle += residual"""
+    else:
+        body = """\
+residual = ready - start - $OOO_WINDOW
+if residual > 0.0:
+    load_stall += residual
+    cycle += residual"""
+    if counted:
+        body += "\nload_ord += ready - start"
+    return body
+
+
+def _elides_residual(c: dict) -> bool:
+    """True when an L1-hit load provably never stalls the OoO window.
+
+    The computed ``ready - start`` for a hit is ``fl(start + h) - start``
+    with ``h = hit_latency``; by Sterbenz the subtraction is exact, so
+    the value is ``h`` plus the rounding error of the addition, at most
+    ``2**-53 * (start + h) < 0.5`` for ``start <`` :data:`CYCLE_GUARD`
+    (the run-time guards in ``Machine._drain`` and
+    ``SpecializedSession.finish``).  With half a cycle of margin on the
+    window the residual is then provably negative and the check -- and
+    with it the entire ``ready`` staging -- can be dropped from the hit
+    arm.
+    """
+    return c["L1_HIT_LATENCY"] + 0.5 <= c["OOO_WINDOW"]
+
+
+def _ref_body(c: dict, spec: int, store: bool, counted: bool) -> str:
+    """Generate one reference body (the layered load/store, fused).
+
+    ``store`` picks the store variant (dirty fills, store-buffer
+    retirement, on_store bookkeeping); ``counted`` distinguishes a full
+    data reference (LOAD/STORE) from the word-granular ACCESS_R/ACCESS_W
+    kinds, which charge the same hierarchy walk and stall attribution
+    but no latency statistics and no dependence speculation.
+    """
+    out: list[str] = []
+    e = lambda level, block: _emit(out, level, block)  # noqa: E731
+    hits = "l1_sh" if store else "l1_lh"
+    misses = "l1_sm" if store else "l1_lm"
+    partial = "mc_sp" if store else "mc_lp"
+    full = "mc_sf" if store else "mc_lf"
+    fill_dirty = "1" if store else "0"
+
+    # TimingModel.execute(1), inlined.  The two cycle adds fold into one
+    # left-associated expression -- same operations, same order, same
+    # rounding -- and 1 * ipc == ipc exactly, so the multiply is gone.
+    # The way-0 probe leans on the Cache tag-sentinel invariant (vacant
+    # slots hold -1, which no line address equals), so the occupancy
+    # count is only fetched on the slower arms.
+    e(0, """\
+instructions += 1
+cycle = cycle + $IPC + $INST_OVERHEAD
+inst_stall += $INST_OVERHEAD
+line = address >> $LINE_SHIFT
+base = (line & $SET_MASK) * $ASSOC
+if tags[base] == line:""")
+    # Way-0 hit, the dominant case: the LRU promote is a no-op there, so
+    # the whole reference reduces to the hit counter plus the MSHR
+    # combine check -- no ``hit`` flag, no staging variable.  The MSHR
+    # probe itself is elided when every in-flight fill has provably
+    # completed: ``mshr_max`` is a sound upper bound on the latest ready
+    # time, and expired entries then linger until the next allocate-path
+    # floor scan, which runs before any len()/min() observation (an
+    # expired entry pins the floor at or below ``start``).
+    if store:
+        e(1, "dirty[base] = 1")
+    e(1, f"{hits} += 1")
+    # Stores thread ``ready`` into the store-buffer retirement below, and
+    # full-bookkeeping speculation threads every counted load through the
+    # shared on_load probe, so those variants keep the shared
+    # staging/tail structure.  Everything else completes in place: each
+    # arm carries its own tail, and the no-pending arms skip the staging
+    # the shared tail would recompute (same float ops, same order -- see
+    # _load_tail).
+    inline_tails = not store and not (spec == SPEC_FULL and counted)
+    # When a probe finds its entry expired, deleting it may empty the
+    # MSHR entirely; dropping ``mshr_max`` to 0.0 then lets every
+    # subsequent hit skip the probe until the next allocate raises it
+    # again.  Exact: with no in-flight entry, a probe cannot find
+    # anything, so skipping it is the same observable behaviour.
+    if not inline_tails:
+        e(1, """\
+start = cycle
+if mshr_max > start:
+    pending = inflight_get(line << $LINE_SHIFT)
+    if pending is not None and pending > start:
+        ready = pending
+        ms_comb += 1
+        PARTIAL += 1
+    else:
+        if pending is not None:
+            del inflight[line << $LINE_SHIFT]
+            if not inflight:
+                mshr_max = 0.0
+        ready = start + $L1_HIT_LATENCY
+else:
+    ready = start + $L1_HIT_LATENCY""".replace("PARTIAL", partial))
+    else:
+        if counted:
+            e(1, "load_count += 1")
+        e(1, """\
+if mshr_max > cycle:
+    start = cycle
+    pending = inflight_get(line << $LINE_SHIFT)
+    if pending is not None and pending > start:
+        ready = pending
+        ms_comb += 1
+        PARTIAL += 1""".replace("PARTIAL", partial))
+        e(3, _load_tail(c, counted, "merge"))
+        e(2, """\
+else:
+    if pending is not None:
+        del inflight[line << $LINE_SHIFT]
+        if not inflight:
+            mshr_max = 0.0""")
+        e(3, _load_tail(c, counted, "hit"))
+        e(1, "else:")
+        e(2, _load_tail(c, counted, "hit"))
+    e(0, "else:")
+    e(1, "start = cycle")
+    e(1, "set_index = line & $SET_MASK")
+    # Deeper ways: the sentinel makes a constant-bound scan safe (vacant
+    # slots never match), so the occupancy count is not consulted here
+    # either.  The way-1 probe is unrolled; deeper ways only exist for
+    # associativity > 2.
+    e(1, "hit = -1")
+    if c["ASSOC"] > 1:
+        probe = ["""\
+if tags[base + 1] == line:
+    hit = base + 1"""]
+        if c["ASSOC"] > 2:
+            probe.append("""\
+else:
+    for slot in range(base + 2, base + $ASSOC):
+        if tags[slot] == line:
+            hit = slot
+            break""")
+        probe.append("""\
+if hit >= 0:""")
+        e(1, "\n".join(probe))
+        # Deeper hit: hit > base is guaranteed here, so the promote runs
+        # unconditionally for LRU (exactly the original's hit != base
+        # arm).
+        if c["L1_MODE"] == _LRU:
+            e(2, """\
+d = dirty[hit]
+slot = hit
+while slot > base:
+    tags[slot] = tags[slot - 1]
+    dirty[slot] = dirty[slot - 1]
+    slot -= 1
+tags[base] = line
+dirty[base] = d""")
+            if store:
+                e(2, "hit = base")
+        if store:
+            e(2, "dirty[hit] = 1")
+        e(2, f"{hits} += 1")
+    e(1, """\
+pending = None
+if mshr_max > start:
+    line_addr = line << $LINE_SHIFT
+    pending = inflight_get(line_addr)
+    if pending is not None and pending <= start:
+        del inflight[line_addr]
+        if not inflight:
+            mshr_max = 0.0
+        pending = None
+if pending is not None:
+    ready = pending
+    ms_comb += 1
+    if hit < 0:
+        MISSES += 1
+    PARTIAL += 1
+elif hit >= 0:
+    ready = start + $L1_HIT_LATENCY
+else:
+    line_addr = line << $LINE_SHIFT""".replace(
+        "MISSES", misses).replace("PARTIAL", partial))
+    e(2, f"{misses} += 1")
+    e(2, f"{full} += 1")
+    # MemoryHierarchy._fill_from_below: single L2 probe.
+    e(2, """\
+l2_line = line_addr >> $L2_SHIFT
+l2_set = l2_line & $L2_SET_MASK
+l2_base = l2_set * $L2_ASSOC
+n2 = l2_set_len[l2_set]
+l2_hit = -1
+if n2:
+    if l2_tags[l2_base] == l2_line:
+        l2_hit = l2_base
+    elif n2 > 1:
+        if l2_tags[l2_base + 1] == l2_line:
+            l2_hit = l2_base + 1
+        else:
+            for slot in range(l2_base + 2, l2_base + n2):
+                if l2_tags[slot] == l2_line:
+                    l2_hit = slot
+                    break
+if l2_hit >= 0:""")
+    if c["L2_MODE"] == _LRU:
+        e(3, """\
+if l2_hit != l2_base:
+    d = l2_dirty[l2_hit]
+    slot = l2_hit
+    while slot > l2_base:
+        l2_tags[slot] = l2_tags[slot - 1]
+        l2_dirty[slot] = l2_dirty[slot - 1]
+        slot -= 1
+    l2_tags[l2_base] = l2_line
+    l2_dirty[l2_base] = d""")
+    # Fills probe the L2 as reads regardless of demand access type.
+    e(3, """\
+l2_stats.load_hits += 1
+latency = $L2_FILL_LATENCY""")
+    e(2, """\
+else:
+    l2_stats.load_misses += 1
+    latency = $FULL_MISS_LATENCY
+    t2mf += $L2_LINE_SIZE
+    if n2 >= $L2_ASSOC:""")
+    if c["L2_MODE"] == _RANDOM:
+        e(4, """\
+state = l2._rng_state
+state ^= (state << 13) & 0xFFFFFFFF
+state ^= state >> 17
+state ^= (state << 5) & 0xFFFFFFFF
+l2._rng_state = state
+victim = l2_base + state % n2""")
+    else:
+        e(4, "victim = l2_base + n2 - 1")
+    e(4, """\
+victim_dirty = l2_dirty[victim]
+l2_stats.evictions += 1
+if victim_dirty:
+    l2_stats.dirty_evictions += 1
+ev_first = l2_tags[victim] << $L2_SHIFT >> $LINE_SHIFT
+slot = victim
+while slot > l2_base:
+    l2_tags[slot] = l2_tags[slot - 1]
+    l2_dirty[slot] = l2_dirty[slot - 1]
+    slot -= 1
+l2_tags[l2_base] = l2_line
+l2_dirty[l2_base] = 0
+for inv_line in range(ev_first, ev_first + $INCLUSION_COUNT):
+    inv_set = inv_line & $SET_MASK
+    inv_base = inv_set * $ASSOC
+    inv_n = set_len[inv_set]
+    for slot in range(inv_base, inv_base + inv_n):
+        if tags[slot] == inv_line:
+            end = inv_base + inv_n - 1
+            while slot < end:
+                tags[slot] = tags[slot + 1]
+                dirty[slot] = dirty[slot + 1]
+                slot += 1
+            tags[end] = -1
+            set_len[inv_set] = inv_n - 1
+            break
+if victim_dirty:
+    t2mw += $L2_LINE_SIZE""")
+    e(2, """\
+    else:
+        slot = l2_base + n2
+        while slot > l2_base:
+            l2_tags[slot] = l2_tags[slot - 1]
+            l2_dirty[slot] = l2_dirty[slot - 1]
+            slot -= 1
+        l2_set_len[l2_set] = n2 + 1
+        l2_tags[l2_base] = l2_line
+        l2_dirty[l2_base] = 0
+t12f += $LINE_SIZE
+n = set_len[set_index]
+if n >= $ASSOC:""")
+    if c["L1_MODE"] == _RANDOM:
+        e(3, """\
+state = l1._rng_state
+state ^= (state << 13) & 0xFFFFFFFF
+state ^= state >> 17
+state ^= (state << 5) & 0xFFFFFFFF
+l1._rng_state = state
+victim = base + state % n""")
+    else:
+        e(3, "victim = base + n - 1")
+    e(3, f"""\
+victim_dirty = dirty[victim]
+l1_ev += 1
+if victim_dirty:
+    l1_dev += 1
+ev_addr = tags[victim] << $LINE_SHIFT
+slot = victim
+while slot > base:
+    tags[slot] = tags[slot - 1]
+    dirty[slot] = dirty[slot - 1]
+    slot -= 1
+tags[base] = line
+dirty[base] = {fill_dirty}
+if victim_dirty:
+    t12w += $LINE_SIZE
+    l2_fill(ev_addr, True)""")
+    e(2, f"""\
+else:
+    slot = base + n
+    while slot > base:
+        tags[slot] = tags[slot - 1]
+        dirty[slot] = dirty[slot - 1]
+        slot -= 1
+    set_len[set_index] = n + 1
+    tags[base] = line
+    dirty[base] = {fill_dirty}""")
+    # MSHRFile.allocate, inlined (floor bound skips the expiry scan).
+    e(2, """\
+if inflight and mshr_floor <= start:
+    for key in [k for k, r in inflight.items() if r <= start]:
+        del inflight[key]
+    if inflight:
+        mshr_floor = min(inflight.values())
+        mshr_max = max(inflight.values())
+    else:
+        mshr_floor = INF
+        mshr_max = 0.0
+if len(inflight) >= $MSHR_CAPACITY:
+    earliest = min(inflight.values())
+    ms_fs += 1
+    ms_fsc += earliest - start
+    for key, r in list(inflight.items()):
+        if r == earliest:
+            del inflight[key]
+            break
+    ready = earliest + latency
+else:
+    ready = start + latency
+inflight[line_addr] = ready
+if ready < mshr_floor:
+    mshr_floor = ready
+if ready > mshr_max:
+    mshr_max = ready
+ms_alloc += 1""")
+    if store:
+        # TimingModel.store_completes, inlined, with the buffer length
+        # tracked in a local (updated on every append/remove/drain).
+        e(0, """\
+if blen and sb_floor <= cycle:
+    buffer[:] = [t for t in buffer if t > cycle]
+    blen = len(buffer)
+    sb_floor = min(buffer) if blen else INF
+if blen >= $STORE_BUFFER_DEPTH:
+    earliest = min(buffer)
+    stall = earliest - cycle
+    if stall > 0.0:
+        store_stall += stall
+        cycle += stall
+    buffer_remove(earliest)
+    blen -= 1
+if ready > cycle:
+    buffer_append(ready)
+    blen += 1
+    if ready < sb_floor:
+        sb_floor = ready""")
+        if counted:
+            e(0, """\
+store_count += 1
+store_ord += ready - start""")
+            if spec == SPEC_FULL:
+                # DependenceSpeculator.on_store, inlined (final ==
+                # initial); stores_tracked is derived at spill time.
+                e(0, """\
+word = address & ~7
+queue_append((word, word))
+by_final[word] = word
+counts[word] = counts_get(word, 0) + 1
+if len(queue) > $SPEC_WINDOW:
+    old_final, _old_initial = queue_popleft()
+    remaining = counts[old_final] - 1
+    if remaining:
+        counts[old_final] = remaining
+    else:
+        del counts[old_final]
+        del by_final[old_final]""")
+    elif inline_tails:
+        # The hot arms completed in place above; only the deep-way /
+        # miss arm still needs its completion accounting, emitted inside
+        # that arm (``start``/``ready`` are bound on every path there).
+        if counted:
+            e(1, "load_count += 1")
+        e(1, _load_tail(c, counted, "merge"))
+    else:
+        # TimingModel.load_completes, inlined (shared tail: SPEC_FULL
+        # counted loads all fall through here so on_load can follow).
+        e(0, """\
+residual = ready - start - $OOO_WINDOW
+if residual > 0.0:
+    load_stall += residual
+    cycle += residual""")
+        if counted:
+            e(0, """\
+load_count += 1
+load_ord += ready - start""")
+            if spec == SPEC_FULL:
+                # on_load + misspeculation_flush, inlined;
+                # loads_checked is derived at spill time.
+                e(0, """\
+if by_final:
+    word = address & ~7
+    store_initial = by_final_get(word)
+    if store_initial is not None and store_initial != word:
+        spec_stats.misspeculations += 1
+        timing.misspeculations += 1
+        inst_stall += $MISSPECULATION_PENALTY
+        cycle += $MISSPECULATION_PENALTY""")
+    return "\n".join(out)
+
+
+#: (local, attribute) pairs spilled/reloaded around layered call-outs.
+_STATE = [
+    ("cycle", "timing.cycle"),
+    ("instructions", "timing.instructions"),
+    ("inst_stall", "timing.inst_stall_cycles"),
+    ("load_stall", "timing.load_stall_cycles"),
+    ("store_stall", "timing.store_stall_cycles"),
+    ("sb_floor", "timing._store_buffer_floor"),
+    ("mshr_floor", "mshr._floor"),
+    ("load_count", "load_latency.count"),
+    ("load_ord", "load_latency.ordinary_cycles"),
+    ("store_count", "store_latency.count"),
+    ("store_ord", "store_latency.ordinary_cycles"),
+    ("l1_lh", "l1_stats.load_hits"),
+    ("l1_lm", "l1_stats.load_misses"),
+    ("l1_sh", "l1_stats.store_hits"),
+    ("l1_sm", "l1_stats.store_misses"),
+    ("l1_ev", "l1_stats.evictions"),
+    ("l1_dev", "l1_stats.dirty_evictions"),
+    ("mc_lp", "miss_classes.load_partial"),
+    ("mc_lf", "miss_classes.load_full"),
+    ("mc_sp", "miss_classes.store_partial"),
+    ("mc_sf", "miss_classes.store_full"),
+    ("ms_comb", "mshr_stats.combines"),
+    ("ms_alloc", "mshr_stats.allocations"),
+    ("ms_fs", "mshr_stats.full_stalls"),
+    ("ms_fsc", "mshr_stats.full_stall_cycles"),
+    ("t12f", "traffic.l1_l2_fill_bytes"),
+    ("t12w", "traffic.l1_l2_writeback_bytes"),
+    ("t2mf", "traffic.l2_mem_fill_bytes"),
+    ("t2mw", "traffic.l2_mem_writeback_bytes"),
+]
+
+
+def _flush(spec: int) -> str:
+    """Spill the hot locals back to the component objects.
+
+    ``loads_checked``/``stores_tracked`` increment in lockstep with the
+    latency counts on every kernel path (counted references bump both;
+    ACCESS_R/ACCESS_W bump neither; forwarded references run layered,
+    which bumps both), so they are derived from the deltas here instead
+    of being maintained per reference.
+    """
+    lines = [f"{attr} = {local}" for local, attr in _STATE]
+    if spec:
+        lines.append("spec_stats.loads_checked = spec_lbase + load_count")
+        lines.append("spec_stats.stores_tracked = spec_sbase + store_count")
+    return "\n".join(lines)
+
+
+def _reload(spec: int) -> str:
+    """(Re)load the hot locals and derived bounds from the components."""
+    lines = [f"{local} = {attr}" for local, attr in _STATE]
+    if spec:
+        lines.append("spec_lbase = spec_stats.loads_checked - load_count")
+        lines.append("spec_sbase = spec_stats.stores_tracked - store_count")
+    lines.append("mshr_max = max(inflight.values()) if inflight else 0.0")
+    lines.append("blen = len(buffer)")
+    return "\n".join(lines)
+
+
+def _exec_inline(count_expr: str) -> str:
+    """TimingModel.execute, inlined against the loop locals."""
+    return f"""\
+count = {count_expr}
+instructions += count
+cycle += count * $IPC
+overhead = count * $INST_OVERHEAD
+inst_stall += overhead
+cycle += overhead"""
+
+
+def kernel_source(config: MachineConfig, spec_mode: int | None = None) -> str:
+    """Return the generated chunk-loop source for ``config``.
+
+    ``spec_mode`` is one of the ``SPEC_*`` constants; ``None`` derives
+    the conservative mode from the config alone (full bookkeeping
+    whenever a speculator exists).  Exposed for the tests (which assert
+    the constants really are baked in) and for debugging;
+    :func:`compiled_kernel` compiles it.
+    """
+    if not specializable(config):
+        raise SpecializationError(
+            "config uses features outside the specializer's matrix "
+            "(timeline sampling, event log, or a miss-path mechanism)"
+        )
+    if spec_mode is None:
+        spec_mode = SPEC_FULL if config.speculation_window > 0 else SPEC_OFF
+    c = _constants(config)
+    out: list[str] = []
+    e = lambda level, block: _emit(out, level, block)  # noqa: E731
+    e(0, """\
+def _replay(kinds, ops, extras, n, hierarchy, timing, speculator,
+            prefetcher, load_latency, store_latency, trap_installed):
+    l1 = hierarchy.l1
+    l2 = hierarchy.l2
+    mshr = hierarchy.mshr
+    tags = l1._tags
+    dirty = l1._dirty
+    set_len = l1._set_len
+    l1_stats = l1.stats
+    l2_tags = l2._tags
+    l2_dirty = l2._dirty
+    l2_set_len = l2._set_len
+    l2_stats = l2.stats
+    l2_fill = l2.fill
+    inflight = mshr._inflight
+    inflight_get = inflight.get
+    mshr_stats = mshr.stats
+    miss_classes = hierarchy.miss_classes
+    traffic = hierarchy.traffic
+    buffer = timing._store_buffer
+    buffer_append = buffer.append
+    buffer_remove = buffer.remove
+    access = hierarchy.access
+    execute = timing.execute
+    load_completes = timing.load_completes
+    store_completes = timing.store_completes
+    forwarding_trap_cost = timing.forwarding_trap_cost
+    forwarding_trap = timing.forwarding_trap
+    prefetch_block = prefetcher.prefetch_block""")
+    if spec_mode:
+        e(1, """\
+spec_stats = speculator.stats
+on_load = speculator.on_load
+on_store = speculator.on_store""")
+    if spec_mode == SPEC_FULL:
+        e(1, """\
+by_final = speculator._by_final
+by_final_get = by_final.get
+queue = speculator._queue
+queue_append = queue.append
+queue_popleft = queue.popleft
+counts = speculator._counts
+counts_get = counts.get""")
+    e(1, _reload(spec_mode))
+    e(1, "for idx in range(n):")
+    e(2, "kind = kinds[idx]")
+    # Dispatch arms ordered by measured frequency across the Figure-5
+    # traces (loads ~61%, exec ~15%, word accesses ~8% each, stores ~7%)
+    # so the common kinds fall out of the chain early.
+    e(2, f"if kind == {LOAD}:")
+    e(3, "address = ops[idx]")
+    e(3, _ref_body(c, spec_mode, store=False, counted=True))
+    e(2, f"elif kind == {EXEC}:")
+    e(3, _exec_inline("ops[idx]"))
+    e(2, f"elif kind == {ACCESS_R}:")
+    e(3, "address = ops[idx]")
+    e(3, _ref_body(c, spec_mode, store=False, counted=False))
+    e(2, f"elif kind == {ACCESS_W}:")
+    e(3, "address = ops[idx]")
+    e(3, _ref_body(c, spec_mode, store=True, counted=False))
+    e(2, f"elif kind == {STORE}:")
+    e(3, "address = ops[idx]")
+    e(3, _ref_body(c, spec_mode, store=True, counted=True))
+    e(2, f"elif kind == {MALLOC}:")
+    e(3, _exec_inline("$MALLOC_BASE + (ops[idx] >> 6)"))
+    e(2, f"elif kind == {FREE}:")
+    e(3, _exec_inline("$FREE_BASE + 2 * ops[idx]"))
+    e(2, f"elif kind == {TRAP}:")
+    e(3, "trap_installed = ops[idx] != 0")
+    e(2, f"elif kind == {PREFETCH}:")
+    # Software prefetch: rare; run against the layered components with
+    # the hot locals spilled around the call.
+    e(3, _flush(spec_mode))
+    e(3, """\
+execute(1)
+prefetch_block(ops[idx], extras[idx], timing.cycle)""")
+    e(3, _reload(spec_mode))
+    e(2, "else:")
+    # Forwarded load/store (LOAD_FWD/STORE_FWD; replay only -- the
+    # Machine costs forwarded references on its general path): the
+    # layered sequence of Machine._load_general/_store_general with the
+    # hops already resolved.  Only this arm reads ``trap_installed``.
+    e(3, _flush(spec_mode))
+    e(3, f"""\
+address = ops[idx]
+final, hops = extras[idx]
+is_store = kind == {STORE_FWD}
+execute(1)
+hop_cycles = 0.0
+for word in hops:
+    hstart = timing.cycle
+    result = access(word, False, hstart)
+    load_completes(result.ready, True)
+    hop_cycles += result.ready - hstart
+fstart = timing.cycle
+result = access(final, is_store, fstart)
+latency_stats = store_latency if is_store else load_latency
+if is_store:
+    store_completes(result.ready, True)
+else:
+    load_completes(result.ready, True)
+latency_stats.count += 1
+latency_stats.ordinary_cycles += result.ready - fstart
+latency_stats.forwarded += 1
+nhops = len(hops)
+latency_stats.forwarding_cycles += hop_cycles + forwarding_trap_cost(nhops)
+forwarding_trap(nhops)
+if trap_installed:
+    timing.stall($USER_TRAP_CYCLES, "inst")""")
+    if spec_mode:
+        e(3, """\
+if is_store:
+    on_store(address, final)
+elif on_load(address, final):
+    timing.misspeculation_flush()""")
+    e(3, _reload(spec_mode))
+    e(1, _flush(spec_mode))
+    e(1, "return trap_installed")
+    source = "\n".join(out) + "\n"
+    subst = {
+        key: (repr(value) if isinstance(value, float) else str(value))
+        for key, value in c.items()
+    }
+    return Template(source).substitute(subst)
+
+
+def _constants(config: MachineConfig) -> dict:
+    """Derive the baked-in literals for ``config``.
+
+    Geometry-derived values (shifts, masks, modes) come from a throwaway
+    hierarchy/timing instance, guaranteeing they match what the general
+    path would compute for the same config.
+    """
+    hierarchy = MemoryHierarchy(config.hierarchy)
+    timing = TimingModel(config.timing)
+    cfg = hierarchy.config
+    l1 = hierarchy.l1
+    l2 = hierarchy.l2
+    l2_line_size = max(cfg.l2_line_size, cfg.line_size)
+    return {
+        "LINE_SHIFT": l1.line_shift,
+        "SET_MASK": l1._set_mask,
+        "ASSOC": l1.associativity,
+        "L1_MODE": l1._mode,
+        "L2_SHIFT": l2.line_shift,
+        "L2_SET_MASK": l2._set_mask,
+        "L2_ASSOC": l2.associativity,
+        "L2_MODE": l2._mode,
+        "LINE_SIZE": cfg.line_size,
+        "L2_LINE_SIZE": l2_line_size,
+        "INCLUSION_COUNT": l2_line_size // cfg.line_size,
+        "L1_HIT_LATENCY": cfg.l1_hit_latency,
+        "L2_FILL_LATENCY": cfg.l2_fill_latency,
+        "FULL_MISS_LATENCY": cfg.full_miss_latency,
+        "MSHR_CAPACITY": hierarchy.mshr.capacity,
+        "IPC": timing._ipc,
+        "INST_OVERHEAD": config.timing.inst_overhead,
+        "OOO_WINDOW": config.timing.ooo_window,
+        "STORE_BUFFER_DEPTH": config.timing.store_buffer_depth,
+        "MISSPECULATION_PENALTY": config.timing.misspeculation_penalty,
+        "SPEC_WINDOW": config.speculation_window,
+        "MALLOC_BASE": config.malloc_base_cost,
+        "FREE_BASE": config.free_base_cost,
+        "USER_TRAP_CYCLES": config.user_trap_cycles,
+    }
+
+
+#: Compiled kernels, keyed by (constants, spec mode).  A 42-cell sweep
+#: compiles only a handful of distinct kernels (one per machine shape).
+_KERNEL_CACHE: dict[tuple, Callable] = {}
+
+
+def compiled_kernel(config: MachineConfig, spec_mode: int | None = None) -> Callable:
+    """Return (compiling on first use) the chunk loop for ``config``.
+
+    The loop is called as ``kernel(kinds, ops, extras, n, hierarchy,
+    timing, speculator, prefetcher, load_latency, store_latency,
+    trap_installed)``, costs the first ``n`` entries against those
+    components, and returns the trap flag as the chunk leaves it.
+    """
+    if spec_mode is None:
+        spec_mode = SPEC_FULL if config.speculation_window > 0 else SPEC_OFF
+    key = (tuple(sorted(_constants(config).items())), spec_mode)
+    kernel = _KERNEL_CACHE.get(key)
+    if kernel is None:
+        source = kernel_source(config, spec_mode)
+        namespace = {"INF": float("inf")}
+        exec(compile(source, "<fused-reference-kernel>", "exec"), namespace)
+        kernel = namespace["_replay"]
+        _KERNEL_CACHE[key] = kernel
+    return kernel

@@ -25,7 +25,19 @@ from repro.adapt.config import AdaptConfig
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.core.errors import DoubleFreeError, MemoryAccessError
 from repro.core.forwarding import ForwardingEngine
-from repro.core.hotpath import make_machine_ops, make_reference_kernel
+from repro.core.kernel import (
+    ACCESS_R,
+    ACCESS_W,
+    CYCLE_GUARD,
+    EXEC,
+    FREE,
+    LOAD,
+    MALLOC,
+    PREFETCH,
+    STORE,
+    compiled_kernel,
+    specializable,
+)
 from repro.core.memory import TaggedMemory, WORD_MASK, WORD_SIZE
 from repro.core.stats import MachineStats, ReferenceLatencyStats, RelocationStats
 from repro.cpu.prefetch import SoftwarePrefetcher
@@ -36,6 +48,19 @@ from repro.mem.pool import RelocationPool
 
 #: The simulated NULL pointer.
 NULL = 0
+
+#: Entries the fast path's pending chunk holds before it drains; the
+#: trace format's chunk size, so the kernel sees replay-sized chunks.
+PENDING_ENTRIES = 65536
+
+#: A drain that starts at or above this cycle costs its chunk on the
+#: layered path and turns the fast path off for good.  A chunk that
+#: starts below it would have to add 2**48 cycles -- over 2**32 per
+#: entry -- before any of its references could start at
+#: :data:`~repro.core.kernel.CYCLE_GUARD`, where the proof of the kernel's
+#: residual elision ends; one entry adds an instruction count plus a few
+#: memory latencies.
+DRAIN_GUARD = CYCLE_GUARD / 2
 
 
 @dataclass(frozen=True)
@@ -117,17 +142,20 @@ class MachineConfig:
     max_prefetch_block: int = 8
     #: Extra cycles charged to a user-level trap handler invocation.
     user_trap_cycles: float = 10.0
-    #: Use the fused load/store fast path for unforwarded L1 hits.  The
-    #: fast and general paths produce bit-identical statistics (enforced
-    #: by the differential parity tests); this switch exists so those
-    #: tests -- and any future debugging -- can force the general path.
+    #: Defer the cost of unforwarded references (and the other cheap
+    #: operations) to chunks drained through the generated kernel of
+    #: :mod:`repro.core.kernel`.  The fast and general paths produce
+    #: bit-identical statistics (enforced by the differential parity
+    #: tests); this switch exists so those tests -- and any future
+    #: debugging -- can force the general path, the specification.
     fast_path: bool = True
     #: Data references per timeline window; 0 (the default) disables the
-    #: sampler entirely -- no wrapper closures, zero hot-path cost.
+    #: sampler entirely.  A sampled config runs the general path, which
+    #: ticks the sampler after each data reference.
     timeline_interval: int = 0
     #: Capacity of the structured event ring; 0 (the default) disables
     #: event emission.  Enabling events forces the general reference
-    #: path, because the fused kernels inline the cache internals some
+    #: path, because the fused kernel inlines the cache internals some
     #: events come from (L2 inclusion victims).
     events_capacity: int = 0
     #: Heatmap region granularity (bytes, power of two) for the timeline
@@ -157,63 +185,164 @@ class MachineConfig:
         return replace(self, hierarchy=replace(self.hierarchy, line_size=line_size))
 
 
+def _costed(name: str) -> property:
+    """A component attribute that drains the pending chunk on every read."""
+    slot = "_" + name
+
+    def get(self: "Machine"):
+        if self._kinds:
+            self._drain()
+        return getattr(self, slot)
+
+    return property(get, doc=f"The machine's {name}, every pending entry costed.")
+
+
+def layered_costs(
+    config: MachineConfig,
+    hierarchy: MemoryHierarchy,
+    timing: TimingModel,
+    speculator: DependenceSpeculator | None,
+    prefetcher: SoftwarePrefetcher,
+    load_latency: ReferenceLatencyStats,
+    store_latency: ReferenceLatencyStats,
+) -> list:
+    """Cost handlers for chunk entries, over the layered components.
+
+    ``handlers[kind](op, extra)`` charges exactly what the general path
+    charges for an entry of that kind: :meth:`Machine.load` /
+    :meth:`Machine.store` of an unforwarded word, ``Read_FBit`` /
+    ``Unforwarded_Read`` / ``Unforwarded_Write``, ``execute``,
+    ``prefetch``, ``malloc`` and ``free``.  The forwarded kinds and the
+    trap flag need state the components do not carry; their slots are
+    ``None`` for the caller (replay) to fill.
+    """
+    access = hierarchy.access
+    execute = timing.execute
+    load_completes = timing.load_completes
+    store_completes = timing.store_completes
+    malloc_base = config.malloc_base_cost
+    free_base = config.free_base_cost
+
+    def load(address, _extra):
+        execute(1)
+        start = timing.cycle
+        result = access(address, False, start)
+        load_completes(result.ready)
+        load_latency.count += 1
+        load_latency.ordinary_cycles += result.ready - start
+        if speculator is not None and speculator.on_load(address, address):
+            timing.misspeculation_flush()
+
+    def store(address, _extra):
+        execute(1)
+        start = timing.cycle
+        result = access(address, True, start)
+        store_completes(result.ready)
+        store_latency.count += 1
+        store_latency.ordinary_cycles += result.ready - start
+        if speculator is not None:
+            speculator.on_store(address, address)
+
+    def access_r(word, _extra):
+        execute(1)
+        load_completes(access(word, False, timing.cycle).ready)
+
+    def access_w(word, _extra):
+        execute(1)
+        store_completes(access(word, True, timing.cycle).ready)
+
+    def prefetch(address, lines):
+        execute(1)
+        prefetcher.prefetch_block(address, lines, timing.cycle)
+
+    handlers: list = [None] * 11
+    handlers[LOAD] = load
+    handlers[STORE] = store
+    handlers[EXEC] = lambda count, _extra: execute(count)
+    handlers[ACCESS_R] = access_r
+    handlers[ACCESS_W] = access_w
+    handlers[PREFETCH] = prefetch
+    handlers[MALLOC] = lambda nbytes, _extra: execute(malloc_base + (nbytes >> 6))
+    handlers[FREE] = lambda chain, _extra: execute(free_base + 2 * chain)
+    return handlers
+
+
 class Machine:
     """A complete simulated system instance.
 
-    Data references run through a **fused fast path**: ``load`` and
-    ``store`` are per-instance closures (built by
-    :func:`repro.core.hotpath.make_machine_ops`) that, when no observer
-    is installed and the referenced word's forwarding bit is clear, run
-    the fbit check, the whole cache/MSHR/timing cost path, and the data
-    access in a single frame over hot state bound to locals.  Every
-    exception case -- an observer, a set forwarding bit, an address out
-    of range -- falls back to the general path
-    (:meth:`_load_general` / :meth:`_store_general`), which remains the
-    readable reference implementation.  The two paths produce
-    bit-identical :class:`MachineStats`; the differential parity tests
-    enforce that invariant across every application and variant.
+    Data references have two paths.  The **general path**
+    (:meth:`_load_general` / :meth:`_store_general` and the general arms
+    of the other operations) is the readable specification: it resolves
+    forwarding, walks the hierarchy, and charges the timing model
+    reference by reference.  The **fast path** defers cost accounting:
+    when no observer is installed, the config is inside the kernel's
+    feature matrix, and the referenced word's forwarding bit is clear,
+    ``load``/``store`` do the data access at once and only
+    append the entry's kind and address to a *pending chunk* -- as do
+    ``Read_FBit``, ``Unforwarded_Read``/``Write``, ``execute``,
+    ``prefetch``, ``malloc`` and ``free``.  Loaded values never depend on
+    timing, so costing can wait: a drain runs the chunk through the
+    generated kernel of :mod:`repro.core.kernel` once it holds
+    :data:`PENDING_ENTRIES` entries, or before anything reads or writes
+    cost state -- the general path, a user trap, :meth:`stats`,
+    :attr:`metrics`, :attr:`cycles`, and every component attribute
+    (``timing``, ``hierarchy``, ``prefetcher``, ``speculator``,
+    ``load_latency``, ``store_latency``, ``forwarding``).  The two paths
+    produce bit-identical :class:`MachineStats`; the differential parity
+    tests enforce that across every application and variant.
     """
 
     __slots__ = (
-        "load",
-        "store",
         "config",
         "memory",
-        "forwarding",
-        "hierarchy",
-        "timing",
+        "_forwarding",
+        "_hierarchy",
+        "_timing",
         "heap",
-        "prefetcher",
-        "speculator",
+        "_prefetcher",
+        "_speculator",
         "pools",
         "trap_handler",
         "observer",
-        "load_latency",
-        "store_latency",
+        "_load_latency",
+        "_store_latency",
         "relocation_stats",
         "_pool_bump",
         "_pool_limit",
         "_pool_region_base",
         "_hop_cycles",
         "_fast_enabled",
-        "_kernel_load",
-        "_kernel_store",
+        "_kinds",
+        "_ops",
+        "_extras",
+        "_kernel",
+        "_words",
+        "_fbits",
+        "_nwords",
         "_registry",
         "events",
         "timeline",
         "adapt",
     )
 
+    timing = _costed("timing")
+    hierarchy = _costed("hierarchy")
+    prefetcher = _costed("prefetcher")
+    speculator = _costed("speculator")
+    load_latency = _costed("load_latency")
+    store_latency = _costed("store_latency")
+    forwarding = _costed("forwarding")
+
     def __init__(self, config: MachineConfig | None = None) -> None:
         self.config = config or MachineConfig()
         cfg = self.config
         self.memory = TaggedMemory(cfg.memory_size)
-        self.forwarding = ForwardingEngine(self.memory, cfg.hop_limit)
-        self.hierarchy = MemoryHierarchy(cfg.hierarchy)
-        self.timing = TimingModel(cfg.timing)
+        self._forwarding = ForwardingEngine(self.memory, cfg.hop_limit)
+        self._hierarchy = MemoryHierarchy(cfg.hierarchy)
+        self._timing = TimingModel(cfg.timing)
         self.heap = HeapAllocator(self.memory, cfg.heap_base, cfg.heap_size)
-        self.prefetcher = SoftwarePrefetcher(self.hierarchy, cfg.max_prefetch_block)
-        self.speculator = (
+        self._prefetcher = SoftwarePrefetcher(self._hierarchy, cfg.max_prefetch_block)
+        self._speculator = (
             DependenceSpeculator(cfg.speculation_window)
             if cfg.speculation_window > 0
             else None
@@ -226,43 +355,38 @@ class Machine:
         #: Optional instrumentation hook (see :class:`MachineObserver`).
         self.observer: MachineObserver | None = None
         # Per-reference latency accounting (Figure 10(c,d)).
-        self.load_latency = ReferenceLatencyStats()
-        self.store_latency = ReferenceLatencyStats()
+        self._load_latency = ReferenceLatencyStats()
+        self._store_latency = ReferenceLatencyStats()
         self.relocation_stats = RelocationStats()
         # Scratch accumulator filled by the per-hop callback.
         self._hop_cycles = 0.0
-        self._fast_enabled = cfg.fast_path
-        # Fused per-reference cost kernel (see repro.core.hotpath): all
-        # components it closes over are allocated exactly once above and
-        # only mutated in place for the machine's lifetime.
+        # Timeline sampling, the event log, miss-path mechanisms and
+        # adaptive relocation all live outside the generated kernel's
+        # feature matrix; those configs run the general path throughout.
+        self._fast_enabled = cfg.fast_path and specializable(cfg)
+        # The pending chunk, in the layout replay decodes to.  The kernel
+        # is compiled at the first drain, so a machine that never drains
+        # (a capture, with its observer) compiles nothing.
+        self._kinds = bytearray()
+        self._ops: list = []
+        self._extras: dict = {}
+        self._kernel = None
+        self._words = self.memory._words
+        self._fbits = self.memory._fbits
+        self._nwords = self.memory._nwords
         # Lazily built repro.obs registry (see the ``metrics`` property);
         # never touched by the reference hot paths.
         self._registry = None
-        self._kernel_load, self._kernel_store = make_reference_kernel(
-            self.hierarchy,
-            self.timing,
-            self.speculator,
-            self.load_latency,
-            self.store_latency,
-            self.forwarding.stats,
-        )
-        self.load, self.store = make_machine_ops(self)
-        # Observability side-channels (DESIGN.md 5d).  Both default off;
-        # neither adds a single instruction to the reference hot path
-        # when disabled (no wrapper closures, no per-call flag tests
-        # beyond those the ops already perform).
+        # Observability side-channels (DESIGN.md 5d).  Both default off
+        # and add nothing to the reference hot path when disabled.
         self.events = None
         if cfg.events_capacity > 0:
             from repro.obs.events import EventLog
 
-            timing = self.timing
+            timing = self._timing
             self.events = EventLog(cfg.events_capacity, clock=lambda: timing.cycle)
-            self.forwarding.events = self.events
-            self.hierarchy.events = self.events
-            # The fused kernels inline the L2 inclusion machinery that
-            # cache.l2_victim events come from; force the (bit-identical)
-            # general path so no event is lost.
-            self._fast_enabled = False
+            self._forwarding.events = self.events
+            self._hierarchy.events = self.events
         self.timeline = None
         self.adapt = None
         # The adaptive engine feeds off timeline windows: configuring it
@@ -274,80 +398,134 @@ class Machine:
         if interval > 0:
             from repro.obs.timeline import Timeline
 
-            timing = self.timing
+            timing = self._timing
             self.timeline = Timeline(
                 interval,
                 self.metrics,
-                mshr=self.hierarchy.mshr,
+                mshr=self._hierarchy.mshr,
                 clock=lambda: timing.cycle,
                 events=self.events,
                 region_bytes=cfg.heatmap_region_bytes,
             )
-            self._wrap_references_with_timeline()
         if cfg.adapt is not None:
             from repro.adapt.engine import AdaptEngine
 
             self.adapt = AdaptEngine(self, cfg.adapt)
             self.adapt.install()
-            # Engine relocations interleave with application references;
-            # stay on the (bit-identical) general path so every
-            # forwarding corner case runs the reference implementation.
+
+    # ------------------------------------------------------------------
+    # The pending chunk
+    # ------------------------------------------------------------------
+    def _pend(self, kind: int, op: int) -> None:
+        kinds = self._kinds
+        kinds.append(kind)
+        self._ops.append(op)
+        if len(kinds) >= PENDING_ENTRIES:
+            self._drain()
+
+    def _drain(self) -> None:
+        """Cost every pending entry, in order, then empty the chunk."""
+        kinds = self._kinds
+        timing = self._timing
+        load_latency = self._load_latency
+        store_latency = self._store_latency
+        counted = load_latency.count + store_latency.count
+        if timing.cycle < DRAIN_GUARD:
+            kernel = self._kernel
+            if kernel is None:
+                # SPEC_FULL (the default) whenever a speculator exists:
+                # unlike replay, a live machine cannot know in advance
+                # that no reference will be forwarded.
+                kernel = self._kernel = compiled_kernel(self.config)
+            kernel(
+                kinds, self._ops, self._extras, len(kinds),
+                self._hierarchy, timing, self._speculator, self._prefetcher,
+                load_latency, store_latency, False,
+            )
+        else:
             self._fast_enabled = False
+            handlers = layered_costs(
+                self.config, self._hierarchy, timing, self._speculator,
+                self._prefetcher, load_latency, store_latency,
+            )
+            ops = self._ops
+            extra = self._extras.get
+            for index, kind in enumerate(kinds):
+                handlers[kind](ops[index], extra(index))
+        # ForwardingEngine.resolve counts every reference; the fast path
+        # never calls it, so the drained loads and stores are added here.
+        self._forwarding.stats.references += (
+            load_latency.count + store_latency.count - counted
+        )
+        del kinds[:]
+        del self._ops[:]
+        self._extras.clear()
 
-    def _wrap_references_with_timeline(self) -> None:
-        """Interpose the timeline sampler on ``load``/``store``.
-
-        Wrapping (rather than testing a flag inside the ops) keeps the
-        disabled configuration byte-for-byte identical to PR 3's hot
-        path.  The tick happens *after* the inner reference completes so
-        a window boundary observes the reference's full cost -- and so a
-        replayed trace, which ticks after dispatching each entry, lands
-        its boundaries on exactly the same references.
-        """
-        timeline = self.timeline
-        inner_load = self.load
-        inner_store = self.store
-        tick = timeline.tick
-
-        def timed_load(address: int, size: int = WORD_SIZE) -> int:
-            value = inner_load(address, size)
-            tick(address)
-            return value
-
-        def timed_store(address: int, value: int, size: int = WORD_SIZE) -> None:
-            inner_store(address, value, size)
-            tick(address)
-
-        self.load = timed_load
-        self.store = timed_store
+    def _sync(self) -> None:
+        """Drain before reading or writing cost state."""
+        if self._kinds:
+            self._drain()
 
     # ------------------------------------------------------------------
     # Data references (forwarding-aware)
     # ------------------------------------------------------------------
+    def load(self, address: int, size: int = WORD_SIZE) -> int:
+        """Forwarding-aware load of ``size`` bytes; returns the value."""
+        if self.observer is None and self._fast_enabled:
+            index = address >> 3
+            if 0 <= index < self._nwords and not self._fbits[index]:
+                kinds = self._kinds
+                kinds.append(LOAD)
+                self._ops.append(address)
+                if len(kinds) >= PENDING_ENTRIES:
+                    self._drain()
+                if size == WORD_SIZE and not address & 7:
+                    return self._words[index]
+                return self.memory.read_data(address, size)
+        return self._load_general(address, size)
+
+    def store(self, address: int, value: int, size: int = WORD_SIZE) -> None:
+        """Forwarding-aware store of ``size`` bytes."""
+        if self.observer is None and self._fast_enabled:
+            index = address >> 3
+            if 0 <= index < self._nwords and not self._fbits[index]:
+                kinds = self._kinds
+                kinds.append(STORE)
+                self._ops.append(address)
+                if len(kinds) >= PENDING_ENTRIES:
+                    self._drain()
+                if size == WORD_SIZE and not address & 7:
+                    self._words[index] = value & WORD_MASK
+                else:
+                    self.memory.write_data(address, value, size)
+                return
+        self._store_general(address, value, size)
+
     def _on_hop(self, word_address: int) -> None:
         """Timed cache access for one forwarding hop.
 
         The old location is genuinely touched, which is how forwarding
         pollutes the cache (the effect Figure 10(d) attributes latency to).
         """
-        timing = self.timing
+        timing = self._timing
         start = timing.cycle
-        result = self.hierarchy.access(word_address, False, start)
+        result = self._hierarchy.access(word_address, False, start)
         timing.load_completes(result.ready, forwarding=True)
         self._hop_cycles += result.ready - start
 
     def _load_general(self, address: int, size: int = WORD_SIZE) -> int:
         """General (reference) load path: observers, forwarding, traps."""
+        self._sync()
         if self.observer is not None:
             self.observer.on_load(address, size)
-        timing = self.timing
+        timing = self._timing
         timing.execute(1)
         self._hop_cycles = 0.0
-        final, hops = self.forwarding.resolve(address, self._on_hop)
+        final, hops = self._forwarding.resolve(address, self._on_hop)
         start = timing.cycle
-        result = self.hierarchy.access(final, False, start)
+        result = self._hierarchy.access(final, False, start)
         timing.load_completes(result.ready, forwarding=hops > 0)
-        latency = self.load_latency
+        latency = self._load_latency
         latency.count += 1
         latency.ordinary_cycles += result.ready - start
         if hops:
@@ -357,22 +535,29 @@ class Machine:
             if self.timeline is not None:
                 self.timeline.note_forwarded(address)
             self._fire_trap(address, final, hops, is_write=False)
-        if self.speculator is not None and self.speculator.on_load(address, final):
+        if self._speculator is not None and self._speculator.on_load(address, final):
             timing.misspeculation_flush()
-        return self.memory.read_data(final, size)
+        value = self.memory.read_data(final, size)
+        if self.timeline is not None:
+            # After the reference's full cost, so a window boundary
+            # observes it -- and so a replay, which ticks after each
+            # entry, lands its boundaries on the same references.
+            self.timeline.tick(address)
+        return value
 
     def _store_general(self, address: int, value: int, size: int = WORD_SIZE) -> None:
         """General (reference) store path: observers, forwarding, traps."""
+        self._sync()
         if self.observer is not None:
             self.observer.on_store(address, value, size)
-        timing = self.timing
+        timing = self._timing
         timing.execute(1)
         self._hop_cycles = 0.0
-        final, hops = self.forwarding.resolve(address, self._on_hop)
+        final, hops = self._forwarding.resolve(address, self._on_hop)
         start = timing.cycle
-        result = self.hierarchy.access(final, True, start)
+        result = self._hierarchy.access(final, True, start)
         timing.store_completes(result.ready, forwarding=hops > 0)
-        latency = self.store_latency
+        latency = self._store_latency
         latency.count += 1
         latency.ordinary_cycles += result.ready - start
         if hops:
@@ -382,15 +567,20 @@ class Machine:
             if self.timeline is not None:
                 self.timeline.note_forwarded(address)
             self._fire_trap(address, final, hops, is_write=True)
-        if self.speculator is not None:
-            self.speculator.on_store(address, final)
+        if self._speculator is not None:
+            self._speculator.on_store(address, final)
         self.memory.write_data(final, value, size)
+        if self.timeline is not None:
+            self.timeline.tick(address)
 
     def _fire_trap(self, initial: int, final: int, hops: int, is_write: bool) -> None:
         handler = self.trap_handler
         if handler is not None:
-            self.timing.stall(self.config.user_trap_cycles, "inst")
+            self._timing.stall(self.config.user_trap_cycles, "inst")
             handler(self, ForwardingEvent(initial, final, hops, is_write))
+            # The handler's own references may be pending; cost them
+            # before the interrupted reference finishes its accounting.
+            self._sync()
 
     # ------------------------------------------------------------------
     # ISA extensions (Figure 3) -- forwarding mechanism disabled
@@ -403,53 +593,50 @@ class Machine:
         line reaches the primary cache).
         """
         word = address & ~7
-        if self.observer is None and self._fast_enabled:
-            memory = self.memory
-            index = word >> 3
-            if 0 <= index < memory._nwords:
-                self._kernel_load(word, True)
-                return memory._fbits[index]
+        index = word >> 3
+        if self.observer is None and self._fast_enabled and 0 <= index < self._nwords:
+            self._pend(ACCESS_R, word)
+            return self._fbits[index]
+        self._sync()
         if self.observer is not None:
             self.observer.on_read_fbit(address)
-        timing = self.timing
+        timing = self._timing
         timing.execute(1)
-        result = self.hierarchy.access(word, False, timing.cycle)
+        result = self._hierarchy.access(word, False, timing.cycle)
         timing.load_completes(result.ready)
         return self.memory.read_fbit(word)
 
     def unforwarded_read(self, address: int) -> int:
         """``Unforwarded_Read``: read a word with forwarding disabled."""
         word = address & ~7
-        if self.observer is None and self._fast_enabled:
-            memory = self.memory
-            index = word >> 3
-            if 0 <= index < memory._nwords:
-                self._kernel_load(word, True)
-                return memory._words[index]
+        index = word >> 3
+        if self.observer is None and self._fast_enabled and 0 <= index < self._nwords:
+            self._pend(ACCESS_R, word)
+            return self._words[index]
+        self._sync()
         if self.observer is not None:
             self.observer.on_unforwarded_read(address)
-        timing = self.timing
+        timing = self._timing
         timing.execute(1)
-        result = self.hierarchy.access(word, False, timing.cycle)
+        result = self._hierarchy.access(word, False, timing.cycle)
         timing.load_completes(result.ready)
         return self.memory.read_word(word)
 
     def unforwarded_write(self, address: int, value: int, fbit: int) -> None:
         """``Unforwarded_Write``: atomically set a word and its bit."""
         word = address & ~7
-        if self.observer is None and self._fast_enabled:
-            memory = self.memory
-            index = word >> 3
-            if 0 <= index < memory._nwords:
-                self._kernel_store(word, True)
-                memory._words[index] = value & WORD_MASK
-                memory._fbits[index] = 1 if fbit else 0
-                return
+        index = word >> 3
+        if self.observer is None and self._fast_enabled and 0 <= index < self._nwords:
+            self._pend(ACCESS_W, word)
+            self._words[index] = value & WORD_MASK
+            self._fbits[index] = 1 if fbit else 0
+            return
+        self._sync()
         if self.observer is not None:
             self.observer.on_unforwarded_write(address, value, fbit)
-        timing = self.timing
+        timing = self._timing
         timing.execute(1)
-        result = self.hierarchy.access(word, True, timing.cycle)
+        result = self._hierarchy.access(word, True, timing.cycle)
         timing.store_completes(result.ready)
         self.memory.write_word_tagged(word, value, fbit)
 
@@ -458,23 +645,30 @@ class Machine:
     # ------------------------------------------------------------------
     def prefetch(self, address: int, lines: int = 1) -> None:
         """Issue one (block) software prefetch instruction."""
+        if self.observer is None and self._fast_enabled:
+            self._extras[len(self._kinds)] = lines
+            self._pend(PREFETCH, address)
+            return
+        self._sync()
         if self.observer is not None:
             self.observer.on_prefetch(address, lines)
-        self.timing.execute(1)
-        self.prefetcher.prefetch_block(address, lines, self.timing.cycle)
+        timing = self._timing
+        timing.execute(1)
+        self._prefetcher.prefetch_block(address, lines, timing.cycle)
 
     def execute(self, instructions: int) -> None:
         """Account for ``instructions`` non-memory instructions."""
+        if self.observer is None and self._fast_enabled:
+            kinds = self._kinds
+            kinds.append(EXEC)
+            self._ops.append(instructions)
+            if len(kinds) >= PENDING_ENTRIES:
+                self._drain()
+            return
+        self._sync()
         if self.observer is not None:
             self.observer.on_execute(instructions)
-        # TimingModel.execute, inlined (this is the hottest non-memory
-        # call in the instrumented profiles).
-        timing = self.timing
-        timing.instructions += instructions
-        timing.cycle += instructions * timing._ipc
-        overhead = instructions * timing.config.inst_overhead
-        timing.inst_stall_cycles += overhead
-        timing.cycle += overhead
+        self._timing.execute(instructions)
 
     def raw_write(self, address: int, value: int) -> None:
         """Untimed raw word write (no caches, no forwarding, no cost).
@@ -494,7 +688,11 @@ class Machine:
     # ------------------------------------------------------------------
     def malloc(self, nbytes: int, align: int = WORD_SIZE) -> int:
         """Allocate a heap block; charges allocator bookkeeping time."""
-        self.timing.execute(self.config.malloc_base_cost + (nbytes >> 6))
+        if self.observer is None and self._fast_enabled:
+            self._pend(MALLOC, nbytes)
+        else:
+            self._sync()
+            self._timing.execute(self.config.malloc_base_cost + (nbytes >> 6))
         address = self.heap.allocate(nbytes, align)
         if self.observer is not None:
             self.observer.on_malloc(nbytes, align, address)
@@ -509,10 +707,14 @@ class Machine:
         """
         if self.observer is not None:
             self.observer.on_free(address)
-        chain = self.forwarding.chain(address)
+        chain = self._forwarding.chain(address)
         if self.events is not None:
             self.events.emit("mem.free", address=address, chain=len(chain))
-        self.timing.execute(self.config.free_base_cost + 2 * len(chain))
+        if self.observer is None and self._fast_enabled:
+            self._pend(FREE, len(chain))
+        else:
+            self._sync()
+            self._timing.execute(self.config.free_base_cost + 2 * len(chain))
         freed_any = False
         in_pool = False
         for word_address in chain:
@@ -599,20 +801,23 @@ class Machine:
     # ------------------------------------------------------------------
     @property
     def cycles(self) -> float:
-        return self.timing.cycle
+        self._sync()
+        return self._timing.cycle
 
     def stats(self) -> MachineStats:
         """Snapshot every counter the experiments report."""
+        self._sync()
+        forwarding = self._forwarding.stats
         return MachineStats.collect(
-            timing=self.timing,
-            hierarchy=self.hierarchy,
-            loads=replace(self.load_latency),
-            stores=replace(self.store_latency),
-            speculator=self.speculator,
-            prefetcher=self.prefetcher,
-            forwarding_hops=self.forwarding.stats.total_hops,
-            cycle_checks=self.forwarding.stats.cycle_check_invocations,
-            forwarding_chain_hist=self.forwarding.stats.hop_histogram,
+            timing=self._timing,
+            hierarchy=self._hierarchy,
+            loads=replace(self._load_latency),
+            stores=replace(self._store_latency),
+            speculator=self._speculator,
+            prefetcher=self._prefetcher,
+            forwarding_hops=forwarding.total_hops,
+            cycle_checks=forwarding.cycle_check_invocations,
+            forwarding_chain_hist=forwarding.hop_histogram,
             relocation=replace(
                 self.relocation_stats,
                 pool_bytes=sum(pool.used_bytes for pool in self.pools),
@@ -625,43 +830,43 @@ class Machine:
         """This machine's live ``repro.obs`` registry (built on first use).
 
         Every component's counters are *bound* -- read only at snapshot
-        time -- so the fused reference kernels stay untouched-hot (the
-        hot-path flush contract; see DESIGN.md §5c).  The canonical names
-        match :meth:`MachineStats.to_snapshot`, with extra per-component
-        detail (per-level hits, MSHR activity, traffic split by
-        fill/writeback) available only on the live registry.
+        time, after the registry drains the pending chunk -- so the
+        reference hot paths never touch the registry (the hot-path flush
+        contract; see DESIGN.md §5c).  The canonical names match
+        :meth:`MachineStats.to_snapshot`, with extra per-component detail
+        (per-level hits, MSHR activity, traffic split by fill/writeback)
+        available only on the live registry.
         """
+        self._sync()
         registry = self._registry
         if registry is None:
             from repro.obs.registry import GAUGE, Registry
 
             registry = Registry()
-            self.timing.register_metrics(registry)
-            self.hierarchy.register_metrics(registry)
-            self.forwarding.stats.register_metrics(registry, "fwd")
-            self.prefetcher.register_metrics(registry, "prefetch")
-            if self.speculator is not None:
-                self.speculator.register_metrics(registry, "spec")
+            registry.flush = self._sync
+            timing = self._timing
+            timing.register_metrics(registry)
+            self._hierarchy.register_metrics(registry)
+            self._forwarding.stats.register_metrics(registry, "fwd")
+            self._prefetcher.register_metrics(registry, "prefetch")
+            if self._speculator is not None:
+                self._speculator.register_metrics(registry, "spec")
             else:
-                registry.bind(
-                    "spec.misspeculations", lambda: self.timing.misspeculations
-                )
-            self.load_latency.register_metrics(registry, "ref.load")
-            self.store_latency.register_metrics(registry, "ref.store")
-            registry.bind("reloc.count", lambda: self.relocation_stats.relocations)
-            registry.bind(
-                "reloc.words", lambda: self.relocation_stats.words_relocated
-            )
+                registry.bind("spec.misspeculations", lambda: timing.misspeculations)
+            self._load_latency.register_metrics(registry, "ref.load")
+            self._store_latency.register_metrics(registry, "ref.store")
+            relocation = self.relocation_stats
+            registry.bind("reloc.count", lambda: relocation.relocations)
+            registry.bind("reloc.words", lambda: relocation.words_relocated)
             registry.bind(
                 "reloc.optimizer_invocations",
-                lambda: self.relocation_stats.optimizer_invocations,
+                lambda: relocation.optimizer_invocations,
             )
+            pools = self.pools
             registry.bind(
-                "reloc.pool_bytes",
-                lambda: sum(pool.used_bytes for pool in self.pools),
+                "reloc.pool_bytes", lambda: sum(pool.used_bytes for pool in pools)
             )
-            registry.bind(
-                "heap.high_water", lambda: self.heap.stats.high_water, kind=GAUGE
-            )
+            heap = self.heap.stats
+            registry.bind("heap.high_water", lambda: heap.high_water, kind=GAUGE)
             self._registry = registry
         return registry

@@ -24,8 +24,9 @@ reproduction:
   trace-id stamped.
 
 See DESIGN.md §5c for the design contract, in particular the hot-path
-flush rule: fused kernels never touch the registry; their flat counter
-slots are read through bound getters only at snapshot time.
+flush rule: the generated reference kernel never touches the registry;
+its flat counter slots are read through bound getters only at snapshot
+time.
 """
 
 from repro.obs.events import EventLog

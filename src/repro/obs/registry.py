@@ -17,11 +17,13 @@ producer:
   experiment runner's capture/replay/cache tallies.
 * **Bound instruments** (:meth:`Registry.bind`) wrap a zero-argument
   getter that is only evaluated at snapshot time.  This is the *hot-path
-  flush contract*: the fused kernels of :mod:`repro.core.hotpath` keep
-  mutating the same flat counter slots they always have (``CacheStats``,
-  ``MSHRStats``, ``TimingModel`` fields, ...) with zero added cost, and
-  the registry pulls those slots into the metric tree only when someone
-  asks for a snapshot.
+  flush contract*: the generated kernel of :mod:`repro.core.kernel`
+  keeps mutating the same flat counter slots the layered components
+  own (``CacheStats``, ``MSHRStats``, ``TimingModel`` fields, ...) with
+  zero added cost, and the registry pulls those slots into the metric
+  tree only when someone asks for a snapshot -- first calling its
+  :attr:`Registry.flush` hook, through which a machine drains the
+  references it has not costed yet.
 
 Snapshots are plain immutable mappings of dotted name to value with
 O(1) per-metric access, and they compose: :meth:`Snapshot.merge` sums
@@ -302,12 +304,15 @@ class Registry:
     :meth:`Snapshot.tree` well-defined.
     """
 
-    __slots__ = ("_owned", "_bound", "_prefixes", "spans")
+    __slots__ = ("_owned", "_bound", "_prefixes", "spans", "flush")
 
     def __init__(self) -> None:
         self._owned: dict[str, Counter | Gauge | Histogram] = {}
         #: name -> (kind, getter); evaluated lazily at snapshot time.
         self._bound: dict[str, tuple[str, Callable[[], Any]]] = {}
+        #: Called first by :meth:`snapshot`, so the bound sources are up
+        #: to date when read (a machine drains its pending chunk here).
+        self.flush: Callable[[], None] | None = None
         self._prefixes: set[str] = set()
         # Imported here to avoid a cycle (span.py imports Snapshot).
         from repro.obs.span import SpanLog
@@ -404,6 +409,8 @@ class Registry:
     # -- observation ---------------------------------------------------
     def snapshot(self) -> Snapshot:
         """O(metrics) point-in-time view of every registered instrument."""
+        if self.flush is not None:
+            self.flush()
         values: dict[str, Any] = {}
         kinds: dict[str, str] = {}
         for name, instrument in self._owned.items():

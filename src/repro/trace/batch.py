@@ -58,18 +58,14 @@ from dataclasses import dataclass
 from repro.apps.base import AppResult
 from repro.core.machine import MachineConfig
 from repro.trace.format import Trace
-from repro.trace.kernels import (
-    SpecializedSession,
-    replay_specialized,
-    specializable,
-)
+from repro.trace.kernels import SpecializedSession, specializable
 from repro.trace.replay import (
     MAX_CHUNK_SPANS,
     ReplaySession,
     SidecarError,
     _decode_chunks,
+    drive_traced,
     iter_resolved_chunks,
-    replay_trace,
     resolved_stream,
 )
 from repro.trace.store import ArtifactStore, config_fingerprint
@@ -112,25 +108,29 @@ class BatchOutcome:
     error: BatchCellError | None = None
 
 
-def replay_engine(trace: Trace, config: MachineConfig) -> tuple[AppResult, str]:
-    """Replay through the best engine for ``config``.
+def replay_engine(
+    trace: Trace, config: MachineConfig, *, tracer=None, on_window=None
+) -> tuple[AppResult, str]:
+    """Replay ``trace`` through the best engine for ``config``.
 
-    Returns ``(result, engine)`` where ``engine`` is
-    :data:`BATCH_SPECIALIZED` when the config fits the specializer's
-    feature matrix and :data:`BATCH_GENERAL` otherwise.  Results are
-    bit-identical either way (enforced by the parity suites).
+    Returns ``(result, engine)``; the engine is chosen as in a batch
+    group (:func:`_session_for`).  Results are bit-identical either way
+    (enforced by the parity suites), and both engines record the same
+    chunk spans into ``tracer``.
     """
-    if specializable(config):
-        return replay_specialized(trace, config), BATCH_SPECIALIZED
-    return replay_trace(trace, config), BATCH_GENERAL
+    session, engine = _session_for(trace, config, on_window=on_window)
+    drive_traced(trace, session, tracer)
+    return session.finish(), engine
 
 
 def _session_for(trace: Trace, config: MachineConfig, on_window=None):
     """Build the best chunk-consuming session for ``config``.
 
-    ``on_window`` only reaches the general session: the specializer's
-    feature matrix requires ``timeline_interval == 0``, so a config
-    with windows to stream always takes the general path anyway.
+    :data:`BATCH_SPECIALIZED` when the config fits the specializer's
+    feature matrix, :data:`BATCH_GENERAL` otherwise.  ``on_window`` only
+    reaches the general session: the specializer's feature matrix
+    requires ``timeline_interval == 0``, so a config with windows to
+    stream always takes the general path anyway.
     """
     if specializable(config):
         return SpecializedSession(trace, config), BATCH_SPECIALIZED

@@ -57,9 +57,20 @@ from typing import Iterable, Iterator
 
 from repro.apps.base import AppResult, Variant
 from repro.cache.hierarchy import MemoryHierarchy
-from repro.core.forwarding import ForwardingStats
-from repro.core.hotpath import make_reference_kernel
-from repro.core.machine import MachineConfig
+from repro.core.kernel import (
+    ACCESS_R,
+    ACCESS_W,
+    EXEC,
+    FREE,
+    LOAD,
+    LOAD_FWD,
+    MALLOC,
+    PREFETCH,
+    STORE,
+    STORE_FWD,
+    TRAP,
+)
+from repro.core.machine import MachineConfig, layered_costs
 from repro.core.stats import MachineStats, ReferenceLatencyStats, RelocationStats
 from repro.cpu.prefetch import SoftwarePrefetcher
 from repro.cpu.speculation import DependenceSpeculator
@@ -84,26 +95,11 @@ class SidecarError(Exception):
     """
 
 
-# Resolved-stream entry kinds (the per-entry ``kinds`` byte).  LOAD and
-# STORE here are the unforwarded common case; the _FWD variants carry
-# the forwarding resolution in the extras dict.
-_LOAD = 0
-_STORE = 1
-_EXEC = 2
-_ACCESS_R = 3   # Read_FBit / Unforwarded_Read: timed read of one word
-_ACCESS_W = 4   # Unforwarded_Write: timed write of one word
-_LOAD_FWD = 5
-_STORE_FWD = 6
-_PREFETCH = 7
-_MALLOC = 8     # carries nbytes (cost is config-dependent)
-_FREE = 9       # carries forwarding-chain length (ditto)
-_TRAP = 10      # trap handler installed / removed
-
-
 class ResolvedChunk:
     """One decoded chunk in struct-of-arrays form.
 
-    ``kinds[i]`` is the entry kind, ``ops[i]`` its primary integer
+    ``kinds[i]`` is the entry kind (the constants of
+    :mod:`repro.core.kernel`), ``ops[i]`` its primary integer
     operand (address, word, count, ...), and ``extras`` a sparse dict
     holding the rare multi-operand payloads: ``i -> lines`` for
     prefetches and ``i -> (final_address, hop_tuple)`` for forwarded
@@ -126,10 +122,10 @@ class ResolvedChunk:
         extras = self.extras
         for i in range(self.n):
             kind = kinds[i]
-            if kind == _LOAD_FWD or kind == _STORE_FWD:
+            if kind == LOAD_FWD or kind == STORE_FWD:
                 final, hops = extras[i]
                 yield (kind, ops[i], final, hops)
-            elif kind == _PREFETCH:
+            elif kind == PREFETCH:
                 yield (kind, ops[i], extras[i])
             else:
                 yield (kind, ops[i])
@@ -363,7 +359,7 @@ def _decode_chunks(trace: Trace, sidecar_path) -> Iterator[ResolvedChunk]:
                                 value = fwd[word]
                                 word = value & ~7
                             kind_append(
-                                _LOAD_FWD if op == 0 else _STORE_FWD
+                                LOAD_FWD if op == 0 else STORE_FWD
                             )
                             extras[len(ops)] = (
                                 value | (last & 7),
@@ -380,7 +376,7 @@ def _decode_chunks(trace: Trace, sidecar_path) -> Iterator[ResolvedChunk]:
                             xi += 1
                             v |= (b & 0x7F) << s
                             s += 7
-                        kind_append(_EXEC)
+                        kind_append(EXEC)
                         op_append(v)
                     elif op == 6:  # UNF_WRITE: address, value, fbit
                         b = addr_raw[ai]
@@ -413,7 +409,7 @@ def _decode_chunks(trace: Trace, sidecar_path) -> Iterator[ResolvedChunk]:
                             fbit |= (b & 0x7F) << s
                             s += 7
                         word = last & ~7
-                        kind_append(_ACCESS_W)
+                        kind_append(ACCESS_W)
                         op_append(word)
                         if fbit:
                             fwd[word] = value
@@ -430,7 +426,7 @@ def _decode_chunks(trace: Trace, sidecar_path) -> Iterator[ResolvedChunk]:
                             v |= (b & 0x7F) << s
                             s += 7
                         last += (v >> 1) ^ -(v & 1)
-                        kind_append(_ACCESS_R)
+                        kind_append(ACCESS_R)
                         op_append(last & ~7)
                     elif op == 3:  # PREFETCH: address, line count
                         b = addr_raw[ai]
@@ -452,7 +448,7 @@ def _decode_chunks(trace: Trace, sidecar_path) -> Iterator[ResolvedChunk]:
                             xi += 1
                             lines |= (b & 0x7F) << s
                             s += 7
-                        kind_append(_PREFETCH)
+                        kind_append(PREFETCH)
                         extras[len(ops)] = lines
                         op_append(last)
                     elif op == 7:  # MALLOC: nbytes, align, result address
@@ -480,7 +476,7 @@ def _decode_chunks(trace: Trace, sidecar_path) -> Iterator[ResolvedChunk]:
                             v |= (b & 0x7F) << s
                             s += 7
                         last += (v >> 1) ^ -(v & 1)
-                        kind_append(_MALLOC)
+                        kind_append(MALLOC)
                         op_append(nbytes)
                     elif op == 8:  # FREE: cost scales with chain length
                         b = addr_raw[ai]
@@ -498,7 +494,7 @@ def _decode_chunks(trace: Trace, sidecar_path) -> Iterator[ResolvedChunk]:
                         while word in fwd:
                             word = fwd[word] & ~7
                             chain += 1
-                        kind_append(_FREE)
+                        kind_append(FREE)
                         op_append(chain)
                     elif op == 9:  # CREATE_POOL: untimed bookkeeping
                         b = aux_raw[xi]
@@ -565,7 +561,7 @@ def _decode_chunks(trace: Trace, sidecar_path) -> Iterator[ResolvedChunk]:
                             xi += 1
                             flag |= (b & 0x7F) << s
                             s += 7
-                        kind_append(_TRAP)
+                        kind_append(TRAP)
                         op_append(flag)
                     else:
                         raise TraceFormatError(
@@ -717,6 +713,64 @@ def check_line_size(trace: Trace, config: MachineConfig) -> None:
             )
 
 
+def build_components(session, config: MachineConfig) -> None:
+    """Give a replay session fresh config-dependent components.
+
+    ``hierarchy``, ``timing``, ``prefetcher``, ``speculator`` and the
+    ``load_latency``/``store_latency`` stats: the cost state both replay
+    engines advance, built exactly as a
+    :class:`~repro.core.machine.Machine` builds its own.
+    """
+    session.hierarchy = MemoryHierarchy(config.hierarchy)
+    session.timing = TimingModel(config.timing)
+    session.prefetcher = SoftwarePrefetcher(
+        session.hierarchy, config.max_prefetch_block
+    )
+    session.speculator = (
+        DependenceSpeculator(config.speculation_window)
+        if config.speculation_window > 0
+        else None
+    )
+    session.load_latency = ReferenceLatencyStats()
+    session.store_latency = ReferenceLatencyStats()
+
+
+def captured_result(session, timeline=None) -> AppResult:
+    """A session's :class:`AppResult`: replayed costs, captured invariants.
+
+    The config-dependent counters come from the session's components;
+    forwarding totals, relocation bookkeeping and the heap footprint are
+    copied from the capture, and checksum/extras from the captured
+    application run.  Shared by both replay engines.
+    """
+    trace = session.trace
+    captured = trace.captured_stats
+    stats = MachineStats.collect(
+        timing=session.timing,
+        hierarchy=session.hierarchy,
+        loads=session.load_latency,
+        stores=session.store_latency,
+        speculator=session.speculator,
+        prefetcher=session.prefetcher,
+        forwarding_hops=captured["forwarding_hops"],
+        cycle_checks=captured["cycle_checks"],
+        forwarding_chain_hist={
+            int(hops): count
+            for hops, count in captured.get("forwarding_chain_hist", {}).items()
+        },
+        relocation=RelocationStats(**captured["relocation"]),
+        heap_high_water=captured["heap_high_water"],
+    )
+    return AppResult(
+        app=trace.app,
+        variant=Variant(trace.variant),
+        checksum=trace.checksum,
+        stats=stats,
+        extras=dict(trace.extras),
+        timeline=timeline,
+    )
+
+
 class ReplaySession:
     """One config's replay state, consuming resolved chunks incrementally.
 
@@ -726,6 +780,12 @@ class ReplaySession:
     config-invariant counters and returns the :class:`AppResult`.
     :meth:`reset` rebuilds everything from scratch -- the recovery hook
     for a sidecar that went bad after chunks were already consumed.
+
+    Every entry is costed through the layered components, exactly as
+    the Machine's general path costs it (:func:`repro.core.machine.
+    layered_costs`), so this session shares no code with the generated
+    kernel and serves as the oracle the specialized engine is checked
+    against.
     """
 
     def __init__(
@@ -749,20 +809,12 @@ class ReplaySession:
 
     def _build(self) -> None:
         config = self.config
-        self.hierarchy = hierarchy = MemoryHierarchy(config.hierarchy)
-        self.timing = timing = TimingModel(config.timing)
-        self.prefetcher = prefetcher = SoftwarePrefetcher(
-            hierarchy, config.max_prefetch_block
-        )
-        self.speculator = speculator = (
-            DependenceSpeculator(config.speculation_window)
-            if config.speculation_window > 0
-            else None
-        )
-        self.load_latency = load_latency = ReferenceLatencyStats()
-        self.store_latency = store_latency = ReferenceLatencyStats()
-        malloc_base = config.malloc_base_cost
-        free_base = config.free_base_cost
+        build_components(self, config)
+        hierarchy = self.hierarchy
+        timing = self.timing
+        speculator = self.speculator
+        load_latency = self.load_latency
+        store_latency = self.store_latency
         user_trap_cycles = config.user_trap_cycles
         # Closures below both read and write this, so it lives in a cell
         # rather than an attribute lookup on the hot path.
@@ -772,32 +824,6 @@ class ReplaySession:
         execute = timing.execute
         load_completes = timing.load_completes
         store_completes = timing.store_completes
-
-        # The unforwarded load/store kinds dominate every stream; they
-        # are costed by the same fused kernel Machine's fast path uses,
-        # with a throwaway ForwardingStats (replay takes forwarding
-        # totals from the capture, so reference counting is discarded).
-        kernel_load, kernel_store = make_reference_kernel(
-            hierarchy, timing, speculator, load_latency, store_latency,
-            ForwardingStats(),
-        )
-        self._kernel_load = kernel_load
-        self._kernel_store = kernel_store
-
-        # Cold-entry handlers, indexed by the entry kind, called as
-        # ``handler(op, extra)``.  Each mirrors the corresponding
-        # Machine method cost-for-cost (machine.py is the reference; the
-        # integration tests assert exact stats equality against it),
-        # minus the config-invariant work.  Kinds 0 and 1 are handled
-        # inline in run_chunk and never reach this table.
-        def _handle_exec(n, _extra):  # plain computation
-            execute(n)
-
-        def _handle_access_r(word, _extra):  # Read_FBit / Unf_Read
-            kernel_load(word, True)
-
-        def _handle_access_w(word, _extra):  # Unforwarded_Write
-            kernel_store(word, True)
 
         def _forwarded(address, extra, is_store):
             final, hops = extra
@@ -833,44 +859,27 @@ class ReplaySession:
             elif speculator is not None and speculator.on_load(address, final):
                 timing.misspeculation_flush()
 
-        def _handle_load_fwd(address, extra):
-            _forwarded(address, extra, False)
-
-        def _handle_store_fwd(address, extra):
-            _forwarded(address, extra, True)
-
-        def _handle_prefetch(address, lines):  # software prefetch
-            execute(1)
-            prefetcher.prefetch_block(address, lines, timing.cycle)
-
-        def _handle_malloc(nbytes, _extra):  # malloc bookkeeping cost
-            execute(malloc_base + (nbytes >> 6))
-
-        def _handle_free(chain, _extra):  # forwarding-aware free cost
-            execute(free_base + 2 * chain)
-
         def _handle_trap(flag, _extra):
             trap_cell[0] = bool(flag)
 
-        self._handlers = (
-            None,  # _LOAD: inline
-            None,  # _STORE: inline
-            _handle_exec,
-            _handle_access_r,
-            _handle_access_w,
-            _handle_load_fwd,
-            _handle_store_fwd,
-            _handle_prefetch,
-            _handle_malloc,
-            _handle_free,
-            _handle_trap,
+        # Entry handlers, indexed by kind and called as ``handler(op,
+        # extra)``.  Each mirrors the corresponding Machine method
+        # cost-for-cost (machine.py is the reference; the integration
+        # tests assert exact stats equality against it), minus the
+        # config-invariant work.
+        self._handlers = handlers = layered_costs(
+            config, hierarchy, timing, speculator, self.prefetcher,
+            load_latency, store_latency,
         )
+        handlers[LOAD_FWD] = lambda address, extra: _forwarded(address, extra, False)
+        handlers[STORE_FWD] = lambda address, extra: _forwarded(address, extra, True)
+        handlers[TRAP] = _handle_trap
 
-        # Timeline sampling mirrors the direct run's wrapper: tick once
-        # per data reference, after its cost lands, at the *initial*
-        # address.  The sampler reads only config-dependent counters
-        # (which replay maintains bit-exactly), so a replayed run's
-        # window series is identical to the direct run's.
+        # Timeline sampling mirrors the direct run's general path: tick
+        # once per data reference, after its cost lands, at the
+        # *initial* address.  The sampler reads only config-dependent
+        # counters (which replay maintains bit-exactly), so a replayed
+        # run's window series is identical to the direct run's.
         self.timeline = None
         # Adaptive configs imply a timeline at adapt.interval (mirroring
         # Machine.__init__): the engine's references are already baked
@@ -901,70 +910,29 @@ class ReplaySession:
     def run_chunk(self, chunk: ResolvedChunk) -> None:
         kinds = chunk.kinds
         ops = chunk.ops
-        extras = chunk.extras
-        get_extra = extras.get
-        kernel_load = self._kernel_load
-        kernel_store = self._kernel_store
+        get_extra = chunk.extras.get
         handlers = self._handlers
         timeline = self.timeline
         if timeline is None:
             for i in range(chunk.n):
-                kind = kinds[i]
-                if kind == 0:  # unforwarded load (final == initial)
-                    kernel_load(ops[i])
-                elif kind == 1:  # unforwarded store
-                    kernel_store(ops[i])
-                else:
-                    handlers[kind](ops[i], get_extra(i))
+                handlers[kinds[i]](ops[i], get_extra(i))
         else:
             tick = timeline.tick
             note_forwarded = timeline.note_forwarded
             for i in range(chunk.n):
                 kind = kinds[i]
-                if kind == 0:
-                    kernel_load(ops[i])
+                handlers[kind](ops[i], get_extra(i))
+                if kind == LOAD or kind == STORE:
                     tick(ops[i])
-                elif kind == 1:
-                    kernel_store(ops[i])
+                elif kind == LOAD_FWD or kind == STORE_FWD:
+                    note_forwarded(ops[i])
                     tick(ops[i])
-                else:
-                    handlers[kind](ops[i], get_extra(i))
-                    if kind == 5 or kind == 6:  # forwarded load / store
-                        note_forwarded(ops[i])
-                        tick(ops[i])
 
     def finish(self) -> AppResult:
         if self.timeline is not None:
             self.timeline.finish()
-        trace = self.trace
-        captured = trace.captured_stats
-        stats = MachineStats.collect(
-            timing=self.timing,
-            hierarchy=self.hierarchy,
-            loads=self.load_latency,
-            stores=self.store_latency,
-            speculator=self.speculator,
-            prefetcher=self.prefetcher,
-            forwarding_hops=captured["forwarding_hops"],
-            cycle_checks=captured["cycle_checks"],
-            forwarding_chain_hist={
-                int(hops): count
-                for hops, count in captured.get(
-                    "forwarding_chain_hist", {}
-                ).items()
-            },
-            relocation=RelocationStats(**captured["relocation"]),
-            heap_high_water=captured["heap_high_water"],
-        )
-        return AppResult(
-            app=trace.app,
-            variant=Variant(trace.variant),
-            checksum=trace.checksum,
-            stats=stats,
-            extras=dict(trace.extras),
-            timeline=(
-                self.timeline.to_payload() if self.timeline is not None else None
-            ),
+        return captured_result(
+            self, self.timeline.to_payload() if self.timeline is not None else None
         )
 
 
@@ -972,6 +940,37 @@ class ReplaySession:
 #: trace doesn't flood the manifest; the ``replay.chunks`` summary span
 #: always carries the full totals.
 MAX_CHUNK_SPANS = 32
+
+
+def drive_traced(trace: Trace, session, tracer=None) -> None:
+    """Drive one session over ``trace``, recording chunk spans if traced.
+
+    ``tracer`` (a :class:`repro.obs.tracing.Tracer`) records one span
+    per resolved chunk (capped at :data:`MAX_CHUNK_SPANS`) plus a
+    ``replay.chunks`` summary span; ``None`` adds nothing to the loop.
+    """
+    if tracer is None:
+        drive_sessions(trace, [session])
+        return
+    totals = [0, 0, 0.0]  # chunks, entries, seconds
+
+    def _on_chunk(index: int, entries: int, seconds: float) -> None:
+        totals[0] += 1
+        totals[1] += entries
+        totals[2] += seconds
+        if totals[0] <= MAX_CHUNK_SPANS:
+            tracer.record(
+                f"replay.chunk[{index}]",
+                seconds,
+                metrics={"entries": entries},
+            )
+
+    drive_sessions(trace, [session], on_chunk=_on_chunk)
+    tracer.record(
+        "replay.chunks",
+        totals[2],
+        metrics={"chunks": totals[0], "entries": totals[1]},
+    )
 
 
 def replay_trace(
@@ -988,33 +987,11 @@ def replay_trace(
     chunks, whose config-invariant stats come from the capture, and
     whose checksum/extras come from the captured application run.
 
-    ``tracer`` (a :class:`repro.obs.tracing.Tracer`) records one span
-    per resolved chunk (capped at :data:`MAX_CHUNK_SPANS`) plus a
-    summary span; ``on_window`` streams the timeline sampler's
-    per-window deltas while the replay runs.  Both default to ``None``
-    and add nothing to the replay loop when absent.
+    ``tracer`` records per-chunk spans (see :func:`drive_traced`);
+    ``on_window`` streams the timeline sampler's per-window deltas while
+    the replay runs.  Both default to ``None`` and add nothing to the
+    replay loop when absent.
     """
     session = ReplaySession(trace, config, on_window=on_window)
-    if tracer is None:
-        drive_sessions(trace, [session])
-    else:
-        totals = [0, 0, 0.0]  # chunks, entries, seconds
-
-        def _on_chunk(index: int, entries: int, seconds: float) -> None:
-            totals[0] += 1
-            totals[1] += entries
-            totals[2] += seconds
-            if totals[0] <= MAX_CHUNK_SPANS:
-                tracer.record(
-                    f"replay.chunk[{index}]",
-                    seconds,
-                    metrics={"entries": entries},
-                )
-
-        drive_sessions(trace, [session], on_chunk=_on_chunk)
-        tracer.record(
-            "replay.chunks",
-            totals[2],
-            metrics={"chunks": totals[0], "entries": totals[1]},
-        )
+    drive_traced(trace, session, tracer)
     return session.finish()

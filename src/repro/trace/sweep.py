@@ -40,11 +40,11 @@ from repro.trace.batch import (
     SEQUENTIAL,
     BatchCellError,
     group_by_trace,
+    replay_engine,
     run_batch_group,
 )
 from repro.trace.format import Trace
 from repro.trace.recorder import capture_trace
-from repro.trace.replay import replay_trace
 from repro.trace.store import ArtifactStore, config_fingerprint, trace_key
 
 _log = get_logger("trace.sweep")
@@ -237,8 +237,11 @@ def run_task(
             )
         how = "captured"
     else:
+        # Same engine a batch group would pick (the specialized kernel
+        # unless the config is outside its matrix); callers still label
+        # the cell SEQUENTIAL.
         with span("replay.run"):
-            result = replay_trace(
+            result, _engine = replay_engine(
                 trace, config, tracer=tracer, on_window=on_window
             )
         how = "replayed"

@@ -1,9 +1,10 @@
-"""Differential test: the fused fast path is bit-exact vs. the general path.
+"""Differential test: the fast path is bit-exact vs. the general path.
 
-The hot-path kernel (:mod:`repro.core.hotpath`) re-implements the per
-reference cost pipeline -- L1/L2 probes, MSHR combining, timing update,
-latency stats, speculation check -- as fused closures.  Its contract is
-that a run with ``fast_path=True`` produces *exactly* the same
+The fast path defers the per-reference cost pipeline -- L1/L2 probes,
+MSHR combining, timing update, latency stats, speculation check -- to
+pending chunks costed by the generated kernel of
+:mod:`repro.core.kernel`.  Its contract is that a run with
+``fast_path=True`` produces *exactly* the same
 :class:`~repro.core.stats.MachineStats` snapshot and application checksum
 as the reference component-by-component path (``fast_path=False``),
 including every float, for every application and variant.

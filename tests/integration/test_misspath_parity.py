@@ -5,13 +5,13 @@ Three guarantees pinned here:
 1. **Zero-cost disablement.**  With ``mechanism="none"`` a run's stats
    -- metric tree, dump, checksum -- are bit-identical to a machine
    that predates the miss path entirely (the config default), and the
-   fused fast-path kernel stays engaged.
+   fast path's generated kernel stays engaged.
 2. **Replay parity.**  With any mechanism enabled, replaying a captured
    trace through the mechanism config reproduces the direct run's stats
    (including the ``cache.misspath.*`` counters) bit-exactly.
-3. **Mode parity.**  Forcing the general interpreter path produces the
-   same stats as the (general-backed) kernel path, and mechanisms never
-   change application results -- only their cost.
+3. **Mode parity.**  Forcing the general interpreter path
+   (``fast_path=False``) produces the same stats as the default config,
+   and mechanisms never change application results -- only their cost.
 """
 
 import pytest

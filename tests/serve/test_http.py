@@ -183,13 +183,16 @@ class TestBackpressure:
         import repro.serve.workers as workers_mod
 
         release = threading.Event()
-        real_run_task = workers_mod.run_task
+        real_run_batch_group = workers_mod.run_batch_group
 
-        def _blocked(task, store, traces=None):
+        # The service runs batch mode by default, so its worker executes
+        # cells through run_batch_group; blocking there holds the first
+        # job until the third POST has been answered.
+        def _blocked(*args, **kwargs):
             release.wait(30.0)
-            return real_run_task(task, store, traces)
+            return real_run_batch_group(*args, **kwargs)
 
-        monkeypatch.setattr(workers_mod, "run_task", _blocked)
+        monkeypatch.setattr(workers_mod, "run_batch_group", _blocked)
 
         async def scenario(port, service):
             try:
