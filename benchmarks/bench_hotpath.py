@@ -141,7 +141,7 @@ def _figure5_tasks(scale: float) -> list:
 
 
 def _clear_results(store) -> None:
-    """Drop cached per-cell results, keeping traces (and their sidecars)."""
+    """Drop cached per-cell results, keeping traces."""
     import shutil
 
     shutil.rmtree(store.results_dir, ignore_errors=True)
@@ -207,10 +207,9 @@ def bench_batch_sweep(
       stream once, replay the rest.  Dominated by the captures (a direct
       run of each group representative), so it bounds the first-ever
       sweep cost.
-    * ``warm`` -- traces (and their resolved-stream sidecars) on disk,
-      result cache cleared: the steady state the batch engine exists
-      for, e.g. re-running the sweep after a config or simulator change.
-      This is the headline number.
+    * ``warm`` -- traces on disk, result cache cleared: the steady
+      state the batch engine exists for, e.g. re-running the sweep after
+      a config or simulator change.  This is the headline number.
     * ``sequential_replay`` -- the same warm store through the legacy
       per-cell path (``batch=False``): load trace, decode, general-path
       replay, one cell at a time.  The like-for-like "one-at-a-time"
@@ -284,130 +283,6 @@ def bench_batch_sweep(
     }
 
 
-#: Child process for the peak-RSS A/B: one warm batch sweep against a
-#: pre-warmed store, reporting its own peak resident set and a digest
-#: of every cell's stats tree (so the arms can be compared bit for
-#: bit).  Peak RSS is sampled from ``/proc/self/statm`` by a thread
-#: rather than read from ``ru_maxrss``: the rusage high-water mark is
-#: inherited across ``fork`` from the (large) bench parent, which would
-#: mask both arms behind the parent's footprint.
-_RSS_CHILD = """
-import hashlib, json, os, sys, threading, time
-
-from repro.apps import FIGURE5_APPS, Variant
-from repro.experiments.config import APP_SEEDS, line_sizes_for
-from repro.trace.store import ArtifactStore
-from repro.trace.sweep import SweepTask, execute_sweep
-
-page_kib = os.sysconf("SC_PAGE_SIZE") // 1024
-peak = [0]
-stop = threading.Event()
-
-def sample() -> None:
-    with open("/proc/self/statm") as handle:
-        handle.seek(0)
-        resident = int(handle.read().split()[1]) * page_kib
-    if resident > peak[0]:
-        peak[0] = resident
-
-def poll() -> None:
-    while not stop.is_set():
-        sample()
-        time.sleep(0.02)
-
-threading.Thread(target=poll, daemon=True).start()
-store_dir, scale = sys.argv[1], float(sys.argv[2])
-tasks = [
-    SweepTask(app, variant.value, line_size, scale, APP_SEEDS[app])
-    for app in FIGURE5_APPS
-    for line_size in line_sizes_for(app)
-    for variant in (Variant.N, Variant.L)
-]
-results = execute_sweep(
-    tasks, ArtifactStore(store_dir), jobs=1, verbose=False, batch=True
-)
-stop.set()
-sample()
-digest = hashlib.sha256()
-for task in sorted(results, key=repr):
-    result, _how = results[task]
-    digest.update(
-        json.dumps(result.stats.dump(), sort_keys=True, default=str).encode()
-    )
-print(json.dumps({
-    "peak_rss_kib": peak[0],
-    "cells": len(results),
-    "digest": digest.hexdigest(),
-}))
-"""
-
-
-def bench_rss(scale: float, verbose: bool = True) -> dict:
-    """Peak-RSS A/B of the warm batch sweep: streaming vs materialized.
-
-    Warms one throwaway store, then runs the identical warm 42-cell
-    batch sweep in two fresh subprocesses: the default v3 streaming
-    decode (one resolved chunk resident per group at a time), and the
-    ``REPRO_BATCH_MATERIALIZE=1`` control arm, which recreates the
-    pre-v3 behaviour of materialising each group's full resolved stream
-    up front.  Each child samples its own peak resident set (KiB, via
-    ``/proc/self/statm``), so neither arm's footprint can mask the
-    other's, plus a digest over every cell's stats tree that both arms
-    must agree on.
-    """
-    import os
-    import shutil
-    import subprocess
-    import tempfile
-
-    from repro.trace.store import ArtifactStore
-    from repro.trace.sweep import execute_sweep
-
-    tasks = _figure5_tasks(scale)
-    tmp = tempfile.mkdtemp(prefix="bench-rss-")
-    arms: dict[str, dict] = {}
-    try:
-        store = ArtifactStore(tmp)
-        if verbose:
-            print("  -- warming the trace store", file=sys.stderr)
-        execute_sweep(tasks, store, jobs=1, verbose=False, batch=True)
-        for mode, extra in (
-            ("streaming", {}),
-            ("materialized", {"REPRO_BATCH_MATERIALIZE": "1"}),
-        ):
-            _clear_results(store)  # force every cell to decode + replay
-            if verbose:
-                print(
-                    f"  -- warm batch sweep, {mode} decode", file=sys.stderr
-                )
-            env = dict(os.environ)
-            env.pop("REPRO_BATCH_MATERIALIZE", None)
-            env.update(extra)
-            proc = subprocess.run(
-                [sys.executable, "-c", _RSS_CHILD, tmp, str(scale)],
-                env=env,
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-            arms[mode] = json.loads(proc.stdout.strip().splitlines()[-1])
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    streaming = arms["streaming"]["peak_rss_kib"]
-    materialized = arms["materialized"]["peak_rss_kib"]
-    return {
-        "scale": scale,
-        "cells": len(tasks),
-        "streaming": arms["streaming"],
-        "materialized": arms["materialized"],
-        "rss_reduction_kib": materialized - streaming,
-        "rss_ratio": round(materialized / streaming, 3),
-        "bit_identical": (
-            arms["streaming"]["digest"] == arms["materialized"]["digest"]
-        ),
-    }
-
-
 # ----------------------------------------------------------------------
 # Per-layer microbenchmarks
 # ----------------------------------------------------------------------
@@ -466,7 +341,7 @@ def bench_replay(scale: float = 0.3) -> dict:
         scale=scale,
         seed=APP_SEEDS["health"],
     )
-    replay_trace(trace, experiment_config(64))  # warm the resolved stream
+    replay_trace(trace, experiment_config(64))  # warm-up replay
     started = time.perf_counter()
     replay_trace(trace, experiment_config(128))
     seconds = time.perf_counter() - started
@@ -545,12 +420,6 @@ def main(argv: list[str] | None = None) -> int:
                              "and report the minimum of each -- rejects "
                              "machine-load drift on shared hosts "
                              "(default 1)")
-    parser.add_argument("--rss", action="store_true",
-                        help="A/B the warm batch sweep's peak RSS in "
-                             "fresh subprocesses: v3 streaming decode "
-                             "vs REPRO_BATCH_MATERIALIZE=1 (the pre-v3 "
-                             "whole-stream residency); both arms must "
-                             "agree bit for bit (exit 1 otherwise)")
     parser.add_argument("--timeline-interval", type=int, default=0,
                         metavar="N",
                         help="run the sweep with timeline sampling every N "
@@ -670,9 +539,6 @@ def main(argv: list[str] | None = None) -> int:
                 report["ab"]["warm_repeat_seconds"] = (
                     batch["warm"].get("repeat_seconds", [])
                 )
-    if args.rss:
-        print(f"== peak-RSS A/B (scale {args.scale}) ==", file=sys.stderr)
-        report["rss"] = bench_rss(args.scale, verbose=not args.quiet)
     if not args.skip_micro:
         print("== microbenchmarks ==", file=sys.stderr)
         report["micro"] = {
@@ -695,8 +561,6 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print("regression gate passed", file=sys.stderr)
     if not report.get("batch_sweep", {}).get("bit_identical", True):
-        return 1
-    if not report.get("rss", {}).get("bit_identical", True):
         return 1
     return 0
 

@@ -73,14 +73,12 @@ Trace-corpus management (DESIGN.md §5h)::
     python -m repro corpus ls [--trace-dir DIR]
     python -m repro corpus stat [--trace-dir DIR] [--json]
     python -m repro corpus gc --budget BYTES [--dry-run] [--trace-dir DIR]
-    python -m repro corpus migrate [--trace-dir DIR]
 
 ``ls`` lists every stored trace (LRU order -- the top rows are next to
 be evicted); ``stat`` summarizes corpus size, dedup savings, and format
 versions; ``gc`` evicts least-recently-used traces until the corpus
 fits the byte budget (suffixes K/M/G accepted; evicted traces recapture
-transparently on next use); ``migrate`` upgrades v2 trace files to the
-current chunked columnar format in place.
+transparently on next use).
 """
 
 from __future__ import annotations
@@ -327,7 +325,7 @@ def _human_bytes(n: int | float) -> str:
 
 
 def _corpus_main(argv: list[str]) -> int:
-    """``python -m repro corpus {ls,stat,gc,migrate}`` over a trace store."""
+    """``python -m repro corpus {ls,stat,gc}`` over a trace store."""
     from repro.trace.store import ArtifactStore
 
     parser = argparse.ArgumentParser(
@@ -368,11 +366,6 @@ def _corpus_main(argv: list[str]) -> int:
         help="report what would be evicted without removing anything",
     )
 
-    migrate_parser = sub.add_parser(
-        "migrate", help="upgrade stored traces to the current format in place"
-    )
-    add_common(migrate_parser)
-
     args = parser.parse_args(argv)
     store = ArtifactStore(args.trace_dir)
 
@@ -385,7 +378,7 @@ def _corpus_main(argv: list[str]) -> int:
         print(
             f"{'KEY':12s} {'APP':10s} {'VARIANT':8s} {'SCALE':>5s} "
             f"{'SEED':>4s} {'EVENTS':>10s} {'CHUNKS':>6s} {'SIZE':>10s} "
-            f"{'RESOLVED':>10s} {'IDLE':>8s}"
+            f"{'IDLE':>8s}"
         )
         for row in rows:
             idle = now - row["mtime"]
@@ -401,7 +394,6 @@ def _corpus_main(argv: list[str]) -> int:
                 f"{row.get('event_count', 0):>10} "
                 f"{row.get('chunks', 0):>6} "
                 f"{_human_bytes(row['bytes']):>10s} "
-                f"{_human_bytes(row['resolved_bytes']):>10s} "
                 f"{idle_text:>8s}"
             )
         return 0
@@ -409,10 +401,7 @@ def _corpus_main(argv: list[str]) -> int:
     if args.command == "stat":
         rows = store.corpus_status()
         inode_size = {row["inode"]: row["bytes"] for row in rows}
-        for row in rows:
-            if "resolved_inode" in row:
-                inode_size[row["resolved_inode"]] = row["resolved_bytes"]
-        apparent = sum(row["bytes"] + row["resolved_bytes"] for row in rows)
+        apparent = sum(row["bytes"] for row in rows)
         unique = sum(inode_size.values())
         versions: dict[str, int] = {}
         for row in rows:
@@ -428,10 +417,9 @@ def _corpus_main(argv: list[str]) -> int:
             "format_versions": versions,
         }
         if args.json:
-            # Machine consumers get per-entry identity too: the
-            # chunking-independent stream digest is what dedup and
-            # sidecar validation key on, so scripts can join corpus
-            # rows against capture manifests without re-reading traces.
+            # Machine consumers get per-entry identity too: the stream
+            # digest lets scripts join corpus rows against capture
+            # manifests without re-reading traces.
             summary["entries"] = [
                 {
                     "key": row["key"],
@@ -455,32 +443,19 @@ def _corpus_main(argv: list[str]) -> int:
             print(f"  formats:      {summary['format_versions']}")
         return 0
 
-    if args.command == "gc":
-        report = store.gc(_parse_bytes(args.budget), dry_run=args.dry_run)
-        verb = "would evict" if report["dry_run"] else "evicted"
-        print(
-            f"{verb} {len(report['evicted'])} trace(s), "
-            f"freeing {_human_bytes(report['freed_bytes'])}: "
-            f"{_human_bytes(report['total_bytes'])} -> "
-            f"{_human_bytes(report['after_bytes'])} "
-            f"(budget {_human_bytes(report['budget_bytes'])}, "
-            f"{report['kept']} kept)"
-        )
-        for key in report["evicted"]:
-            print(f"  {key}")
-        return 0
-
-    report = store.migrate()
+    report = store.gc(_parse_bytes(args.budget), dry_run=args.dry_run)
+    verb = "would evict" if report["dry_run"] else "evicted"
     print(
-        f"migrated {len(report['migrated'])} trace(s); "
-        f"{report['current']} already current; "
-        f"{len(report['failed'])} failed"
+        f"{verb} {len(report['evicted'])} trace(s), "
+        f"freeing {_human_bytes(report['freed_bytes'])}: "
+        f"{_human_bytes(report['total_bytes'])} -> "
+        f"{_human_bytes(report['after_bytes'])} "
+        f"(budget {_human_bytes(report['budget_bytes'])}, "
+        f"{report['kept']} kept)"
     )
-    for entry in report["migrated"]:
-        print(f"  v{entry['version']} {entry['from'][:12]} -> {entry['to'][:12]}")
-    for name, error in report["failed"].items():
-        print(f"  FAILED {name}: {error}", file=sys.stderr)
-    return 1 if report["failed"] else 0
+    for key in report["evicted"]:
+        print(f"  {key}")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

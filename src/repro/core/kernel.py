@@ -166,7 +166,7 @@ def _load_tail(c: dict, counted: bool, arm: str) -> str:
       cycle`` untouched so far.  When :func:`_elides_residual` holds for
       the config, the OoO-window check is dropped (the residual is
       provably negative, see there) and ``start``/``ready`` are never
-      materialized; the latency sum still performs the identical
+      bound to locals; the latency sum still performs the identical
       ``(cycle + hit) - cycle`` float operations the general path does.
     * ``"merge"`` -- ``start`` and ``ready`` are already bound (``ready``
       came from an in-flight fill): the full residual check plus latency

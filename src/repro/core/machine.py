@@ -83,15 +83,16 @@ TrapHandler = Callable[["Machine", ForwardingEvent], None]
 
 
 class MachineObserver(Protocol):
-    """Instrumentation hook receiving the machine's canonical event stream.
+    """Instrumentation hook receiving the machine's reference stream.
 
-    An observer sees every architectural event an application (or the
-    relocation runtime acting on its behalf) issues against the machine:
-    data references, ISA extensions, allocation, pool carving, relocation
-    bookkeeping, and trap-handler installation.  The stream is *complete*
-    in the sense that replaying it against a fresh :class:`Machine` -- via
-    :mod:`repro.trace` -- reproduces every counter of
-    :meth:`Machine.stats` exactly.
+    An observer sees every event an application (or the relocation
+    runtime acting on its behalf) issues against the machine that has a
+    config-dependent cost or changes forwarding state: data references,
+    ISA extensions, allocation and freeing, raw writes, and trap-handler
+    installation.  The stream is *complete* in the sense that replaying
+    it -- via :mod:`repro.trace` -- reproduces every config-dependent
+    counter of :meth:`Machine.stats` exactly; the config-invariant rest
+    (pool carving, relocation bookkeeping) is copied from the capture.
 
     Observation is passive: installing an observer must not change the
     simulation's behaviour or timing.  Events for operations that can
@@ -109,13 +110,7 @@ class MachineObserver(Protocol):
     def on_unforwarded_write(self, address: int, value: int, fbit: int) -> None: ...
     def on_malloc(self, nbytes: int, align: int, address: int) -> None: ...
     def on_free(self, address: int) -> None: ...
-    def on_create_pool(self, index: int, size: int, name: str) -> None: ...
-    def on_pool_alloc(
-        self, index: int, nbytes: int, align: int, address: int
-    ) -> None: ...
     def on_raw_write(self, address: int, value: int) -> None: ...
-    def on_note_relocation(self, relocations: int, words: int) -> None: ...
-    def on_note_optimizer(self) -> None: ...
     def on_set_trap(self, installed: bool) -> None: ...
 
 
@@ -741,22 +736,14 @@ class Machine:
         self._pool_bump += size
         index = len(self.pools)
         self.pools.append(pool)
-        observer = self.observer
         events = self.events
-        if observer is not None:
-            observer.on_create_pool(index, requested, name)
         if events is not None:
             events.emit("pool.create", index=index, size=requested, name=name)
-        if observer is not None or events is not None:
-            # One composed callback so observers (trace capture) and the
-            # event log both see every carve, in that order.
+
             def on_allocate(address: int, nbytes: int, align: int) -> None:
-                if observer is not None:
-                    observer.on_pool_alloc(index, nbytes, align, address)
-                if events is not None:
-                    events.emit(
-                        "pool.alloc", index=index, address=address, nbytes=nbytes
-                    )
+                events.emit(
+                    "pool.alloc", index=index, address=address, nbytes=nbytes
+                )
 
             pool.on_allocate = on_allocate
         return pool
@@ -778,10 +765,8 @@ class Machine:
 
         The relocation runtime (``relocate()`` and the optimizers built on
         it) calls this instead of mutating ``relocation_stats`` directly,
-        so the bookkeeping is part of the observable event stream.
+        so the bookkeeping reaches the event log.
         """
-        if self.observer is not None:
-            self.observer.on_note_relocation(relocations, words)
         if self.events is not None:
             self.events.emit("reloc.move", count=relocations, words=words)
         stats = self.relocation_stats
@@ -790,8 +775,6 @@ class Machine:
 
     def note_optimizer_invocation(self) -> None:
         """Count one invocation of a higher-level layout optimization."""
-        if self.observer is not None:
-            self.observer.on_note_optimizer()
         if self.events is not None:
             self.events.emit("opt.invoke")
         self.relocation_stats.optimizer_invocations += 1

@@ -21,8 +21,8 @@ class RelocationPool:
     """Bump allocator over a contiguous region of simulated memory."""
 
     #: Optional instrumentation callback ``(address, nbytes, align)``,
-    #: installed by ``Machine.create_pool`` when an observer is attached
-    #: so pool consumption appears in the machine's event stream.
+    #: installed by ``Machine.create_pool`` when an event log is attached
+    #: so pool consumption appears in it.
     on_allocate = None
 
     def __init__(self, base: int, size: int, name: str = "pool") -> None:

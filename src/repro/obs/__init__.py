@@ -15,9 +15,8 @@ reproduction:
   and the bounded structured event stream (DESIGN.md §5d).
 * :func:`chrome_trace` / :func:`diff_timelines` — Perfetto export and
   the per-window regression gate.
-* :func:`build_manifest` / :func:`validate_manifest` /
-  :func:`upgrade_manifest` — versioned, schema-validated JSON run
-  manifests.
+* :func:`build_manifest` / :func:`validate_manifest` — versioned,
+  schema-validated JSON run manifests.
 * :func:`render_prometheus` / :func:`parse_prometheus` — text
   exposition of a snapshot for standard scrapers.
 * :func:`configure_logging` — structured JSON logs, atomic per line,
@@ -39,14 +38,11 @@ from repro.obs.logging import (
 )
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
-    MANIFEST_SCHEMA_V1,
-    MANIFEST_SCHEMA_V2,
     MANIFEST_VERSION,
     ManifestError,
     build_manifest,
     cell,
     load_schema,
-    upgrade_manifest,
     validate_manifest,
 )
 from repro.obs.prom import parse_prometheus, render_prometheus
@@ -77,8 +73,6 @@ __all__ = [
     "HISTOGRAM",
     "Histogram",
     "MANIFEST_SCHEMA",
-    "MANIFEST_SCHEMA_V1",
-    "MANIFEST_SCHEMA_V2",
     "MANIFEST_VERSION",
     "ManifestError",
     "MetricError",
@@ -105,7 +99,6 @@ __all__ = [
     "span",
     "span_tree",
     "trace_context",
-    "upgrade_manifest",
     "validate_manifest",
     "windows_csv",
 ]

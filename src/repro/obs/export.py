@@ -1,7 +1,7 @@
 """Timeline exporters: Chrome trace (Perfetto), CSV, and window diffing.
 
 Three consumers of the ``timeline``/``events`` manifest sections
-(:mod:`repro.obs.manifest`, schema ``/v2``/``/v3``):
+(:mod:`repro.obs.manifest`, schema ``/v3``):
 
 * :func:`chrome_trace` renders a manifest as Chrome-trace JSON -- the
   format ``chrome://tracing`` and https://ui.perfetto.dev load directly.

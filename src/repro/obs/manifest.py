@@ -7,28 +7,26 @@ metric tree.  ``python -m repro <artifact> --format json`` prints one;
 regression tooling and dashboards parse it instead of scraping the
 rendered tables.
 
-The schemas are committed next to this module (``manifest_schema.json``
-for version 1, ``manifest_schema_v2.json`` for version 2,
-``manifest_schema_v3.json`` for version 3) and every manifest is
-validated against its declared version before it leaves the process.
-Validation prefers :mod:`jsonschema` when importable and falls back to a
-pure-python structural check so the artifact pipeline works in minimal
-environments.
+The schema is committed next to this module
+(``manifest_schema_v3.json``) and every manifest is validated against
+it before it leaves the process.  Validation prefers :mod:`jsonschema`
+when importable and falls back to a pure-python structural check so the
+artifact pipeline works in minimal environments.
 
-Version 2 (the ``repro.obs.timeline`` layer) added two optional
-sections -- ``timeline`` (windowed time series and address-space heatmap
-per simulation cell) and ``events`` (the bounded structured event
-stream) -- plus an optional ``error`` field on span records.  Version 3
-(the ``repro.obs.tracing`` layer) adds optional causal identity to span
-records -- ``trace_id``/``span_id``/``parent_id`` hex ids and a
-wall-clock ``start`` stamp -- so a serve-tier manifest carries the full
-request span tree across the process-pool boundary.  Older manifests
-still validate as their own version and can be explicitly up-converted
-with :func:`upgrade_manifest`.
+Beyond the core sections, a manifest may carry ``timeline`` (windowed
+time series and address-space heatmap per simulation cell, from the
+``repro.obs.timeline`` layer) and ``events`` (the bounded structured
+event stream), and its span records may carry an ``error`` string plus
+causal identity -- ``trace_id``/``span_id``/``parent_id`` hex ids and a
+wall-clock ``start`` stamp (the ``repro.obs.tracing`` layer) -- so a
+serve-tier manifest carries the full request span tree across the
+process-pool boundary.  Every producer stamps version 3; any other
+``manifest_version`` is rejected with :class:`ManifestError` naming it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import platform
 from importlib import resources
@@ -39,61 +37,28 @@ from repro.obs.span import SpanLog
 
 MANIFEST_VERSION = 3
 MANIFEST_SCHEMA = "repro.obs.manifest/v3"
-MANIFEST_SCHEMA_V2 = "repro.obs.manifest/v2"
-MANIFEST_SCHEMA_V1 = "repro.obs.manifest/v1"
-
-_SCHEMA_FILES = {
-    1: "manifest_schema.json",
-    2: "manifest_schema_v2.json",
-    3: "manifest_schema_v3.json",
-}
-_SCHEMA_NAMES = {1: MANIFEST_SCHEMA_V1, 2: MANIFEST_SCHEMA_V2, 3: MANIFEST_SCHEMA}
+_SCHEMA_FILE = "manifest_schema_v3.json"
 
 _SCALAR = (str, int, float, bool, type(None))
-
-#: Compiled jsonschema validators, one per manifest version (lazy).
-_VALIDATORS: dict[int, Any] = {}
 
 
 class ManifestError(ValueError):
     """A manifest failed schema validation."""
 
 
-def load_schema(version: int = MANIFEST_VERSION) -> dict[str, Any]:
-    """The committed JSON schema for the given manifest version."""
-    try:
-        filename = _SCHEMA_FILES[version]
-    except KeyError:
+def _check_version(version: Any) -> None:
+    if version != MANIFEST_VERSION:
         raise ManifestError(
-            f"no schema for manifest version {version!r}; "
-            f"known: {sorted(_SCHEMA_FILES)}"
-        ) from None
-    text = resources.files("repro.obs").joinpath(filename).read_text()
-    return json.loads(text)
-
-
-def upgrade_manifest(manifest: Mapping[str, Any]) -> dict[str, Any]:
-    """Up-convert a manifest to the current version (validated).
-
-    Versions 1 and 2 become version 3 by re-stamping the version and
-    schema fields: every older construct is legal v3 -- the v2 sections
-    (``timeline``, ``events``) and the v3 span identity fields are all
-    optional, so an upgraded manifest simply lacks the ones its producer
-    predates.  A manifest already at the current version is returned as
-    a validated copy.
-    """
-    upgraded = dict(manifest)
-    version = upgraded.get("manifest_version")
-    if version in (1, 2):
-        upgraded["manifest_version"] = MANIFEST_VERSION
-        upgraded["schema"] = MANIFEST_SCHEMA
-    elif version != MANIFEST_VERSION:
-        raise ManifestError(
-            f"cannot upgrade manifest_version {version!r}; "
-            f"known: {sorted(_SCHEMA_FILES)}"
+            f"manifest_version: unsupported version {version!r}; "
+            f"this build reads only {MANIFEST_VERSION}"
         )
-    validate_manifest(upgraded)
-    return upgraded
+
+
+def load_schema(version: int = MANIFEST_VERSION) -> dict[str, Any]:
+    """The committed JSON schema (only the current version has one)."""
+    _check_version(version)
+    text = resources.files("repro.obs").joinpath(_SCHEMA_FILE).read_text()
+    return json.loads(text)
 
 
 def cell(
@@ -183,37 +148,36 @@ def build_manifest(
 
 
 def validate_manifest(manifest: Mapping[str, Any]) -> None:
-    """Raise :class:`ManifestError` unless ``manifest`` matches its schema.
+    """Raise :class:`ManifestError` unless ``manifest`` matches the schema.
 
-    Dispatches on the manifest's declared ``manifest_version`` (1 and 2
-    both remain valid -- old manifests do not rot when the current
-    version moves).  Uses :mod:`jsonschema` when available; otherwise
-    falls back to a structural check covering the same constraints
-    (required keys, value types, metric-tree shape).
+    A ``manifest_version`` other than the current one fails first,
+    naming the version.  Uses :mod:`jsonschema` when available;
+    otherwise falls back to a structural check covering the same
+    constraints (required keys, value types, metric-tree shape).
     """
-    version = manifest.get("manifest_version")
-    if version not in _SCHEMA_FILES:
-        raise ManifestError(
-            f"manifest_version: unknown version {version!r}; "
-            f"known: {sorted(_SCHEMA_FILES)}"
-        )
+    _check_version(manifest.get("manifest_version"))
     try:
         import jsonschema
     except ImportError:
         _validate_structurally(manifest)
         return
-    validator = _VALIDATORS.get(version)
-    if validator is None:
-        # Compile (and schema-check) once per version: jsonschema.validate
-        # redoes both on every call, which dominates hot paths like the
-        # serve warm-cache probe.
-        schema = load_schema(version)
-        cls = jsonschema.validators.validator_for(schema)
-        cls.check_schema(schema)
-        validator = _VALIDATORS[version] = cls(schema)
+    validator = _jsonschema_validator()
     error = jsonschema.exceptions.best_match(validator.iter_errors(dict(manifest)))
     if error is not None:
         raise ManifestError(str(error)) from error
+
+
+@functools.cache
+def _jsonschema_validator():
+    """The schema, compiled and schema-checked once: jsonschema.validate
+    redoes both on every call, which dominates hot paths like the serve
+    warm-cache probe."""
+    import jsonschema
+
+    schema = load_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _fail(path: str, message: str) -> None:
@@ -259,17 +223,10 @@ def _validate_structurally(manifest: Mapping[str, Any]) -> None:
     for key in required:
         if key not in manifest:
             _fail(key, "missing required field")
-    version = manifest["manifest_version"]
-    if version not in _SCHEMA_FILES:
-        _fail(
-            "manifest_version",
-            f"unknown version {version!r}; known: {sorted(_SCHEMA_FILES)}",
-        )
-    if manifest["schema"] != _SCHEMA_NAMES[version]:
-        _fail("schema", f"must be {_SCHEMA_NAMES[version]!r}")
-    allowed_top = set(required) | {"summary"}
-    if version >= 2:
-        allowed_top |= {"timeline", "events"}
+    _check_version(manifest["manifest_version"])
+    if manifest["schema"] != MANIFEST_SCHEMA:
+        _fail("schema", f"must be {MANIFEST_SCHEMA!r}")
+    allowed_top = set(required) | {"summary", "timeline", "events"}
     extra_top = set(manifest) - allowed_top
     if extra_top:
         _fail("/", f"unexpected keys {sorted(extra_top)}")
@@ -300,9 +257,7 @@ def _validate_structurally(manifest: Mapping[str, Any]) -> None:
     if not isinstance(spans, list):
         _fail("spans", "must be an array")
     span_keys = {"name", "wall_seconds", "depth", "metrics"}
-    span_optional = {"error"} if version >= 2 else set()
-    if version >= 3:
-        span_optional |= {"trace_id", "span_id", "parent_id", "start"}
+    span_optional = {"error", "trace_id", "span_id", "parent_id", "start"}
     for index, record in enumerate(spans):
         path = f"spans[{index}]"
         if not isinstance(record, dict):

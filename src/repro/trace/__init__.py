@@ -11,13 +11,15 @@ parameterises its clustering by line size, and declares so via
 
 This package exploits that invariance end to end:
 
-* :mod:`repro.trace.recorder` -- capture the canonical event stream while
-  an application runs, via the machine's observer hook;
+* :mod:`repro.trace.recorder` -- capture the reference stream while an
+  application runs, via the machine's observer hook, resolving every
+  forwarded reference as it goes (resolution is config-invariant);
 * :mod:`repro.trace.format` -- a chunked columnar binary trace format
-  (fixed-event-count chunks, per-column varint/delta encoding and zlib
-  compression, a footer index for random access, content-hashed) with
-  save/load round-trip and streaming decode; legacy v2 files load
-  transparently;
+  that stores that resolved stream (fixed-entry-count chunks of kind,
+  int64 operand and extras columns, each zlib-compressed and hashed, a
+  footer index for random access, content-hashed) with save/load
+  round-trip and streaming unpack; files of any other version are cache
+  misses;
 * :mod:`repro.trace.replay` -- drive any :class:`MachineConfig` from a
   trace, chunk by chunk, reproducing a direct run's
   :class:`MachineStats` *exactly*;
@@ -45,7 +47,6 @@ from repro.trace.format import (
     TraceFormatError,
     TraceIndex,
     load_index,
-    peek_version,
 )
 from repro.trace.batch import (
     BATCH_GENERAL,
@@ -67,12 +68,10 @@ from repro.trace.recorder import TraceRecorder, capture_trace
 from repro.trace.replay import (
     ReplaySession,
     ResolvedChunk,
-    SidecarError,
     TraceReplayError,
     drive_sessions,
     iter_resolved_chunks,
     replay_trace,
-    resolved_stream,
 )
 from repro.trace.store import (
     ArtifactStore,
@@ -94,7 +93,6 @@ __all__ = [
     "ReplaySession",
     "ResolvedChunk",
     "SEQUENTIAL",
-    "SidecarError",
     "SpecializationError",
     "SpecializedSession",
     "SweepError",
@@ -111,11 +109,9 @@ __all__ = [
     "group_by_trace",
     "iter_resolved_chunks",
     "load_index",
-    "peek_version",
     "replay_engine",
     "replay_specialized",
     "replay_trace",
-    "resolved_stream",
     "run_batch_group",
     "run_task",
     "specializable",

@@ -3,13 +3,13 @@
 The sweep's unit of work used to be the *cell* -- each cell loaded (or
 captured) its trace, decoded the payload, and replayed.  The natural
 unit is the *trace*: every cell sharing a trace key can run against one
-decode of the stream.  Since format v3 the decode itself is chunked
-(:func:`repro.trace.replay.iter_resolved_chunks`), so the group loop
-interleaves at chunk granularity: decode one chunk, drive **every**
-config's session over it, drop it, pull the next.  Resident memory is
-one resolved chunk plus N session states -- O(chunk), not O(trace) --
-however many configs share the stream.  This module is that grouping
-layer:
+decode of the stream.  A trace stores its resolved stream in chunks
+(:func:`repro.trace.replay.iter_resolved_chunks` unpacks one at a time),
+so the group loop interleaves at chunk granularity: decode one chunk,
+drive **every** config's session over it, drop it, pull the next.
+Resident memory is one resolved chunk plus N session states -- O(chunk),
+not O(trace) -- however many configs share the stream.  This module is
+that grouping layer:
 
 * :func:`group_by_trace` partitions sweep tasks into per-trace-key
   groups (insertion-ordered, so progress output stays deterministic);
@@ -40,18 +40,10 @@ batch and must fail them individually, not collectively.  A failure
 *inside one session* mid-stream fails only that cell; the other
 sessions keep consuming chunks.  A failure in the shared decode fails
 every cell still riding it (there is no stream left to finish them).
-
-Setting the ``REPRO_BATCH_MATERIALIZE`` environment variable makes each
-group materialise its full resolved stream up front -- the pre-v3
-O(trace) residency -- before streaming normally.  It exists purely as
-the control arm of the peak-RSS benchmark (``BENCH_PR8.json``); never
-set it otherwise.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import time as _time
 from dataclasses import dataclass
 
@@ -62,11 +54,8 @@ from repro.trace.kernels import SpecializedSession, specializable
 from repro.trace.replay import (
     MAX_CHUNK_SPANS,
     ReplaySession,
-    SidecarError,
-    _decode_chunks,
     drive_traced,
     iter_resolved_chunks,
-    resolved_stream,
 )
 from repro.trace.store import ArtifactStore, config_fingerprint
 
@@ -170,8 +159,8 @@ def run_batch_group(
       general path, per config).
 
     **Drive**: every session consumes the trace's resolved chunks in
-    lockstep -- one chunk decoded (or sidecar-served), all sessions run
-    over it, then the next -- and finally each session's ``finish()``
+    lockstep -- one chunk unpacked, all sessions run over it, then the
+    next -- and finally each session's ``finish()``
     produces and persists its cell's result.
 
     With ``collect_errors=False`` (batch sweeps) the first failing cell
@@ -283,13 +272,7 @@ def run_batch_group(
             fail(position, task, exc)
 
     if pending:
-        if os.environ.get("REPRO_BATCH_MATERIALIZE"):
-            # Benchmark control arm only: recreate the pre-v3 whole-trace
-            # residency so the RSS delta of streaming is measurable.
-            trace._bench_materialized = resolved_stream(trace)
         _drive_pending(trace, pending, outcomes, store, fail)
-        if os.environ.get("REPRO_BATCH_MATERIALIZE"):
-            trace._bench_materialized = None
     return [outcomes[position] for position in sorted(outcomes)]
 
 
@@ -341,20 +324,7 @@ def _drive_pending(trace, pending, outcomes, store, fail) -> None:
     decode_failed = False
     try:
         try:
-            try:
-                feed(iter_resolved_chunks(trace))
-            except SidecarError:
-                # The sidecar went bad after chunks were already
-                # consumed: drop it, rewind every surviving session, and
-                # re-run the stream from the raw columns (which rewrites
-                # the sidecar).
-                path = getattr(trace, "_resolved_path", None)
-                if path is not None:
-                    with contextlib.suppress(OSError):
-                        path.unlink()
-                for entry in live:
-                    entry[3].reset()
-                feed(_decode_chunks(trace, path))
+            feed(iter_resolved_chunks(trace))
         except BatchCellError:
             raise
         except Exception as exc:

@@ -4,16 +4,15 @@ The kernel itself -- one generated loop per machine shape, with the
 config's constants baked in as literals -- lives in
 :mod:`repro.core.kernel`, because the Machine fast path runs it too.
 This module drives it from a trace: :class:`SpecializedSession` feeds
-it one :class:`~repro.trace.replay.ResolvedChunk` at a time (the
-decoder emits exactly the kernel's ``kinds``/``ops``/``extras``
-layout), and :func:`replay_specialized` is the one-config replay built
-on it.  Results are **bit-identical** to :func:`repro.trace.replay.
+it one :class:`~repro.trace.replay.ResolvedChunk` at a time (a trace
+stores exactly the kernel's ``kinds``/``ops``/``extras`` layout), and
+:func:`replay_specialized` is the one-config replay built on it.  Results are **bit-identical** to :func:`repro.trace.replay.
 replay_trace`, which costs every entry through the layered components
 and so shares no code with the kernel; ``tests/integration/
 test_batch_parity.py`` and ``tests/property/test_batch_properties.py``
 enforce that contract.
 
-Replay knows from the decode whether a stream has any forwarded
+A trace's footer records whether its stream has any forwarded
 reference, so an unforwarded stream gets the counters-only speculation
 mode (:data:`~repro.core.kernel.SPEC_COUNTERS`).
 """
@@ -39,7 +38,6 @@ from repro.trace.replay import (
     captured_result,
     check_line_size,
     drive_sessions,
-    has_forwarded_entries,
     replay_trace,
 )
 
@@ -60,14 +58,14 @@ __all__ = [
 def _spec_mode(trace: Trace, config: MachineConfig) -> int:
     if config.speculation_window <= 0:
         return SPEC_OFF
-    return SPEC_FULL if has_forwarded_entries(trace) else SPEC_COUNTERS
+    return SPEC_FULL if trace.has_forwarded else SPEC_COUNTERS
 
 
 class SpecializedSession:
     """One config's specialized-kernel state, consuming resolved chunks.
 
     Drop-in peer of :class:`~repro.trace.replay.ReplaySession`: same
-    ``run_chunk``/``reset``/``finish`` surface, so the batch engine can
+    ``run_chunk``/``finish`` surface, so the batch engine can
     drive a mixed group of general and specialized sessions through one
     decode of the trace.  The kernel's hot locals live in the component
     objects between chunks (reloaded on entry, spilled on exit); the
@@ -80,13 +78,7 @@ class SpecializedSession:
         self.trace = trace
         self.config = config
         self._kernel = compiled_kernel(config, _spec_mode(trace, config))
-        self._build()
-
-    def reset(self) -> None:
-        self._build()
-
-    def _build(self) -> None:
-        build_components(self, self.config)
+        build_components(self, config)
         self._trap = False
 
     def run_chunk(self, chunk) -> None:

@@ -1,25 +1,30 @@
-"""Capture a machine's event stream while an application runs.
+"""Capture a machine's resolved reference stream while an application runs.
 
 :class:`TraceRecorder` implements the :class:`~repro.core.machine.
-MachineObserver` protocol and encodes each event straight into the
-current chunk's column buffers as it arrives -- capture never
-materialises an in-memory event list, and sealed chunks are compressed
-immediately, so recording a full-scale run costs one open chunk of
-bytearray plus the compressed corpus, not hundreds of megabytes of
-tuples.
+MachineObserver` protocol and turns each event straight into the
+*entry* replay consumes: the :mod:`repro.core.kernel` kind, its
+operand, and -- for a prefetch or a forwarded reference -- an extras
+value, in the ``kinds``/``ops``/``extras`` layout that
+:func:`repro.trace.format.make_chunk` seals.  Capture never materialises an
+in-memory event list, and sealed chunks are compressed immediately, so
+recording a full-scale run costs one open chunk of arrays plus the
+compressed corpus.
 
-The encoding loops (zigzag + LEB128, see :mod:`repro.trace.format` for
-the reference :class:`~repro.trace.format.ChunkWriter`) are inlined
-into every callback: the recorder sits on the machine's per-reference
-hot path, and at a few hundred thousand events per run the
-function-call overhead of composable helpers is the difference between
-a few percent and tens of percent of capture overhead.
+Forwarding resolution happens here, once, because it does not depend on
+the machine a stream is later replayed against.  The recorder keeps the
+forwarding map ``{word: forwarding word value}`` that the machine's
+forwarding bits imply: an ``unforwarded_write`` with the fbit set adds
+or retargets a word, one with it clear removes it, and a ``raw_write``
+retargets a word already in the map.  Each load or store is annotated
+with the hop words and final address ``ForwardingEngine.resolve`` would
+walk, and each free with its chain length.  Events with no
+config-dependent cost (pool carving, relocation counters) never reach
+the recorder at all.
 
-The recorder also tracks the forwarding-membership word set as it
-records (an ``unforwarded_write`` with the fbit set adds the word, with
-it clear removes it; loads and stores probe it), so the finished trace
-knows ``has_forwarded`` -- which speculation mode the specialized
-kernels may use -- without anyone decoding the stream.
+A chain can only visit each forwarded word once, so a chase longer than
+the map is a cycle: the recorder raises
+:class:`~repro.core.errors.ForwardingCycleError` -- the error the direct
+run would raise for it -- instead of looping forever.
 
 :func:`capture_trace` is the one-call front end: run an application
 variant on a given config with a recorder attached, and get back both
@@ -30,363 +35,135 @@ result is free).
 
 from __future__ import annotations
 
-import hashlib
+from array import array
 
 from repro.apps import get_application
 from repro.apps.base import AppResult, Variant
-from repro.core.machine import MachineConfig
-from repro.trace.events import (
-    CREATE_POOL,
-    EXECUTE,
+from repro.core.errors import ForwardingCycleError
+from repro.core.kernel import (
+    ACCESS_R,
+    ACCESS_W,
+    EXEC,
     FREE,
     LOAD,
+    LOAD_FWD,
     MALLOC,
-    NOTE_OPT,
-    NOTE_RELOC,
-    POOL_ALLOC,
     PREFETCH,
-    RAW_WRITE,
-    READ_FBIT,
-    SET_TRAP,
     STORE,
-    UNF_READ,
-    UNF_WRITE,
+    STORE_FWD,
+    TRAP,
 )
-from repro.trace.format import (
-    CHUNK_EVENTS,
-    COLUMN_NAMES,
-    Chunk,
-    Trace,
-    finish_stream_digest,
-    make_chunk,
-)
+from repro.core.machine import MachineConfig
+from repro.trace.format import CHUNK_EVENTS, Chunk, Trace, make_chunk
 
 
 class TraceRecorder:
-    """Streaming columnar encoder for the canonical machine event stream."""
+    """Streaming resolver + columnar encoder for the machine's events."""
 
     def __init__(self, chunk_events: int = CHUNK_EVENTS) -> None:
         if chunk_events < 1:
             raise ValueError("chunk_events must be >= 1")
         self.chunk_events = chunk_events
-        self.event_count = 0
-        self.pool_names: list[str] = []
         self.has_forwarded = False
-        self._ops = bytearray()
-        self._addr = bytearray()
-        self._aux = bytearray()
+        self._kinds = bytearray()
+        self._ops = array("q")
+        self._extras: dict = {}
         self._chunks: list[Chunk] = []
-        self._pending = 0
-        self._last_address = 0
-        self._chunk_start = 0
-        self._fwd: set[int] = set()
-        self._col_shas = [hashlib.sha256() for _ in COLUMN_NAMES]
+        self._fwd: dict[int, int] = {}
 
-    # -- chunk sealing -------------------------------------------------
-    def _seal(self) -> None:
-        raws = (bytes(self._ops), bytes(self._addr), bytes(self._aux))
-        for sha, raw in zip(self._col_shas, raws):
-            sha.update(raw)
-        self._chunks.append(make_chunk(raws, self._pending, self._chunk_start))
-        self._ops.clear()
-        self._addr.clear()
-        self._aux.clear()
-        self._pending = 0
-        self._chunk_start = self._last_address
+    @property
+    def event_count(self) -> int:
+        """Entries recorded so far."""
+        return sum(chunk.event_count for chunk in self._chunks) + len(self._kinds)
 
-    def finish(self) -> tuple[tuple[Chunk, ...], str]:
-        """Seal the open chunk; returns ``(chunks, stream_sha256)``."""
-        if self._pending:
+    # -- entries -------------------------------------------------------
+    def _entry(self, kind: int, op: int) -> None:
+        self._kinds.append(kind)
+        self._ops.append(op)
+        if len(self._kinds) >= self.chunk_events:
             self._seal()
-        return (
-            tuple(self._chunks),
-            finish_stream_digest(self._col_shas, self.event_count),
-        )
+
+    def _seal(self) -> None:
+        self._chunks.append(make_chunk(self._kinds, self._ops, self._extras))
+        self._kinds = bytearray()
+        self._ops = array("q")
+        self._extras = {}
+
+    def finish(self) -> tuple[Chunk, ...]:
+        """Seal the open chunk; returns every chunk in stream order."""
+        if self._kinds:
+            self._seal()
+        return tuple(self._chunks)
+
+    def _reference(self, address: int, kind: int, forwarded_kind: int) -> None:
+        """One load or store, resolved through the forwarding map."""
+        fwd = self._fwd
+        word = address & ~7
+        if word not in fwd:
+            self._entry(kind, address)
+            return
+        hops = []
+        while word in fwd:
+            if len(hops) == len(fwd):
+                raise ForwardingCycleError(address, word)
+            hops.append(word)
+            value = fwd[word]
+            word = value & ~7
+        self.has_forwarded = True
+        self._extras[len(self._kinds)] = (value | (address & 7), tuple(hops))
+        self._entry(forwarded_kind, address)
 
     # -- MachineObserver protocol --------------------------------------
-    # Each callback appends the opcode to the ops column, the zigzag
-    # address delta (against the running register) to the addr column,
-    # and every other operand LEB128-encoded to the aux column, exactly
-    # as format.ChunkWriter would -- the round-trip property tests pin
-    # the two to each other.
     def on_load(self, address: int, size: int) -> None:
-        self._ops.append(LOAD)
-        out = self._addr
-        v = address - self._last_address
-        self._last_address = address
-        v = v << 1 if v >= 0 else ((-v) << 1) - 1
-        while v > 0x7F:
-            out.append((v & 0x7F) | 0x80)
-            v >>= 7
-        out.append(v)
-        out = self._aux
-        while size > 0x7F:
-            out.append((size & 0x7F) | 0x80)
-            size >>= 7
-        out.append(size)
-        if not self.has_forwarded and (address & ~7) in self._fwd:
-            self.has_forwarded = True
-        self.event_count += 1
-        self._pending += 1
-        if self._pending >= self.chunk_events:
-            self._seal()
+        self._reference(address, LOAD, LOAD_FWD)
 
     def on_store(self, address: int, value: int, size: int) -> None:
-        self._ops.append(STORE)
-        out = self._addr
-        v = address - self._last_address
-        self._last_address = address
-        v = v << 1 if v >= 0 else ((-v) << 1) - 1
-        while v > 0x7F:
-            out.append((v & 0x7F) | 0x80)
-            v >>= 7
-        out.append(v)
-        out = self._aux
-        v = value << 1 if value >= 0 else ((-value) << 1) - 1
-        while v > 0x7F:
-            out.append((v & 0x7F) | 0x80)
-            v >>= 7
-        out.append(v)
-        while size > 0x7F:
-            out.append((size & 0x7F) | 0x80)
-            size >>= 7
-        out.append(size)
-        if not self.has_forwarded and (address & ~7) in self._fwd:
-            self.has_forwarded = True
-        self.event_count += 1
-        self._pending += 1
-        if self._pending >= self.chunk_events:
-            self._seal()
+        self._reference(address, STORE, STORE_FWD)
 
     def on_execute(self, instructions: int) -> None:
-        self._ops.append(EXECUTE)
-        out = self._aux
-        while instructions > 0x7F:
-            out.append((instructions & 0x7F) | 0x80)
-            instructions >>= 7
-        out.append(instructions)
-        self.event_count += 1
-        self._pending += 1
-        if self._pending >= self.chunk_events:
-            self._seal()
+        self._entry(EXEC, instructions)
 
     def on_prefetch(self, address: int, lines: int) -> None:
-        self._ops.append(PREFETCH)
-        out = self._addr
-        v = address - self._last_address
-        self._last_address = address
-        v = v << 1 if v >= 0 else ((-v) << 1) - 1
-        while v > 0x7F:
-            out.append((v & 0x7F) | 0x80)
-            v >>= 7
-        out.append(v)
-        out = self._aux
-        while lines > 0x7F:
-            out.append((lines & 0x7F) | 0x80)
-            lines >>= 7
-        out.append(lines)
-        self.event_count += 1
-        self._pending += 1
-        if self._pending >= self.chunk_events:
-            self._seal()
+        self._extras[len(self._kinds)] = lines
+        self._entry(PREFETCH, address)
 
     def on_read_fbit(self, address: int) -> None:
-        self._ops.append(READ_FBIT)
-        out = self._addr
-        v = address - self._last_address
-        self._last_address = address
-        v = v << 1 if v >= 0 else ((-v) << 1) - 1
-        while v > 0x7F:
-            out.append((v & 0x7F) | 0x80)
-            v >>= 7
-        out.append(v)
-        self.event_count += 1
-        self._pending += 1
-        if self._pending >= self.chunk_events:
-            self._seal()
+        self._entry(ACCESS_R, address & ~7)
 
     def on_unforwarded_read(self, address: int) -> None:
-        self._ops.append(UNF_READ)
-        out = self._addr
-        v = address - self._last_address
-        self._last_address = address
-        v = v << 1 if v >= 0 else ((-v) << 1) - 1
-        while v > 0x7F:
-            out.append((v & 0x7F) | 0x80)
-            v >>= 7
-        out.append(v)
-        self.event_count += 1
-        self._pending += 1
-        if self._pending >= self.chunk_events:
-            self._seal()
+        self._entry(ACCESS_R, address & ~7)
 
     def on_unforwarded_write(self, address: int, value: int, fbit: int) -> None:
-        self._ops.append(UNF_WRITE)
-        out = self._addr
-        v = address - self._last_address
-        self._last_address = address
-        v = v << 1 if v >= 0 else ((-v) << 1) - 1
-        while v > 0x7F:
-            out.append((v & 0x7F) | 0x80)
-            v >>= 7
-        out.append(v)
-        out = self._aux
-        v = value << 1 if value >= 0 else ((-value) << 1) - 1
-        while v > 0x7F:
-            out.append((v & 0x7F) | 0x80)
-            v >>= 7
-        out.append(v)
+        word = address & ~7
         if fbit:
-            self._fwd.add(address & ~7)
+            self._fwd[word] = value
         else:
-            self._fwd.discard(address & ~7)
-        while fbit > 0x7F:
-            out.append((fbit & 0x7F) | 0x80)
-            fbit >>= 7
-        out.append(fbit)
-        self.event_count += 1
-        self._pending += 1
-        if self._pending >= self.chunk_events:
-            self._seal()
+            self._fwd.pop(word, None)
+        self._entry(ACCESS_W, word)
 
     def on_malloc(self, nbytes: int, align: int, address: int) -> None:
-        self._ops.append(MALLOC)
-        out = self._aux
-        while nbytes > 0x7F:
-            out.append((nbytes & 0x7F) | 0x80)
-            nbytes >>= 7
-        out.append(nbytes)
-        while align > 0x7F:
-            out.append((align & 0x7F) | 0x80)
-            align >>= 7
-        out.append(align)
-        out = self._addr
-        v = address - self._last_address
-        self._last_address = address
-        v = v << 1 if v >= 0 else ((-v) << 1) - 1
-        while v > 0x7F:
-            out.append((v & 0x7F) | 0x80)
-            v >>= 7
-        out.append(v)
-        self.event_count += 1
-        self._pending += 1
-        if self._pending >= self.chunk_events:
-            self._seal()
+        self._entry(MALLOC, nbytes)
 
     def on_free(self, address: int) -> None:
-        self._ops.append(FREE)
-        out = self._addr
-        v = address - self._last_address
-        self._last_address = address
-        v = v << 1 if v >= 0 else ((-v) << 1) - 1
-        while v > 0x7F:
-            out.append((v & 0x7F) | 0x80)
-            v >>= 7
-        out.append(v)
-        self.event_count += 1
-        self._pending += 1
-        if self._pending >= self.chunk_events:
-            self._seal()
-
-    def on_create_pool(self, index: int, size: int, name: str) -> None:
-        if index != len(self.pool_names):
-            raise ValueError(
-                f"pool created out of order: index {index}, "
-                f"have {len(self.pool_names)} names"
-            )
-        self.pool_names.append(name)
-        self._ops.append(CREATE_POOL)
-        out = self._aux
-        while size > 0x7F:
-            out.append((size & 0x7F) | 0x80)
-            size >>= 7
-        out.append(size)
-        self.event_count += 1
-        self._pending += 1
-        if self._pending >= self.chunk_events:
-            self._seal()
-
-    def on_pool_alloc(
-        self, index: int, nbytes: int, align: int, address: int
-    ) -> None:
-        self._ops.append(POOL_ALLOC)
-        out = self._aux
-        while index > 0x7F:
-            out.append((index & 0x7F) | 0x80)
-            index >>= 7
-        out.append(index)
-        while nbytes > 0x7F:
-            out.append((nbytes & 0x7F) | 0x80)
-            nbytes >>= 7
-        out.append(nbytes)
-        while align > 0x7F:
-            out.append((align & 0x7F) | 0x80)
-            align >>= 7
-        out.append(align)
-        out = self._addr
-        v = address - self._last_address
-        self._last_address = address
-        v = v << 1 if v >= 0 else ((-v) << 1) - 1
-        while v > 0x7F:
-            out.append((v & 0x7F) | 0x80)
-            v >>= 7
-        out.append(v)
-        self.event_count += 1
-        self._pending += 1
-        if self._pending >= self.chunk_events:
-            self._seal()
+        # The forwarding-aware free costs the whole chain, start included.
+        fwd = self._fwd
+        word = address & ~7
+        chain = 1
+        while word in fwd:
+            if chain > len(fwd):
+                raise ForwardingCycleError(address, word)
+            word = fwd[word] & ~7
+            chain += 1
+        self._entry(FREE, chain)
 
     def on_raw_write(self, address: int, value: int) -> None:
-        self._ops.append(RAW_WRITE)
-        out = self._addr
-        v = address - self._last_address
-        self._last_address = address
-        v = v << 1 if v >= 0 else ((-v) << 1) - 1
-        while v > 0x7F:
-            out.append((v & 0x7F) | 0x80)
-            v >>= 7
-        out.append(v)
-        out = self._aux
-        v = value << 1 if value >= 0 else ((-value) << 1) - 1
-        while v > 0x7F:
-            out.append((v & 0x7F) | 0x80)
-            v >>= 7
-        out.append(v)
-        self.event_count += 1
-        self._pending += 1
-        if self._pending >= self.chunk_events:
-            self._seal()
-
-    def on_note_relocation(self, relocations: int, words: int) -> None:
-        self._ops.append(NOTE_RELOC)
-        out = self._aux
-        while relocations > 0x7F:
-            out.append((relocations & 0x7F) | 0x80)
-            relocations >>= 7
-        out.append(relocations)
-        while words > 0x7F:
-            out.append((words & 0x7F) | 0x80)
-            words >>= 7
-        out.append(words)
-        self.event_count += 1
-        self._pending += 1
-        if self._pending >= self.chunk_events:
-            self._seal()
-
-    def on_note_optimizer(self) -> None:
-        self._ops.append(NOTE_OPT)
-        self.event_count += 1
-        self._pending += 1
-        if self._pending >= self.chunk_events:
-            self._seal()
+        # Untimed: it only matters when it retargets a chain word.
+        word = address & ~7
+        if word in self._fwd:
+            self._fwd[word] = value
 
     def on_set_trap(self, installed: bool) -> None:
-        self._ops.append(SET_TRAP)
-        self._aux.append(1 if installed else 0)
-        self.event_count += 1
-        self._pending += 1
-        if self._pending >= self.chunk_events:
-            self._seal()
+        self._entry(TRAP, 1 if installed else 0)
 
 
 def capture_trace(
@@ -408,7 +185,7 @@ def capture_trace(
     application = get_application(app, scale=scale, seed=seed)
     recorder = TraceRecorder()
     result = application.run(variant, config, observer=recorder, on_window=on_window)
-    chunks, stream_sha = recorder.finish()
+    chunks = recorder.finish()
     trace = Trace(
         app=app,
         variant=variant.value,
@@ -419,10 +196,8 @@ def capture_trace(
         checksum=result.checksum,
         extras=dict(result.extras),
         captured_stats=result.stats.dump(),
-        pool_names=recorder.pool_names,
         event_count=recorder.event_count,
         chunks=chunks,
         has_forwarded=recorder.has_forwarded,
-        _stream_sha=stream_sha,
     )
     return trace, result

@@ -3,7 +3,6 @@
 Layout under the store root::
 
     traces/<trace-key>.trace      one captured stream per workload identity
-    traces/<trace-key>.resolved   decoded-stream sidecar (pure cache)
     results/<trace-hash>-<config-hash>.json   one replayed result per cell
     corpus.json                   the corpus manifest (see below)
 
@@ -14,7 +13,10 @@ content hash to an exact machine-config fingerprint, so a result can
 only ever be served for the identical stream on the identical machine:
 edit anything (app code changes the stream, config changes the
 fingerprint, a format bump changes both) and the stale entry simply
-stops being found.
+stops being found.  A trace file that does not load under a current
+key -- garbage, or a file of another format version -- is likewise a
+miss: :meth:`ArtifactStore.load_trace` logs it and the caller
+recaptures over it.
 
 All writes are atomic (unique temp file + ``os.replace``), so concurrent
 sweep workers -- and the long-lived serve processes of
@@ -28,9 +30,8 @@ stores:
   find the trace warm.  Locks left by dead or wedged processes are
   *stale* (owner pid gone, or older than the stale threshold) and are
   broken automatically.
-* :meth:`ArtifactStore.sweep_stale` -- removes orphaned ``.tmp`` files,
-  stale locks, and ``.resolved`` sidecars whose parent trace is gone;
-  services run it at startup.
+* :meth:`ArtifactStore.sweep_stale` -- removes orphaned ``.tmp`` files
+  and stale locks; services run it at startup.
 
 **Capacity management** (the corpus layer).  ``corpus.json`` is a
 persistent manifest mapping every saved trace key to its identity row
@@ -44,18 +45,14 @@ manifest can never serve wrong answers, only slow ones.  On top of it:
   probes (is this cell's result addressable?) from the manifest, with a
   two-seek footer read (:func:`repro.trace.format.load_index`) as the
   healing fallback -- no full trace load either way;
-* :meth:`ArtifactStore.gc` evicts least-recently-*used* traces (their
-  sidecars with them) until the corpus fits a byte budget -- every
+* :meth:`ArtifactStore.gc` evicts least-recently-*used* traces until
+  the corpus fits a byte budget -- every
   successful :meth:`load_trace` bumps the file's mtime, making mtime the
   LRU clock, and hardlinked duplicates are charged once (inode-aware);
   evicted traces recapture transparently on next use;
 * :meth:`save_trace` dedups across workloads: a new trace whose
   *content hash* matches an existing entry shares that entry's file via
-  hardlink, and one whose *stream digest* matches (same reference
-  stream from a different seed or app revision) shares the decoded
-  sidecar -- the dominant artifact -- the same way;
-* :meth:`ArtifactStore.migrate` upgrades every non-v3 trace file in
-  place (re-keying it, since the format version is part of the key).
+  hardlink.
 """
 
 from __future__ import annotations
@@ -78,7 +75,6 @@ from repro.trace.format import (
     Trace,
     TraceFormatError,
     load_index,
-    peek_version,
 )
 
 _log = get_logger("trace.store")
@@ -188,17 +184,6 @@ class ArtifactStore:
     def trace_path(self, key: str) -> Path:
         return self.traces_dir / f"{key}.trace"
 
-    def resolved_path(self, key: str) -> Path:
-        """Where the decoded resolved-chunk sidecar for ``key`` lives.
-
-        The sidecar is a pure cache maintained by :func:`repro.trace.
-        replay.iter_resolved_chunks`: it is validated against the
-        trace's stream digest on load, so a recaptured trace silently
-        orphans the old sidecar (which is then overwritten on the next
-        decode) rather than ever serving a stale stream.
-        """
-        return self.traces_dir / f"{key}.resolved"
-
     def has_trace(self, key: str) -> bool:
         return self.trace_path(key).exists()
 
@@ -216,32 +201,22 @@ class ArtifactStore:
         # write on the read path.
         with contextlib.suppress(OSError):
             os.utime(path)
-        trace._resolved_path = self.resolved_path(key)
         return trace
 
     def save_trace(self, key: str, trace: Trace) -> Path:
         path = self.trace_path(key)
         _atomic_write(path, trace.to_bytes())
-        # The capturing process replays this object next; let it warm
-        # the sidecar for everyone else.
-        trace._resolved_path = self.resolved_path(key)
         self._register_trace(key, trace, path)
         return path
 
     def _register_trace(self, key: str, trace: Trace, path: Path) -> None:
         """Record ``key`` in the manifest and dedup against the corpus.
 
-        Two dedup levels, both hardlinks (free on filesystems without
-        link support -- the ``OSError`` is swallowed and the copies
-        simply stay independent):
-
-        * identical **content hash** (same workload identity *and*
-          stream): the trace bytes are deterministic, so the new file is
-          replaced with a link to the existing one;
-        * identical **stream digest** only (the same reference stream
-          captured under a different seed or identity): the decoded
-          sidecar -- which derives from the stream alone and validates
-          against its digest, not the header -- is shared instead.
+        A trace with the same **content hash** as an existing entry
+        (same workload identity *and* stream) has identical bytes, so
+        the new file is replaced with a hardlink to the existing one --
+        best-effort: on filesystems without link support the ``OSError``
+        is swallowed and the copies simply stay independent.
         """
         try:
             size = path.stat().st_size
@@ -269,10 +244,6 @@ class ArtifactStore:
                     continue
                 if other.get("content_hash") == entry["content_hash"]:
                     self._try_link(self.trace_path(other_key), path)
-                if other.get("stream_sha256") == entry["stream_sha256"]:
-                    self._try_link(
-                        self.resolved_path(other_key), self.resolved_path(key)
-                    )
             entries[key] = entry
 
         self._update_manifest(mutate)
@@ -333,8 +304,9 @@ class ArtifactStore:
 
         This is the serve tier's warm probe: manifest row first (O(1),
         no trace I/O beyond an existence check), footer read second
-        (two seeks, no chunk data), full load only for legacy v2 files
-        -- healing the manifest row whenever it had to go to disk.
+        (two seeks, no chunk data) -- healing the manifest row whenever
+        it had to go to disk.  An unreadable file, or one of another
+        format version, is a miss: the cell recaptures over it.
         """
         path = self.trace_path(key)
         entry = self.read_manifest()["entries"].get(key)
@@ -344,13 +316,8 @@ class ArtifactStore:
             return None  # evicted since the row was written
         try:
             content_hash = load_index(path).content_hash
-        except FileNotFoundError:
+        except (FileNotFoundError, TraceFormatError):
             return None
-        except TraceFormatError:
-            trace = self.load_trace(key)
-            if trace is None:
-                return None
-            content_hash = trace.content_hash
         self._update_manifest(
             lambda entries: entries.setdefault(key, {}).update(
                 content_hash=content_hash
@@ -363,8 +330,7 @@ class ArtifactStore:
 
         Rows carry ``key``, ``bytes``, ``mtime``, ``inode``, ``links``
         from the filesystem plus whatever identity fields the manifest
-        has; sidecar size rides in ``resolved_bytes``.  Ordered oldest
-        (next to evict) first.
+        has.  Ordered oldest (next to evict) first.
         """
         entries = self.read_manifest()["entries"]
         rows = []
@@ -380,13 +346,7 @@ class ArtifactStore:
                 "mtime": st.st_mtime,
                 "inode": st.st_ino,
                 "links": st.st_nlink,
-                "resolved_bytes": 0,
             }
-            with contextlib.suppress(OSError):
-                sidecar_stat = self.resolved_path(key).stat()
-                row["resolved_bytes"] = sidecar_stat.st_size
-                row["resolved_inode"] = sidecar_stat.st_ino
-                row["mtime"] = max(row["mtime"], sidecar_stat.st_mtime)
             row.update(entries.get(key, {}))
             rows.append(row)
         rows.sort(key=lambda row: (row["mtime"], row["key"]))
@@ -395,10 +355,10 @@ class ArtifactStore:
     def gc(self, budget_bytes: int, dry_run: bool = False) -> dict:
         """Evict least-recently-used traces until the corpus fits.
 
-        ``budget_bytes`` bounds the summed size of trace files plus
-        sidecars, counting each inode once (hardlinked dedup copies are
-        free until their last reference goes).  Eviction removes the
-        trace file, its sidecar, and its manifest row; results are NOT
+        ``budget_bytes`` bounds the summed size of trace files, counting
+        each inode once (hardlinked dedup copies are free until their
+        last reference goes).  Eviction removes the trace file and its
+        manifest row; results are NOT
         touched (they are keyed by content hash and stay servable for a
         recaptured identical stream).  Returns a report dict; with
         ``dry_run`` nothing is removed but the report shows what would
@@ -407,34 +367,24 @@ class ArtifactStore:
         rows = self.corpus_status()
         inode_size: dict[int, int] = {}
         inode_refs: dict[int, set[str]] = {}
-        key_inodes: dict[str, list[int]] = {}
         for row in rows:
-            inodes = [(row["inode"], row["bytes"])]
-            if "resolved_inode" in row:
-                inodes.append((row["resolved_inode"], row["resolved_bytes"]))
-            key_inodes[row["key"]] = [ino for ino, _ in inodes]
-            for ino, size in inodes:
-                inode_size[ino] = size
-                inode_refs.setdefault(ino, set()).add(row["key"])
+            inode_size[row["inode"]] = row["bytes"]
+            inode_refs.setdefault(row["inode"], set()).add(row["key"])
         total = sum(inode_size.values())
         freed = 0
         evicted: list[str] = []
         for row in rows:  # oldest first
             if total - freed <= budget_bytes:
                 break
-            key = row["key"]
-            for ino in key_inodes[key]:
-                refs = inode_refs[ino]
-                refs.discard(key)
-                if not refs:
-                    freed += inode_size[ino]
-            evicted.append(key)
+            refs = inode_refs[row["inode"]]
+            refs.discard(row["key"])
+            if not refs:
+                freed += inode_size[row["inode"]]
+            evicted.append(row["key"])
         if not dry_run and evicted:
             for key in evicted:
                 with contextlib.suppress(OSError):
                     self.trace_path(key).unlink()
-                with contextlib.suppress(OSError):
-                    self.resolved_path(key).unlink()
                 _log.info("evicted trace %s", key)
             self._update_manifest(
                 lambda entries: [entries.pop(key, None) for key in evicted]
@@ -448,55 +398,6 @@ class ArtifactStore:
             "kept": len(rows) - len(evicted),
             "dry_run": dry_run,
         }
-
-    def migrate(self) -> dict:
-        """Upgrade every non-v3 trace file to format v3, re-keying it.
-
-        The format version is part of the trace key, so an upgraded
-        trace lands under a *new* key (file, sidecar, and manifest row
-        of the old key are removed -- the old v1 sidecar layout is
-        unreadable now anyway).  Unreadable files are reported, not
-        deleted.  Returns ``{"migrated": [...], "current": n,
-        "failed": {name: error}}``.
-        """
-        migrated: list[dict] = []
-        failed: dict[str, str] = {}
-        current = 0
-        for path in sorted(self.traces_dir.glob("*.trace")):
-            try:
-                version = peek_version(path)
-            except (TraceFormatError, OSError) as exc:
-                failed[path.name] = str(exc)
-                continue
-            if version == FORMAT_VERSION:
-                current += 1
-                continue
-            try:
-                trace = Trace.load(path)
-            except (TraceFormatError, OSError) as exc:
-                failed[path.name] = str(exc)
-                continue
-            old_key = path.stem
-            new_key = trace_key(
-                trace.app,
-                trace.variant,
-                trace.scale,
-                trace.seed,
-                trace.line_size if trace.line_size_sensitive else None,
-            )
-            self.save_trace(new_key, trace)
-            if new_key != old_key:
-                with contextlib.suppress(OSError):
-                    path.unlink()
-                with contextlib.suppress(OSError):
-                    self.resolved_path(old_key).unlink()
-                self._update_manifest(
-                    lambda entries, stale=old_key: entries.pop(stale, None)
-                )
-            migrated.append(
-                {"from": old_key, "to": new_key, "version": version}
-            )
-        return {"migrated": migrated, "current": current, "failed": failed}
 
     # -- results --------------------------------------------------------
     def result_path(self, trace_hash: str, config_hash: str) -> Path:
@@ -609,27 +510,16 @@ class ArtifactStore:
         return False
 
     def sweep_stale(self, max_age: float | None = None) -> int:
-        """Remove abandoned temp files, stale locks, and orphaned
-        sidecars; returns the count.
+        """Remove abandoned temp files and stale locks; returns the count.
 
         Safe to run concurrently with writers: only artifacts older than
         ``max_age`` (default ``stale_after``) go, and in-flight temp
-        files are by definition fresh.  Orphaned ``.resolved`` sidecars
-        -- whose parent ``.trace`` is gone, so nothing can ever validate
-        or serve them -- are removed regardless of age: a recapture
-        always rewrites the sidecar from scratch, so there is no
-        in-flight state to protect.
+        files are by definition fresh.
         """
         if max_age is None:
             max_age = self.stale_after
         cutoff = time.time() - max_age
         removed = 0
-        for path in self.traces_dir.glob("*.resolved"):
-            if not path.with_suffix(".trace").exists():
-                with contextlib.suppress(OSError):
-                    path.unlink()
-                    removed += 1
-                    _log.info("swept orphaned sidecar %s", path.name)
         candidates = [
             path
             for directory in (self.traces_dir, self.results_dir)

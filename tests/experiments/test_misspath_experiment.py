@@ -3,7 +3,7 @@
 One health-only slice of the matrix: the driver runs, the normalized
 columns anchor to the ``none`` rows, the victim cache absorbs misses
 on the conflict-heavy L cells, and the manifest validates against the
-/v2 schema.  Full-scale absorption numbers live in the benchmark suite.
+/v3 schema.  Full-scale absorption numbers live in the benchmark suite.
 """
 
 import pytest

@@ -11,7 +11,7 @@ Three guarantees pinned here:
    application checksums.
 3. **Persistence.**  Timeline payloads survive the on-disk result cache
    round-trip, and the experiment runner folds them into schema-valid
-   ``/v2`` manifests.
+   ``/v3`` manifests.
 """
 
 import pytest

@@ -1,7 +1,7 @@
 """Manifest schema validation, including the committed JSON schema.
 
 The acceptance bar for structured output: every experiment entry point
-emits a manifest that validates against ``manifest_schema.json``.
+emits a manifest that validates against ``manifest_schema_v3.json``.
 """
 
 import pytest
@@ -11,15 +11,12 @@ from repro.experiments import ablations, figure5, figure6, figure7, figure10, ta
 from repro.obs import Registry
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
-    MANIFEST_SCHEMA_V1,
-    MANIFEST_SCHEMA_V2,
     MANIFEST_VERSION,
     ManifestError,
     _validate_structurally,
     build_manifest,
     cell,
     load_schema,
-    upgrade_manifest,
     validate_manifest,
 )
 
@@ -66,8 +63,10 @@ class TestSchema:
             )
 
     def test_rejects_version_schema_mismatch(self):
-        with pytest.raises(ManifestError):
-            _validate_structurally(_minimal_manifest(manifest_version=1))
+        with pytest.raises(ManifestError, match="schema"):
+            _validate_structurally(
+                _minimal_manifest(schema="repro.obs.manifest/v2")
+            )
 
     def test_rejects_missing_required_key(self):
         bad = _minimal_manifest()
@@ -105,64 +104,24 @@ class TestSchema:
         _validate_structurally(manifest)
 
 
-def _v1_manifest():
-    """A hand-built v1 manifest, as written by the previous release."""
-    manifest = _minimal_manifest(
-        manifest_version=1, schema=MANIFEST_SCHEMA_V1
-    )
-    manifest.pop("timeline", None)
-    manifest.pop("events", None)
-    return manifest
-
-
 class TestSchemaMigration:
-    """Version 1 manifests stay valid after the /v2 bump."""
+    """Only version 3 exists: older versions are rejected by name, and
+    the sections and span fields they introduced stay validated."""
 
-    def test_v1_still_validates(self):
-        manifest = _v1_manifest()
-        validate_manifest(manifest)
-        _validate_structurally(manifest)
-
-    def test_v1_rejects_v2_sections(self):
-        bad = _v1_manifest()
-        bad["timeline"] = {"cells": {}}
-        with pytest.raises(ManifestError):
-            _validate_structurally(bad)
-
-    def test_v1_rejects_span_error_field(self):
-        bad = _v1_manifest()
-        bad["spans"] = [
-            {"name": "s", "wall_seconds": 0.1, "depth": 0, "metrics": {},
-             "error": "ValueError: boom"}
-        ]
-        with pytest.raises(ManifestError):
-            _validate_structurally(bad)
-
-    def test_upgrade_v1_restamps_to_current(self):
-        upgraded = upgrade_manifest(_v1_manifest())
-        assert upgraded["manifest_version"] == MANIFEST_VERSION
-        assert upgraded["schema"] == MANIFEST_SCHEMA
-        validate_manifest(upgraded)
-
-    def test_upgrade_current_is_validated_copy(self):
-        manifest = _minimal_manifest()
-        upgraded = upgrade_manifest(manifest)
-        assert upgraded == manifest
-        assert upgraded is not manifest
-
-    def test_upgrade_rejects_unknown_version(self):
-        with pytest.raises(ManifestError):
-            upgrade_manifest(_minimal_manifest(manifest_version=99))
-
-    def test_v2_schema_file_pins_v2(self):
-        schema = load_schema(2)
-        assert schema["properties"]["manifest_version"]["const"] == 2
-        v1 = load_schema(1)
-        assert v1["properties"]["manifest_version"]["const"] == 1
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_versions_rejected_naming_the_version(self, version):
+        old = _minimal_manifest(
+            manifest_version=version, schema=f"repro.obs.manifest/v{version}"
+        )
+        for validate in (validate_manifest, _validate_structurally):
+            with pytest.raises(ManifestError, match=f"unsupported version {version}"):
+                validate(old)
 
     def test_load_schema_unknown_version(self):
         with pytest.raises(ManifestError):
             load_schema(99)
+        with pytest.raises(ManifestError, match="unsupported version 2"):
+            load_schema(2)
 
     def test_v2_span_error_accepted(self):
         manifest = _minimal_manifest()
@@ -203,11 +162,6 @@ class TestSchemaMigration:
             _validate_structurally(bad)
 
 
-def _v2_manifest():
-    """A hand-built v2 manifest, as written by PRs 4-8."""
-    return _minimal_manifest(manifest_version=2, schema=MANIFEST_SCHEMA_V2)
-
-
 def _traced_span(**overrides):
     span = {
         "name": "serve.request",
@@ -224,25 +178,7 @@ def _traced_span(**overrides):
 
 
 class TestV3Migration:
-    """Version 2 manifests stay valid after the /v3 bump; v3 adds
-    span identity fields (trace_id/span_id/parent_id/start)."""
-
-    def test_v2_still_validates(self):
-        manifest = _v2_manifest()
-        validate_manifest(manifest)
-        _validate_structurally(manifest)
-
-    def test_v2_rejects_span_identity_fields(self):
-        bad = _v2_manifest()
-        bad["spans"] = [_traced_span()]
-        with pytest.raises(ManifestError):
-            _validate_structurally(bad)
-
-    def test_upgrade_v2_restamps_to_current(self):
-        upgraded = upgrade_manifest(_v2_manifest())
-        assert upgraded["manifest_version"] == MANIFEST_VERSION
-        assert upgraded["schema"] == MANIFEST_SCHEMA
-        validate_manifest(upgraded)
+    """Version 3 span identity fields (trace_id/span_id/parent_id/start)."""
 
     def test_v3_schema_file_pins_v3(self):
         schema = load_schema(3)

@@ -184,7 +184,7 @@ def _manifest(windows=None, events=None, spans=()):
     }
     manifest = {
         "artifact": "probe",
-        "schema": "repro.obs.manifest/v2",
+        "schema": "repro.obs.manifest/v3",
         "spans": list(spans),
         "timeline": {
             "cells": {
@@ -271,7 +271,7 @@ GOLDEN_TRACE = {
         },
     ],
     "displayTimeUnit": "ms",
-    "otherData": {"artifact": "probe", "schema": "repro.obs.manifest/v2"},
+    "otherData": {"artifact": "probe", "schema": "repro.obs.manifest/v3"},
 }
 
 

@@ -1,10 +1,10 @@
-"""The corpus layer: manifest, warm probes, dedup, eviction, migration.
+"""The corpus layer: manifest, warm probes, dedup, eviction, stale files.
 
 Everything here sits on top of the plain key/value store contract
 (tested in test_store.py): ``corpus.json`` bookkeeping, the serve tier's
 :meth:`content_hash_for` probe, hardlink dedup across seeds, LRU
-size-budget eviction, v2 -> v3 in-place migration, orphaned-sidecar
-sweeping, and the ``python -m repro corpus`` CLI over all of it.
+size-budget eviction, recapture over a trace file of another format
+version, and the ``python -m repro corpus`` CLI over all of it.
 """
 
 import json
@@ -19,12 +19,10 @@ from repro.trace import (
     ArtifactStore,
     Trace,
     capture_trace,
-    peek_version,
-    replay_trace,
+    load_index,
     trace_key,
 )
-from repro.trace.format import FORMAT_VERSION, encode_v2
-from repro.trace.replay import iter_resolved_chunks
+from repro.trace.format import FORMAT_VERSION, MAGIC
 
 SCALE = 0.05
 
@@ -48,12 +46,16 @@ def _save(store, trace, seed=1, app="mst", variant="N"):
 
 
 def _age(store, key, seconds):
-    """Push a stored trace (and sidecar) back in LRU time."""
+    """Push a stored trace back in LRU time."""
     then = time.time() - seconds
     os.utime(store.trace_path(key), (then, then))
-    sidecar = store.resolved_path(key)
-    if sidecar.exists():
-        os.utime(sidecar, (then, then))
+
+
+def _as_version(path, version):
+    """Restamp a stored trace file's version byte (a stale-format file)."""
+    data = bytearray(path.read_bytes())
+    data[len(MAGIC)] = version
+    path.write_bytes(bytes(data))
 
 
 class TestManifest:
@@ -95,13 +97,6 @@ class TestManifest:
             == trace.content_hash
         )
 
-    def test_content_hash_for_heals_v2_files(self, tmp_path, captured):
-        trace, _ = captured
-        store = ArtifactStore(tmp_path)
-        key = _key()
-        store.trace_path(key).write_bytes(encode_v2(trace))
-        assert store.content_hash_for(key) == trace.content_hash
-
     def test_content_hash_for_misses(self, tmp_path, captured):
         trace, _ = captured
         store = ArtifactStore(tmp_path)
@@ -109,6 +104,11 @@ class TestManifest:
         # A manifest row whose trace was evicted is also a miss.
         key = _save(store, trace)
         store.trace_path(key).unlink()
+        assert store.content_hash_for(key) is None
+        # So is a file of another format version with no manifest row.
+        _save(store, trace)
+        store.manifest_path().unlink()
+        _as_version(store.trace_path(key), FORMAT_VERSION - 1)
         assert store.content_hash_for(key) is None
 
 
@@ -123,28 +123,6 @@ class TestDedup:
             store.trace_path(first).stat().st_ino
             == store.trace_path(second).stat().st_ino
         )
-
-    def test_matching_stream_digest_shares_the_sidecar(
-        self, tmp_path, captured
-    ):
-        trace, _ = captured
-        store = ArtifactStore(tmp_path)
-        first = _save(store, trace, seed=1)
-        loaded = store.load_trace(first)
-        list(iter_resolved_chunks(loaded))  # warm the sidecar
-        assert store.resolved_path(first).exists()
-        second = _save(store, trace, seed=2)
-        assert store.resolved_path(second).exists()
-        assert (
-            store.resolved_path(first).stat().st_ino
-            == store.resolved_path(second).stat().st_ino
-        )
-        # The shared sidecar actually serves the second key's replays.
-        replayed = replay_trace(
-            store.load_trace(second), experiment_config(32)
-        )
-        reference = replay_trace(trace, experiment_config(32))
-        assert replayed.stats.dump() == reference.stats.dump()
 
 
 class TestGc:
@@ -182,16 +160,6 @@ class TestGc:
         report = store.gc(store.trace_path(hot).stat().st_size)
         assert report["evicted"] == [cold]
         assert store.has_trace(hot)
-
-    def test_eviction_takes_the_sidecar_too(self, tmp_path, captured):
-        trace, _ = captured
-        store = ArtifactStore(tmp_path)
-        key = _save(store, trace)
-        list(iter_resolved_chunks(store.load_trace(key)))
-        assert store.resolved_path(key).exists()
-        store.gc(0)
-        assert not store.has_trace(key)
-        assert not store.resolved_path(key).exists()
 
     def test_dry_run_removes_nothing(self, tmp_path, captured):
         trace, _ = captured
@@ -231,73 +199,33 @@ class TestGc:
         assert again.stats.dump() == first.stats.dump()
 
 
-class TestMigrate:
-    def test_v2_file_upgrades_in_place(self, tmp_path, captured):
-        trace, _ = captured
-        store = ArtifactStore(tmp_path)
-        legacy = store.trace_path("0ldkey")
-        legacy.write_bytes(encode_v2(trace))
-        report = store.migrate()
-        assert [entry["version"] for entry in report["migrated"]] == [2]
-        assert not report["failed"]
-        assert not legacy.exists()
-        new_key = report["migrated"][0]["to"]
-        assert peek_version(store.trace_path(new_key)) == FORMAT_VERSION
-        upgraded = store.load_trace(new_key)
-        assert upgraded == trace
-        assert list(upgraded.events()) == list(trace.events())
+class TestStaleVersions:
+    def test_version3_file_under_live_key_recaptures(self, tmp_path, caplog):
+        """A version-3 file where a current trace should be is a miss:
+        the sweep logs it, recaptures over it, and every result matches
+        a store that never held it."""
+        from repro.trace.sweep import SweepTask, execute_sweep
 
-    def test_migrated_replay_is_bit_exact(self, tmp_path, captured):
-        trace, result = captured
-        store = ArtifactStore(tmp_path)
-        store.trace_path("0ldkey").write_bytes(encode_v2(trace))
-        new_key = store.migrate()["migrated"][0]["to"]
-        replayed = replay_trace(
-            store.load_trace(new_key), experiment_config(64)
-        )
-        assert replayed.stats.dump() == result.stats.dump()
-        assert replayed.checksum == result.checksum
-
-    def test_current_files_are_skipped(self, tmp_path, captured):
-        trace, _ = captured
-        store = ArtifactStore(tmp_path)
-        _save(store, trace)
-        report = store.migrate()
-        assert report["current"] == 1
-        assert not report["migrated"] and not report["failed"]
-
-    def test_garbled_file_is_reported_not_deleted(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        bad = store.trace_path("garbled")
-        bad.write_bytes(b"RTRC\x09not really a trace")
-        report = store.migrate()
-        assert "garbled.trace" in report["failed"]
-        assert "version 9" in report["failed"]["garbled.trace"]
-        assert bad.exists()
-
-
-class TestSweepOrphans:
-    def test_orphaned_sidecar_is_reaped(self, tmp_path, captured):
-        """A ``.resolved`` whose parent trace is gone is removed even
-        when fresh -- nothing can ever validate it again."""
-        trace, _ = captured
-        store = ArtifactStore(tmp_path)
-        key = _save(store, trace)
-        list(iter_resolved_chunks(store.load_trace(key)))
-        sidecar = store.resolved_path(key)
-        assert sidecar.exists()
-        store.trace_path(key).unlink()  # orphan it
-        removed = store.sweep_stale()
-        assert removed == 1
-        assert not sidecar.exists()
-
-    def test_paired_sidecar_survives(self, tmp_path, captured):
-        trace, _ = captured
-        store = ArtifactStore(tmp_path)
-        key = _save(store, trace)
-        list(iter_resolved_chunks(store.load_trace(key)))
-        assert store.sweep_stale() == 0
-        assert store.resolved_path(key).exists()
+        tasks = [
+            SweepTask(app="mst", variant="N", line_size=size, scale=SCALE, seed=1)
+            for size in (32, 64)
+        ]
+        fresh = execute_sweep(tasks, ArtifactStore(tmp_path / "fresh"))
+        store = ArtifactStore(tmp_path / "stale")
+        execute_sweep(tasks, store)
+        path = store.trace_path(tasks[0].key())
+        _as_version(path, 3)
+        for result in store.results_dir.iterdir():
+            result.unlink()
+        with caplog.at_level("WARNING", logger="repro.trace.store"):
+            again = execute_sweep(tasks, store)
+        assert "discarding unreadable trace" in caplog.text
+        assert "version 3" in caplog.text
+        assert [how for _result, how in again.values()] == ["captured", "replayed"]
+        for task in tasks:
+            assert again[task][0].stats.dump() == fresh[task][0].stats.dump()
+            assert again[task][0].checksum == fresh[task][0].checksum
+        assert load_index(path).content_hash == Trace.load(path).content_hash
 
 
 class TestCorpusCli:
@@ -346,21 +274,3 @@ class TestCorpusCli:
         )
         assert code == 2
         assert "invalid byte budget" in capsys.readouterr().err
-
-    def test_migrate_subcommand(self, tmp_path, captured, capsys):
-        from repro.__main__ import main
-
-        trace, _ = captured
-        store = ArtifactStore(tmp_path)
-        store.trace_path("0ldkey").write_bytes(encode_v2(trace))
-        assert main(["corpus", "migrate", "--trace-dir", str(tmp_path)]) == 0
-        assert "migrated 1" in capsys.readouterr().out
-
-    def test_migrate_reports_garbled_files(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        store = ArtifactStore(tmp_path)
-        store.trace_path("bad").write_bytes(b"RTRC\x07junk")
-        assert main(["corpus", "migrate", "--trace-dir", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert "bad.trace" in err and "version 7" in err

@@ -1,42 +1,62 @@
-"""Property and validation tests for the chunked columnar trace format.
+"""Property and validation tests for the resolved-stream trace format.
 
-Two encoders exist on purpose: :class:`~repro.trace.format.ChunkWriter`
-is the readable reference, and :class:`~repro.trace.recorder.
-TraceRecorder` inlines the same LEB128/zigzag loops into its observer
-callbacks for speed.  The round-trip properties pin both to the decoder
-(:meth:`Trace.events`) and to each other over arbitrary event streams --
-including streams that straddle chunk boundaries -- and the validation
-tests cover every rejection path of :meth:`Trace.from_bytes`, the
-random-access index, and the v2 compatibility reader.
+The recorder resolves every forwarded reference while it captures, and
+the file stores the resulting entries column by column.  The round-trip
+properties pin the recorder's streaming resolution to a short reference
+resolver over arbitrary event streams -- including streams that straddle
+chunk boundaries and streams whose chains form cycles -- and the
+validation tests cover every rejection path of :meth:`Trace.from_bytes`,
+:meth:`Chunk.unpack`, and the random-access index, plus a byte-mutation
+fuzz of the whole file.
 """
 
 import dataclasses
 import json
+import struct
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.errors import ForwardingCycleError
+from repro.core.kernel import (
+    ACCESS_R,
+    ACCESS_W,
+    EXEC,
+    FREE,
+    LOAD,
+    LOAD_FWD,
+    MALLOC,
+    PREFETCH,
+    STORE,
+    STORE_FWD,
+    TRAP,
+)
 from repro.trace import FORMAT_VERSION, Trace, TraceFormatError, TraceRecorder
-from repro.trace import events as ev
 from repro.trace.format import (
     CHUNK_EVENTS,
+    COLUMN_NAMES,
     MAGIC,
-    V2_FORMAT_VERSION,
-    ChunkWriter,
     _parse_header,
-    append_svarint,
+    _seal,
     append_uvarint,
-    encode_v2,
     load_index,
     make_chunk,
-    peek_version,
     read_uvarint,
-    unzigzag,
-    zigzag,
 )
+from repro.trace.replay import iter_resolved_chunks
 
-addresses = st.integers(min_value=0, max_value=(1 << 48) - 1)
+#: A handful of words that chains can link, so generated streams forward
+#: (and sometimes cycle) instead of scattering over the address space.
+WORDS = tuple(range(0x1000, 0x1000 + 8 * 6, 8))
+addresses = st.one_of(
+    st.sampled_from(WORDS),
+    st.builds(lambda word, offset: word + offset, st.sampled_from(WORDS),
+              st.sampled_from([1, 4])),
+    st.integers(min_value=0, max_value=(1 << 48) - 1),
+)
 signed_words = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
+targets = st.one_of(st.sampled_from(WORDS), signed_words)
 sizes = st.sampled_from([1, 2, 4, 8])
 
 
@@ -50,20 +70,6 @@ class TestVarints:
         assert decoded == value
         assert offset == len(out)
 
-    @given(value=st.integers(min_value=-(1 << 69), max_value=1 << 69))
-    @settings(max_examples=80, deadline=None)
-    def test_zigzag_roundtrip(self, value):
-        assert unzigzag(zigzag(value)) == value
-        assert zigzag(value) >= 0
-
-    @given(value=st.integers(min_value=-(1 << 40), max_value=1 << 40))
-    @settings(max_examples=40, deadline=None)
-    def test_svarint_roundtrip(self, value):
-        out = bytearray()
-        append_svarint(out, value)
-        decoded, _ = read_uvarint(bytes(out), 0)
-        assert unzigzag(decoded) == value
-
     def test_uvarint_rejects_negative(self):
         with pytest.raises(ValueError):
             append_uvarint(bytearray(), -1)
@@ -75,67 +81,111 @@ class TestVarints:
 
 @st.composite
 def event_streams(draw):
-    """A legal event sequence (pool allocs only into existing pools)."""
+    """A sequence of observer events: ``(callback suffix, *arguments)``."""
     events = []
-    pool_count = 0
-    n = draw(st.integers(min_value=0, max_value=40))
-    for _ in range(n):
-        kinds = [
-            ev.LOAD, ev.STORE, ev.EXECUTE, ev.PREFETCH, ev.READ_FBIT,
-            ev.UNF_READ, ev.UNF_WRITE, ev.MALLOC, ev.FREE, ev.CREATE_POOL,
-            ev.RAW_WRITE, ev.NOTE_RELOC, ev.NOTE_OPT, ev.SET_TRAP,
-        ]
-        if pool_count:
-            kinds.append(ev.POOL_ALLOC)
-        kind = draw(st.sampled_from(kinds))
-        if kind == ev.LOAD:
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        kind = draw(st.sampled_from([
+            "load", "store", "execute", "prefetch", "read_fbit",
+            "unforwarded_read", "unforwarded_write", "malloc", "free",
+            "raw_write", "set_trap",
+        ]))
+        if kind == "load":
             events.append((kind, draw(addresses), draw(sizes)))
-        elif kind == ev.STORE:
+        elif kind == "store":
             events.append((kind, draw(addresses), draw(signed_words), draw(sizes)))
-        elif kind == ev.EXECUTE:
+        elif kind == "execute":
             events.append((kind, draw(st.integers(0, 1 << 20))))
-        elif kind == ev.PREFETCH:
+        elif kind == "prefetch":
             events.append((kind, draw(addresses), draw(st.integers(1, 8))))
-        elif kind in (ev.READ_FBIT, ev.UNF_READ, ev.FREE):
+        elif kind in ("read_fbit", "unforwarded_read", "free"):
             events.append((kind, draw(addresses)))
-        elif kind == ev.UNF_WRITE:
+        elif kind == "unforwarded_write":
             events.append(
-                (kind, draw(addresses), draw(signed_words), draw(st.integers(0, 1)))
+                (kind, draw(addresses), draw(targets), draw(st.integers(0, 1)))
             )
-        elif kind == ev.MALLOC:
+        elif kind == "malloc":
             events.append(
                 (kind, draw(st.integers(0, 1 << 24)), draw(sizes), draw(addresses))
             )
-        elif kind == ev.CREATE_POOL:
-            events.append((kind, draw(st.integers(0, 1 << 24))))
-            pool_count += 1
-        elif kind == ev.POOL_ALLOC:
-            events.append((
-                kind,
-                draw(st.integers(0, pool_count - 1)),
-                draw(st.integers(0, 1 << 24)),
-                draw(sizes),
-                draw(addresses),
-            ))
-        elif kind == ev.RAW_WRITE:
-            events.append((kind, draw(addresses), draw(signed_words)))
-        elif kind == ev.NOTE_RELOC:
-            events.append((kind, draw(st.integers(0, 1000)), draw(st.integers(0, 1000))))
-        elif kind == ev.NOTE_OPT:
-            events.append((kind,))
+        elif kind == "raw_write":
+            events.append((kind, draw(addresses), draw(targets)))
         else:
-            events.append((kind, draw(st.integers(0, 1))))
+            events.append((kind, draw(st.booleans())))
     return events
 
 
 #: Chunk sizes exercised by the boundary-straddling properties: every
-#: event its own chunk, a size that splits 40-event streams mid-stream,
+#: entry its own chunk, a size that splits 40-entry streams mid-stream,
 #: and the production size (one chunk for any test stream).
 CHUNKINGS = (1, 7, CHUNK_EVENTS)
 
 
-def _trace_fields(recorder_like):
-    return dict(
+def _reference_entries(events):
+    """The resolution rules applied to a whole event list at once.
+
+    The oracle for the recorder's streaming resolution: a forwarding map
+    fed by ``unforwarded_write``/``raw_write``, chains chased with a
+    visited set (``None`` when one revisits a word -- a cycle).
+    """
+    fwd = {}
+
+    def chase(address):
+        word, hops, seen, value = address & ~7, [], set(), None
+        while word in fwd:
+            if word in seen:
+                return None
+            seen.add(word)
+            hops.append(word)
+            value = fwd[word]
+            word = value & ~7
+        return value, hops
+
+    out = []
+    for name, *args in events:
+        if name in ("load", "store"):
+            resolved = chase(args[0])
+            if resolved is None:
+                return None
+            final, hops = resolved
+            if not hops:
+                out.append((LOAD if name == "load" else STORE, args[0]))
+            else:
+                kind = LOAD_FWD if name == "load" else STORE_FWD
+                out.append((kind, args[0], final | (args[0] & 7), tuple(hops)))
+        elif name == "execute":
+            out.append((EXEC, args[0]))
+        elif name == "prefetch":
+            out.append((PREFETCH, args[0], args[1]))
+        elif name in ("read_fbit", "unforwarded_read"):
+            out.append((ACCESS_R, args[0] & ~7))
+        elif name == "unforwarded_write":
+            word = args[0] & ~7
+            if args[2]:
+                fwd[word] = args[1]
+            else:
+                fwd.pop(word, None)
+            out.append((ACCESS_W, word))
+        elif name == "malloc":
+            out.append((MALLOC, args[0]))
+        elif name == "free":
+            resolved = chase(args[0])
+            if resolved is None:
+                return None
+            out.append((FREE, 1 + len(resolved[1])))
+        elif name == "raw_write":
+            if (args[0] & ~7) in fwd:
+                fwd[args[0] & ~7] = args[1]
+        else:
+            out.append((TRAP, 1 if args[0] else 0))
+    return out
+
+
+def _record(events, chunk_events=CHUNK_EVENTS):
+    """Feed an event list through the recorder; returns the Trace."""
+    recorder = TraceRecorder(chunk_events=chunk_events)
+    for name, *args in events:
+        getattr(recorder, f"on_{name}")(*args)
+    return Trace(
         app="synthetic",
         variant="N",
         scale=1.0,
@@ -145,145 +195,157 @@ def _trace_fields(recorder_like):
         checksum=123,
         extras={"k": 1},
         captured_stats={"forwarding_hops": 0},
-        pool_names=list(getattr(recorder_like, "pool_names", [])),
-        event_count=recorder_like.event_count,
-    )
-
-
-def _record(events, chunk_events=CHUNK_EVENTS):
-    """Feed an event list through the recorder; returns the Trace."""
-    recorder = TraceRecorder(chunk_events=chunk_events)
-    for event in events:
-        kind = event[0]
-        if kind == ev.LOAD:
-            recorder.on_load(event[1], event[2])
-        elif kind == ev.STORE:
-            recorder.on_store(event[1], event[2], event[3])
-        elif kind == ev.EXECUTE:
-            recorder.on_execute(event[1])
-        elif kind == ev.PREFETCH:
-            recorder.on_prefetch(event[1], event[2])
-        elif kind == ev.READ_FBIT:
-            recorder.on_read_fbit(event[1])
-        elif kind == ev.UNF_READ:
-            recorder.on_unforwarded_read(event[1])
-        elif kind == ev.UNF_WRITE:
-            recorder.on_unforwarded_write(event[1], event[2], event[3])
-        elif kind == ev.MALLOC:
-            recorder.on_malloc(event[1], event[2], event[3])
-        elif kind == ev.FREE:
-            recorder.on_free(event[1])
-        elif kind == ev.CREATE_POOL:
-            recorder.on_create_pool(len(recorder.pool_names), event[1], "p")
-        elif kind == ev.POOL_ALLOC:
-            recorder.on_pool_alloc(event[1], event[2], event[3], event[4])
-        elif kind == ev.RAW_WRITE:
-            recorder.on_raw_write(event[1], event[2])
-        elif kind == ev.NOTE_RELOC:
-            recorder.on_note_relocation(event[1], event[2])
-        elif kind == ev.NOTE_OPT:
-            recorder.on_note_optimizer()
-        else:
-            recorder.on_set_trap(bool(event[1]))
-    chunks, stream_sha = recorder.finish()
-    return Trace(
-        **_trace_fields(recorder),
-        chunks=chunks,
+        event_count=recorder.event_count,
+        chunks=recorder.finish(),
         has_forwarded=recorder.has_forwarded,
-        _stream_sha=stream_sha,
     )
 
 
-def _write(events, chunk_events=CHUNK_EVENTS):
-    """The same events through the reference ChunkWriter."""
-    writer = ChunkWriter(chunk_events=chunk_events)
-    pool_names = []
-    for event in events:
-        if event[0] == ev.CREATE_POOL:
-            pool_names.append("p")
-        writer.add(tuple(event))
-    chunks, event_count, has_forwarded, stream_sha = writer.finish()
-    trace = Trace(
-        **{**_trace_fields(writer), "pool_names": pool_names},
-        chunks=chunks,
-        has_forwarded=has_forwarded,
-        _stream_sha=stream_sha,
-    )
-    return trace
+def _entries(trace):
+    return [
+        entry for chunk in iter_resolved_chunks(trace) for entry in chunk.entries()
+    ]
+
+
+VALID_EVENTS = [
+    ("unforwarded_write", 0x10000, 0x20000, 1),
+    ("load", 0x10004, 4),  # forwarded: final 0x20004 via hop 0x10000
+    ("load", 0x10008, 8),
+    ("prefetch", 0x20000, 2),
+    ("store", 0x10010, -5, 4),
+    ("execute", 12),
+    ("free", 0x10000),
+]
 
 
 def _valid_trace(chunk_events=CHUNK_EVENTS):
-    return _record([
-        (ev.LOAD, 0x10000, 8),
-        (ev.STORE, 0x10008, -5, 4),
-        (ev.EXECUTE, 12),
-        (ev.UNF_WRITE, 0x10000, 0x20000, 1),
-        (ev.FREE, 0x10000),
-    ], chunk_events=chunk_events)
+    return _record(VALID_EVENTS, chunk_events=chunk_events)
+
+
+@st.composite
+def entry_lists(draw):
+    """Arbitrary well-formed entries, independent of any event stream."""
+    out = []
+    ops = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        kind = draw(st.integers(min_value=0, max_value=TRAP))
+        if kind == PREFETCH:
+            out.append((kind, draw(ops), draw(ops)))
+        elif kind in (LOAD_FWD, STORE_FWD):
+            hops = tuple(draw(st.lists(ops, min_size=1, max_size=4)))
+            out.append((kind, draw(ops), draw(ops), hops))
+        else:
+            out.append((kind, draw(ops)))
+    return out
 
 
 class TestRoundTrip:
-    @given(events=event_streams())
+    @given(entries=entry_lists())
     @settings(max_examples=60, deadline=None)
-    def test_encode_decode_identity(self, events):
-        trace = _record(events)
-        assert list(trace.events()) == [tuple(event) for event in events]
+    def test_encode_decode_identity(self, entries):
+        """Sealing a chunk and unpacking it is the identity."""
+        kinds, ops, extras = bytearray(), array("q"), {}
+        for i, (kind, op, *extra) in enumerate(entries):
+            kinds.append(kind)
+            ops.append(op)
+            if kind == PREFETCH:
+                extras[i] = extra[0]
+            elif kind in (LOAD_FWD, STORE_FWD):
+                extras[i] = tuple(extra)
+        assert make_chunk(kinds, ops, extras).unpack(0) == (
+            bytes(kinds), ops, extras
+        )
 
-    @given(events=event_streams(), chunk_events=st.sampled_from(CHUNKINGS))
-    @settings(max_examples=40, deadline=None)
-    def test_recorder_matches_reference_writer(self, events, chunk_events):
-        """The inlined recorder and ChunkWriter produce identical chunks."""
-        recorded = _record(events, chunk_events)
-        written = _write(events, chunk_events)
-        assert recorded.chunks == written.chunks
-        assert recorded.stream_sha256 == written.stream_sha256
-        assert recorded.has_forwarded == written.has_forwarded
+    @given(events=event_streams())
+    @settings(max_examples=150, deadline=None)
+    def test_recorder_matches_reference_resolver(self, events):
+        """Under every chunking, the recorder's entries -- read back from
+        bytes -- are what the reference resolver computes; a forwarding
+        cycle raises the typed error under every chunking instead."""
+        expected = _reference_entries(events)
+        for chunk_events in CHUNKINGS:
+            if expected is None:
+                with pytest.raises(ForwardingCycleError):
+                    _record(events, chunk_events)
+                continue
+            trace = _record(events, chunk_events)
+            clone = Trace.from_bytes(trace.to_bytes())
+            assert _entries(clone) == expected
+            assert trace.event_count == len(expected)
+            assert trace.has_forwarded == any(
+                entry[0] in (LOAD_FWD, STORE_FWD) for entry in expected
+            )
+            if chunk_events == 1:
+                assert len(trace.chunks) == len(expected)
 
     @given(events=event_streams(), chunk_events=st.sampled_from(CHUNKINGS))
     @settings(max_examples=40, deadline=None)
     def test_bytes_roundtrip(self, events, chunk_events):
+        if _reference_entries(events) is None:
+            return  # a cycle: nothing to round-trip
         trace = _record(events, chunk_events)
         clone = Trace.from_bytes(trace.to_bytes())
         assert clone == trace
         assert clone.content_hash == trace.content_hash
         assert clone.has_forwarded == trace.has_forwarded
-        assert list(clone.events()) == list(trace.events())
-
-    @given(events=event_streams())
-    @settings(max_examples=30, deadline=None)
-    def test_chunking_never_changes_identity(self, events):
-        """Stream digest and content hash are chunk-boundary-invariant:
-        the address register never resets, so the concatenated columns
-        are the same bytes however the stream is cut."""
-        whole = _record(events, CHUNK_EVENTS)
-        for chunk_events in (1, 3, 7):
-            cut = _record(events, chunk_events)
-            assert cut.stream_sha256 == whole.stream_sha256
-            assert cut.content_hash == whole.content_hash
-            assert list(cut.events()) == list(whole.events())
-            if events and chunk_events == 1:
-                assert len(cut.chunks) == len(events)
+        assert _entries(clone) == _entries(trace)
 
     def test_empty_stream(self):
         trace = _record([])
         assert trace.chunks == ()
         clone = Trace.from_bytes(trace.to_bytes())
         assert clone == trace
-        assert list(clone.events()) == []
+        assert _entries(clone) == []
 
     def test_single_event_chunks(self):
         trace = _valid_trace(chunk_events=1)
-        assert len(trace.chunks) == 5
+        assert len(trace.chunks) == len(VALID_EVENTS)
         assert all(chunk.event_count == 1 for chunk in trace.chunks)
-        assert list(Trace.from_bytes(trace.to_bytes()).events()) == list(
-            trace.events()
-        )
+        assert _entries(Trace.from_bytes(trace.to_bytes())) == _entries(trace)
 
     def test_save_load(self, tmp_path):
         trace = _valid_trace()
         path = tmp_path / "t.rtrc"
         trace.save(path)
         assert Trace.load(path) == trace
+
+    def test_forwarded_reference_carries_its_resolution(self):
+        assert _entries(_valid_trace())[:3] == [
+            (ACCESS_W, 0x10000),
+            (LOAD_FWD, 0x10004, 0x20004, (0x10000,)),
+            (LOAD, 0x10008),
+        ]
+
+
+class TestForwardingCycle:
+    """A cyclic chain is a typed error at capture, never a hang."""
+
+    def test_self_loop(self):
+        recorder = TraceRecorder()
+        recorder.on_unforwarded_write(0, 0, 1)
+        with pytest.raises(ForwardingCycleError):
+            recorder.on_load(0, 8)
+
+    @pytest.mark.parametrize("event", [
+        ("load", 0x10, 8), ("store", 0x14, 1, 4), ("free", 0x10),
+    ])
+    def test_two_word_cycle(self, event):
+        recorder = TraceRecorder()
+        recorder.on_unforwarded_write(0x10, 0x18, 1)
+        recorder.on_unforwarded_write(0x18, 0x10, 1)
+        with pytest.raises(ForwardingCycleError):
+            getattr(recorder, f"on_{event[0]}")(*event[1:])
+
+    def test_long_acyclic_chain_resolves(self):
+        recorder = TraceRecorder()
+        words = [0x100 + 8 * i for i in range(40)]
+        for old, new in zip(words, words[1:]):
+            recorder.on_unforwarded_write(old, new, 1)
+        recorder.on_load(words[0], 8)
+        recorder.on_free(words[0])
+        entries = _entries(dataclasses.replace(_record([]), chunks=recorder.finish()))
+        assert entries[-2] == (LOAD_FWD, words[0], words[-1], tuple(words[:-1]))
+        assert entries[-1] == (FREE, len(words))
 
 
 class TestIndex:
@@ -308,22 +370,25 @@ class TestIndex:
         with pytest.raises(TraceFormatError, match="out of range"):
             index.read_chunk(len(trace.chunks))
 
-    def test_peek_version(self, tmp_path):
-        trace = _valid_trace()
-        v3 = tmp_path / "v3.trace"
-        trace.save(v3)
-        assert peek_version(v3) == FORMAT_VERSION
-        v2 = tmp_path / "v2.trace"
-        v2.write_bytes(encode_v2(trace))
-        assert peek_version(v2) == V2_FORMAT_VERSION
-
     def test_load_index_rejects_v2_with_path_and_version(self, tmp_path):
         path = tmp_path / "v2.trace"
-        path.write_bytes(encode_v2(_valid_trace()))
+        data = bytearray(_valid_trace().to_bytes())
+        data[len(MAGIC)] = 2
+        path.write_bytes(bytes(data))
         with pytest.raises(TraceFormatError) as excinfo:
             load_index(path)
         assert excinfo.value.path == str(path)
-        assert excinfo.value.version == V2_FORMAT_VERSION
+        assert excinfo.value.version == 2
+
+
+def _le_int64(*values):
+    return struct.pack(f"<{len(values)}q", *values)
+
+
+def _with_chunk(chunk):
+    return dataclasses.replace(
+        _valid_trace(), chunks=(chunk,), event_count=chunk.event_count
+    )
 
 
 class TestValidation:
@@ -332,11 +397,12 @@ class TestValidation:
             Trace.from_bytes(b"NOPE" + _valid_trace().to_bytes()[4:])
 
     def test_unsupported_version(self):
-        data = bytearray(_valid_trace().to_bytes())
-        data[len(MAGIC)] = FORMAT_VERSION + 1
-        with pytest.raises(TraceFormatError, match="version") as excinfo:
-            Trace.from_bytes(bytes(data))
-        assert excinfo.value.version == FORMAT_VERSION + 1
+        for version in (2, 3, FORMAT_VERSION + 1):
+            data = bytearray(_valid_trace().to_bytes())
+            data[len(MAGIC)] = version
+            with pytest.raises(TraceFormatError, match="version") as excinfo:
+                Trace.from_bytes(bytes(data))
+            assert excinfo.value.version == version
 
     def test_load_attaches_the_path(self, tmp_path):
         path = tmp_path / "garbled.trace"
@@ -354,21 +420,19 @@ class TestValidation:
         trace = _valid_trace()
         data = trace.to_bytes()
         _, chunk_start = _parse_header(data)
-        # Drop the last byte of the chunk region; offsets in the footer
+        # Drop the first byte of the chunk region; offsets in the footer
         # now overrun it.
         cut = data[: chunk_start] + data[chunk_start + 1 :]
         with pytest.raises(TraceFormatError, match="truncated chunk"):
             Trace.from_bytes(cut)
 
-    @pytest.mark.parametrize("column", ["ops", "addr", "aux"])
+    @pytest.mark.parametrize("column", COLUMN_NAMES)
     def test_column_corruption_names_chunk_and_column(self, column):
         """Flipping one byte in a column fails naming chunk + column."""
         trace = _valid_trace(chunk_events=2)
         victim = trace.chunks[1]
-        col_index = ["ops", "addr", "aux"].index(column)
+        col_index = COLUMN_NAMES.index(column)
         blob = bytearray(victim.data[col_index])
-        if not blob:
-            pytest.skip(f"column {column} empty for this stream")
         blob[len(blob) // 2] ^= 0xFF
         data = list(victim.data)
         data[col_index] = bytes(blob)
@@ -379,14 +443,14 @@ class TestValidation:
         with pytest.raises(
             TraceFormatError, match=f"chunk 1 column '{column}'"
         ):
-            list(tampered.events())
+            list(iter_resolved_chunks(tampered))
 
     def test_file_level_corruption_names_chunk_and_column(self):
         trace = _valid_trace()
         data = bytearray(trace.to_bytes())
         _, chunk_start = _parse_header(bytes(data))
-        data[chunk_start] ^= 0xFF  # first byte of chunk 0's ops blob
-        with pytest.raises(TraceFormatError, match="chunk 0 column 'ops'"):
+        data[chunk_start] ^= 0xFF  # first byte of chunk 0's kinds blob
+        with pytest.raises(TraceFormatError, match="chunk 0 column 'kinds'"):
             Trace.from_bytes(bytes(data))
 
     def test_missing_header_field(self):
@@ -417,74 +481,90 @@ class TestValidation:
             Trace.from_bytes(data[:-3])
 
     def test_unknown_opcode_rejected(self):
-        chunk = make_chunk((bytes([99]), b"", b""), 1, 0)
-        trace = dataclasses.replace(
-            _valid_trace(), chunks=(chunk,), event_count=1
-        )
-        with pytest.raises(TraceFormatError, match="unknown opcode"):
-            list(trace.events())
+        chunk = make_chunk(bytes([TRAP + 1]), array("q", [0]), {})
+        with pytest.raises(TraceFormatError, match="unknown entry kind"):
+            list(iter_resolved_chunks(_with_chunk(chunk)))
 
     def test_truncated_event_stream(self):
-        # The LOAD's address varint promises more bytes than exist.
-        chunk = make_chunk((bytes([ev.LOAD]), b"\x80", b"\x08"), 1, 0)
-        trace = dataclasses.replace(
-            _valid_trace(), chunks=(chunk,), event_count=1
-        )
-        with pytest.raises(TraceFormatError, match="truncated"):
-            list(trace.events())
+        """An operand column shorter than the kinds column is rejected."""
+        for ops_raw in (b"\x00" * 4, b"\x00" * 8):
+            chunk = _seal((bytes([LOAD, LOAD]), ops_raw, b""), 2)
+            with pytest.raises(TraceFormatError, match="column 'ops'"):
+                list(iter_resolved_chunks(_with_chunk(chunk)))
 
     def test_event_count_mismatch(self):
         trace = _valid_trace()
         trace.event_count += 1
         with pytest.raises(TraceFormatError, match="event count mismatch"):
-            list(trace.events())
+            Trace.from_bytes(trace.to_bytes())
+        chunk = dataclasses.replace(trace.chunks[0], event_count=3)
+        with pytest.raises(TraceFormatError, match="index says 3"):
+            list(iter_resolved_chunks(_with_chunk(chunk)))
 
-    def test_chunk_discontinuity_rejected(self):
-        """A chunk whose entry register breaks the stream is detected."""
-        trace = _valid_trace(chunk_events=2)
-        assert len(trace.chunks) > 1
-        bad = dataclasses.replace(
-            trace.chunks[1], start_address=trace.chunks[1].start_address + 8
+    @pytest.mark.parametrize("kinds,rows,problem", [
+        ([PREFETCH], [1, 2], "out of range"),
+        ([PREFETCH], [-1, 2], "out of range"),
+        ([PREFETCH, PREFETCH], [0, 2, 0, 3], "repeated"),
+        ([LOAD], [0, 2], "misplaced"),
+        ([PREFETCH], [0], "truncated"),
+        ([LOAD_FWD], [0, 64, 0], "hop count"),
+        ([STORE_FWD], [0, 64, -1, 8], "hop count"),
+        ([LOAD_FWD], [0, 64, 2, 8], "hop count"),
+        ([PREFETCH, LOAD_FWD], [0, 2], "1 rows for 2 entries"),
+        ([PREFETCH], [], "0 rows for 1 entries"),
+    ])
+    def test_extras_rows_are_checked(self, kinds, rows, problem):
+        """Each prefetch or forwarded entry has exactly one well-formed,
+        in-range extras row, and forwarded rows have a hop."""
+        chunk = _seal(
+            (bytes(kinds), _le_int64(*[0] * len(kinds)), _le_int64(*rows)),
+            len(kinds),
         )
-        tampered = dataclasses.replace(
-            trace, chunks=(trace.chunks[0], bad) + trace.chunks[2:]
-        )
-        with pytest.raises(TraceFormatError, match="does not continue"):
-            list(tampered.events())
-
-    def test_pool_created_out_of_order(self):
-        recorder = TraceRecorder()
-        with pytest.raises(ValueError, match="out of order"):
-            recorder.on_create_pool(3, 64, "late")
+        with pytest.raises(TraceFormatError, match="column 'extras'") as excinfo:
+            list(iter_resolved_chunks(_with_chunk(chunk)))
+        assert problem in str(excinfo.value)
 
 
-class TestV2Compat:
-    @given(events=event_streams())
-    @settings(max_examples=30, deadline=None)
-    def test_v2_roundtrip_preserves_identity(self, events):
-        """v3 -> v2 bytes -> version-dispatched reader -> same trace."""
-        trace = _record(events)
-        clone = Trace.from_bytes(encode_v2(trace))
-        assert list(clone.events()) == list(trace.events())
-        assert clone.stream_sha256 == trace.stream_sha256
-        assert clone.content_hash == trace.content_hash
-        assert clone == trace
+def _decode_or_error(data):
+    """``Trace.from_bytes`` + a full drain: entries, or the format error."""
+    try:
+        return _entries(Trace.from_bytes(data))
+    except TraceFormatError as exc:
+        return exc
 
-    def test_v2_load_from_disk(self, tmp_path):
-        trace = _valid_trace()
-        path = tmp_path / "old.trace"
-        path.write_bytes(encode_v2(trace))
-        loaded = Trace.load(path)
-        assert loaded == trace
-        assert loaded.has_forwarded == trace.has_forwarded
 
-    def test_v2_truncated_payload(self):
-        data = encode_v2(_valid_trace())
-        with pytest.raises(TraceFormatError, match="truncated trace payload"):
-            Trace.from_bytes(data[:-3])
+class TestMutation:
+    """Any one flipped byte or any truncation: a TraceFormatError or the
+    original entries, never another exception or a different stream."""
 
-    def test_v2_payload_corruption_detected(self):
-        data = bytearray(encode_v2(_valid_trace()))
-        data[-1] ^= 0xFF
-        with pytest.raises(TraceFormatError, match="hash mismatch"):
-            Trace.from_bytes(bytes(data))
+    @pytest.mark.parametrize("chunk_events", [2, CHUNK_EVENTS])
+    def test_every_byte_flip_and_truncation(self, chunk_events):
+        data = _valid_trace(chunk_events).to_bytes()
+        original = _entries(Trace.from_bytes(data))
+        for position in range(len(data)):
+            for mask in (0x01, 0x80, 0xFF):
+                mutated = bytearray(data)
+                mutated[position] ^= mask
+                outcome = _decode_or_error(bytes(mutated))
+                assert isinstance(outcome, TraceFormatError) or outcome == original
+        for length in range(len(data)):
+            assert isinstance(_decode_or_error(data[:length]), TraceFormatError)
+
+    @given(
+        events=event_streams(),
+        chunk_events=st.sampled_from(CHUNKINGS),
+        where=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        mask=st.integers(min_value=1, max_value=255),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_streams_and_masks(self, events, chunk_events, where, mask):
+        if _reference_entries(events) is None:
+            return  # a cycle: never captured
+        data = _record(events, chunk_events).to_bytes()
+        original = _entries(Trace.from_bytes(data))
+        mutated = bytearray(data)
+        mutated[int(where * len(data))] ^= mask
+        outcome = _decode_or_error(bytes(mutated))
+        assert isinstance(outcome, TraceFormatError) or outcome == original
+        cut = _decode_or_error(data[: int(where * len(data))])
+        assert isinstance(cut, TraceFormatError)

@@ -110,67 +110,3 @@ def test_resolved_stream_never_leaks_across_traces(traces):
         "mst", Variant.N, 32
     ).stats.dump()
     assert replayed_health.stats.dump() != replayed_mst.stats.dump()
-
-
-class TestResolvedSidecar:
-    """The on-disk resolved-stream cache next to store-managed traces."""
-
-    def _stored_trace(self, tmp_path, app="mst", variant=Variant.N):
-        from repro.trace.store import ArtifactStore, trace_key
-
-        store = ArtifactStore(tmp_path)
-        trace, _ = capture_trace(
-            app, variant, experiment_config(CAPTURE_LINE), 0.05, seed=1
-        )
-        key = trace_key(app, variant.value, 0.05, 1, None)
-        store.save_trace(key, trace)
-        return store, key, trace
-
-    def test_first_replay_writes_the_sidecar(self, tmp_path):
-        store, key, trace = self._stored_trace(tmp_path)
-        sidecar = store.resolved_path(key)
-        assert not sidecar.exists()
-        replay_trace(trace, experiment_config(32))
-        assert sidecar.exists()
-
-    def test_sidecar_load_is_exact(self, tmp_path):
-        store, key, trace = self._stored_trace(tmp_path)
-        reference = replay_trace(trace, experiment_config(32))  # warms it
-        fresh = store.load_trace(key)  # new object: decode via sidecar hit
-        replayed = replay_trace(fresh, experiment_config(32))
-        assert replayed.stats.dump() == reference.stats.dump()
-        assert replayed.checksum == reference.checksum
-
-    def test_corrupt_sidecar_redecodes_and_rewrites(self, tmp_path):
-        store, key, trace = self._stored_trace(tmp_path)
-        reference = replay_trace(trace, experiment_config(32))
-        sidecar = store.resolved_path(key)
-        sidecar.write_bytes(b"\x00garbage, not marshal")
-        fresh = store.load_trace(key)
-        replayed = replay_trace(fresh, experiment_config(32))
-        assert replayed.stats.dump() == reference.stats.dump()
-        # The decode rewrote a valid sidecar over the corrupt one.
-        assert sidecar.read_bytes() != b"\x00garbage, not marshal"
-        again = store.load_trace(key)
-        assert replay_trace(
-            again, experiment_config(32)
-        ).stats.dump() == reference.stats.dump()
-
-    def test_foreign_sidecar_is_rejected(self, tmp_path):
-        """A sidecar whose payload digest belongs to another trace must
-        never be served -- the store orphans it on recapture."""
-        store, key, mst = self._stored_trace(tmp_path)
-        replay_trace(mst, experiment_config(32))  # writes mst's sidecar
-        _, health_key, health = self._stored_trace(
-            tmp_path, app="health"
-        )
-        # Plant mst's sidecar where health's should live.
-        store.resolved_path(health_key).write_bytes(
-            store.resolved_path(key).read_bytes()
-        )
-        fresh = store.load_trace(health_key)
-        replayed = replay_trace(fresh, experiment_config(32))
-        direct = get_application("health", scale=0.05, seed=1).run(
-            Variant.N, experiment_config(32)
-        )
-        assert replayed.stats.dump() == direct.stats.dump()
