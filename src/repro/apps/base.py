@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
-from repro.core.machine import Machine, MachineConfig, MachineObserver
+from repro.core.machine import Machine, MachineConfig
 from repro.core.stats import MachineStats
 
 
@@ -117,14 +117,15 @@ class Application(ABC):
         self,
         variant: Variant = Variant.N,
         config: MachineConfig | None = None,
-        observer: "MachineObserver | None" = None,
+        sink=None,
         on_window=None,
     ) -> AppResult:
         """Execute the application on a fresh machine; returns the result.
 
-        ``observer`` (if given) is installed on the machine before the
-        workload starts, so it sees the complete event stream -- this is
-        how ``repro.trace`` captures reference traces.  ``on_window``
+        ``sink`` (if given) receives the machine's entry stream from the
+        first operation on (see :class:`~repro.core.machine.Machine`) --
+        this is how ``repro.trace`` captures reference traces; it never
+        changes the run or its costs.  ``on_window``
         (if given, and if ``config`` samples a timeline) streams the
         sampler's per-window deltas live; it is ignored for untimed
         configs, so the default hot path is untouched.
@@ -135,8 +136,7 @@ class Application(ABC):
                 f"{self.name} does not support variant {variant.value}; "
                 f"supported: {[v.value for v in supported]}"
             )
-        machine = Machine(config or MachineConfig())
-        machine.observer = observer
+        machine = Machine(config or MachineConfig(), sink=sink)
         if on_window is not None and machine.timeline is not None:
             # Chain (never clobber): the adaptive engine may already be
             # listening on the same timeline.

@@ -34,8 +34,9 @@ from repro.core.memory import TaggedMemory, WORD_OFFSET_MASK
 DEFAULT_HOP_LIMIT = 16
 
 #: Called once per forwarding hop with the word address being dereferenced.
-#: The machine layer uses this to charge a cache access for the hop (which
-#: is how forwarding pollutes the cache, per Section 5.4).
+#: The machine collects the hop words into the reference's entry, whose
+#: cost charges a cache access per hop (which is how forwarding pollutes
+#: the cache, per Section 5.4).
 HopCallback = Callable[[int], None]
 
 

@@ -771,8 +771,9 @@ prefetch_block(ops[idx], extras[idx], timing.cycle)""")
     e(2, "else:")
     # Forwarded load/store (LOAD_FWD/STORE_FWD; replay only -- the
     # Machine costs forwarded references on its general path): the
-    # layered sequence of Machine._load_general/_store_general with the
-    # hops already resolved.  Only this arm reads ``trap_installed``.
+    # layered sequence of the forwarded handler of
+    # repro.core.machine.layered_costs.  Only this arm reads
+    # ``trap_installed``.
     e(3, _flush(spec_mode))
     e(3, f"""\
 address = ops[idx]

@@ -19,7 +19,7 @@ software such as ``relocate()`` pays its costs through the same machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Protocol
+from typing import Callable
 
 from repro.adapt.config import AdaptConfig
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
@@ -32,9 +32,12 @@ from repro.core.kernel import (
     EXEC,
     FREE,
     LOAD,
+    LOAD_FWD,
     MALLOC,
     PREFETCH,
     STORE,
+    STORE_FWD,
+    TRAP,
     compiled_kernel,
     specializable,
 )
@@ -80,38 +83,6 @@ class ForwardingEvent:
 
 #: Signature of a user-level forwarding trap handler.
 TrapHandler = Callable[["Machine", ForwardingEvent], None]
-
-
-class MachineObserver(Protocol):
-    """Instrumentation hook receiving the machine's reference stream.
-
-    An observer sees every event an application (or the relocation
-    runtime acting on its behalf) issues against the machine that has a
-    config-dependent cost or changes forwarding state: data references,
-    ISA extensions, allocation and freeing, raw writes, and trap-handler
-    installation.  The stream is *complete* in the sense that replaying
-    it -- via :mod:`repro.trace` -- reproduces every config-dependent
-    counter of :meth:`Machine.stats` exactly; the config-invariant rest
-    (pool carving, relocation bookkeeping) is copied from the capture.
-
-    Observation is passive: installing an observer must not change the
-    simulation's behaviour or timing.  Events for operations that can
-    trigger nested machine activity (a forwarded load entering a user
-    trap handler, say) are emitted *before* the operation executes, so
-    nested events appear after their cause in the stream.
-    """
-
-    def on_load(self, address: int, size: int) -> None: ...
-    def on_store(self, address: int, value: int, size: int) -> None: ...
-    def on_execute(self, instructions: int) -> None: ...
-    def on_prefetch(self, address: int, lines: int) -> None: ...
-    def on_read_fbit(self, address: int) -> None: ...
-    def on_unforwarded_read(self, address: int) -> None: ...
-    def on_unforwarded_write(self, address: int, value: int, fbit: int) -> None: ...
-    def on_malloc(self, nbytes: int, align: int, address: int) -> None: ...
-    def on_free(self, address: int) -> None: ...
-    def on_raw_write(self, address: int, value: int) -> None: ...
-    def on_set_trap(self, installed: bool) -> None: ...
 
 
 @dataclass
@@ -203,13 +174,20 @@ def layered_costs(
 ) -> list:
     """Cost handlers for chunk entries, over the layered components.
 
-    ``handlers[kind](op, extra)`` charges exactly what the general path
-    charges for an entry of that kind: :meth:`Machine.load` /
-    :meth:`Machine.store` of an unforwarded word, ``Read_FBit`` /
-    ``Unforwarded_Read`` / ``Unforwarded_Write``, ``execute``,
-    ``prefetch``, ``malloc`` and ``free``.  The forwarded kinds and the
-    trap flag need state the components do not carry; their slots are
-    ``None`` for the caller (replay) to fill.
+    ``handlers[kind](op, extra)`` charges one entry of that kind: a load
+    or store (forwarded or not), ``Read_FBit`` / ``Unforwarded_Read`` /
+    ``Unforwarded_Write``, ``execute``, ``prefetch``, ``malloc``,
+    ``free``, or the installation of a trap handler.  This is the one
+    layered cost model: the Machine's general path costs each entry it
+    emits through it, and so does :class:`repro.trace.replay.
+    ReplaySession`, so a replay reproduces the general path by
+    construction.
+
+    The handlers share one piece of state the components do not carry,
+    the trap flag: a ``TRAP`` entry sets it, and a forwarded reference
+    made while it is set pays ``user_trap_cycles`` before its
+    speculation check.  The trapping reference is thus costed in full
+    before its handler runs, and the handler's references are younger.
     """
     access = hierarchy.access
     execute = timing.execute
@@ -217,6 +195,8 @@ def layered_costs(
     store_completes = timing.store_completes
     malloc_base = config.malloc_base_cost
     free_base = config.free_base_cost
+    user_trap_cycles = config.user_trap_cycles
+    trap = [False]
 
     def load(address, _extra):
         execute(1)
@@ -246,13 +226,50 @@ def layered_costs(
         execute(1)
         store_completes(access(word, True, timing.cycle).ready)
 
+    def forwarded(address, extra, is_store):
+        final, hops = extra
+        execute(1)
+        hop_cycles = 0.0
+        for word in hops:  # each hop touches, and pollutes, the old location
+            start = timing.cycle
+            result = access(word, False, start)
+            load_completes(result.ready, True)
+            hop_cycles += result.ready - start
+        start = timing.cycle
+        result = access(final, is_store, start)
+        if is_store:
+            store_completes(result.ready, True)
+            latency = store_latency
+        else:
+            load_completes(result.ready, True)
+            latency = load_latency
+        latency.count += 1
+        latency.ordinary_cycles += result.ready - start
+        latency.forwarded += 1
+        nhops = len(hops)
+        latency.forwarding_cycles += hop_cycles + timing.forwarding_trap_cost(nhops)
+        timing.forwarding_trap(nhops)
+        if trap[0]:
+            timing.stall(user_trap_cycles, "inst")
+        if speculator is not None:
+            if is_store:
+                speculator.on_store(address, final)
+            elif speculator.on_load(address, final):
+                timing.misspeculation_flush()
+
+    def set_trap(installed, _extra):
+        trap[0] = bool(installed)
+
     def prefetch(address, lines):
         execute(1)
         prefetcher.prefetch_block(address, lines, timing.cycle)
 
-    handlers: list = [None] * 11
+    handlers: list = [None] * (TRAP + 1)
     handlers[LOAD] = load
     handlers[STORE] = store
+    handlers[LOAD_FWD] = lambda address, extra: forwarded(address, extra, False)
+    handlers[STORE_FWD] = lambda address, extra: forwarded(address, extra, True)
+    handlers[TRAP] = set_trap
     handlers[EXEC] = lambda count, _extra: execute(count)
     handlers[ACCESS_R] = access_r
     handlers[ACCESS_W] = access_w
@@ -265,26 +282,37 @@ def layered_costs(
 class Machine:
     """A complete simulated system instance.
 
-    Data references have two paths.  The **general path**
-    (:meth:`_load_general` / :meth:`_store_general` and the general arms
-    of the other operations) is the readable specification: it resolves
-    forwarding, walks the hierarchy, and charges the timing model
-    reference by reference.  The **fast path** defers cost accounting:
-    when no observer is installed, the config is inside the kernel's
-    feature matrix, and the referenced word's forwarding bit is clear,
-    ``load``/``store`` do the data access at once and only
-    append the entry's kind and address to a *pending chunk* -- as do
-    ``Read_FBit``, ``Unforwarded_Read``/``Write``, ``execute``,
-    ``prefetch``, ``malloc`` and ``free``.  Loaded values never depend on
-    timing, so costing can wait: a drain runs the chunk through the
-    generated kernel of :mod:`repro.core.kernel` once it holds
-    :data:`PENDING_ENTRIES` entries, or before anything reads or writes
-    cost state -- the general path, a user trap, :meth:`stats`,
-    :attr:`metrics`, :attr:`cycles`, and every component attribute
-    (``timing``, ``hierarchy``, ``prefetcher``, ``speculator``,
-    ``load_latency``, ``store_latency``, ``forwarding``).  The two paths
-    produce bit-identical :class:`MachineStats`; the differential parity
-    tests enforce that across every application and variant.
+    Every operation with a config-dependent cost becomes one *entry* of
+    the machine's stream: a kind from :mod:`repro.core.kernel`, an
+    integer operand, and for a prefetch or a forwarded reference an
+    extra (the line count, or the ``(final, hops)`` of the forwarding
+    walk).  The machine resolves forwarding in one place, the chain walk
+    of :meth:`ForwardingEngine.resolve` on the access path, and costs
+    entries on one of two paths.  The **general path** (:meth:`_emit`,
+    used by :meth:`_load_general` / :meth:`_store_general` and the
+    general arms of the other operations) costs each entry at once
+    through :func:`layered_costs`, the specification.  The **fast path**
+    defers costing: when the config is inside the kernel's feature
+    matrix and the referenced word's forwarding bit is clear,
+    ``load``/``store`` do the data access at once and only append the
+    entry to a *pending chunk* -- as do ``Read_FBit``,
+    ``Unforwarded_Read``/``Write``, ``execute``, ``prefetch``, ``malloc``
+    and ``free``.  Loaded values never depend on timing, so costing can
+    wait: a drain runs the chunk through the generated kernel of
+    :mod:`repro.core.kernel` once it holds :data:`PENDING_ENTRIES`
+    entries, or before anything reads or writes cost state -- the
+    general path, :meth:`stats`, :attr:`metrics`, :attr:`cycles`, and
+    every component attribute (``timing``, ``hierarchy``,
+    ``prefetcher``, ``speculator``, ``load_latency``, ``store_latency``,
+    ``forwarding``).  The two paths produce bit-identical
+    :class:`MachineStats`; the differential parity tests enforce that
+    across every application and variant.
+
+    ``sink``, when given, receives the stream in order: each drained
+    pending chunk as ``sink.extend(kinds, ops, extras)`` and each
+    general-path entry as ``sink.append(kind, op, extra)``.  This is how
+    :class:`repro.trace.recorder.TraceRecorder` captures a trace; the
+    sink never changes what the machine does or costs.
     """
 
     __slots__ = (
@@ -297,15 +325,15 @@ class Machine:
         "_prefetcher",
         "_speculator",
         "pools",
-        "trap_handler",
-        "observer",
+        "_trap_handler",
+        "_sink",
+        "_costs",
         "_load_latency",
         "_store_latency",
         "relocation_stats",
         "_pool_bump",
         "_pool_limit",
         "_pool_region_base",
-        "_hop_cycles",
         "_fast_enabled",
         "_kinds",
         "_ops",
@@ -328,7 +356,7 @@ class Machine:
     store_latency = _costed("store_latency")
     forwarding = _costed("forwarding")
 
-    def __init__(self, config: MachineConfig | None = None) -> None:
+    def __init__(self, config: MachineConfig | None = None, sink=None) -> None:
         self.config = config or MachineConfig()
         cfg = self.config
         self.memory = TaggedMemory(cfg.memory_size)
@@ -346,22 +374,22 @@ class Machine:
         self._pool_region_base = cfg.heap_base + cfg.heap_size
         self._pool_bump = self._pool_region_base
         self._pool_limit = self._pool_bump + cfg.pool_region_size
-        self.trap_handler: TrapHandler | None = None
-        #: Optional instrumentation hook (see :class:`MachineObserver`).
-        self.observer: MachineObserver | None = None
+        self._trap_handler: TrapHandler | None = None
+        self._sink = sink
         # Per-reference latency accounting (Figure 10(c,d)).
         self._load_latency = ReferenceLatencyStats()
         self._store_latency = ReferenceLatencyStats()
         self.relocation_stats = RelocationStats()
-        # Scratch accumulator filled by the per-hop callback.
-        self._hop_cycles = 0.0
+        self._costs = layered_costs(
+            cfg, self._hierarchy, self._timing, self._speculator,
+            self._prefetcher, self._load_latency, self._store_latency,
+        )
         # Timeline sampling, the event log, miss-path mechanisms and
         # adaptive relocation all live outside the generated kernel's
         # feature matrix; those configs run the general path throughout.
         self._fast_enabled = cfg.fast_path and specializable(cfg)
         # The pending chunk, in the layout replay decodes to.  The kernel
-        # is compiled at the first drain, so a machine that never drains
-        # (a capture, with its observer) compiles nothing.
+        # is compiled at the first drain.
         self._kinds = bytearray()
         self._ops: list = []
         self._extras: dict = {}
@@ -409,7 +437,7 @@ class Machine:
             self.adapt.install()
 
     # ------------------------------------------------------------------
-    # The pending chunk
+    # The entry stream
     # ------------------------------------------------------------------
     def _pend(self, kind: int, op: int) -> None:
         kinds = self._kinds
@@ -432,6 +460,8 @@ class Machine:
                 # unlike replay, a live machine cannot know in advance
                 # that no reference will be forwarded.
                 kernel = self._kernel = compiled_kernel(self.config)
+            # Forwarded references and TRAP entries are never pended, so
+            # the kernel's trap flag is never read.
             kernel(
                 kinds, self._ops, self._extras, len(kinds),
                 self._hierarchy, timing, self._speculator, self._prefetcher,
@@ -439,10 +469,7 @@ class Machine:
             )
         else:
             self._fast_enabled = False
-            handlers = layered_costs(
-                self.config, self._hierarchy, timing, self._speculator,
-                self._prefetcher, load_latency, store_latency,
-            )
+            handlers = self._costs
             ops = self._ops
             extra = self._extras.get
             for index, kind in enumerate(kinds):
@@ -452,6 +479,8 @@ class Machine:
         self._forwarding.stats.references += (
             load_latency.count + store_latency.count - counted
         )
+        if self._sink is not None:
+            self._sink.extend(kinds, self._ops, self._extras)
         del kinds[:]
         del self._ops[:]
         self._extras.clear()
@@ -461,12 +490,20 @@ class Machine:
         if self._kinds:
             self._drain()
 
+    def _emit(self, kind: int, op: int, extra=None) -> None:
+        """The general path: cost one entry now and pass it to the sink."""
+        if self._kinds:
+            self._drain()
+        self._costs[kind](op, extra)
+        if self._sink is not None:
+            self._sink.append(kind, op, extra)
+
     # ------------------------------------------------------------------
     # Data references (forwarding-aware)
     # ------------------------------------------------------------------
     def load(self, address: int, size: int = WORD_SIZE) -> int:
         """Forwarding-aware load of ``size`` bytes; returns the value."""
-        if self.observer is None and self._fast_enabled:
+        if self._fast_enabled:
             index = address >> 3
             if 0 <= index < self._nwords and not self._fbits[index]:
                 kinds = self._kinds
@@ -481,7 +518,7 @@ class Machine:
 
     def store(self, address: int, value: int, size: int = WORD_SIZE) -> None:
         """Forwarding-aware store of ``size`` bytes."""
-        if self.observer is None and self._fast_enabled:
+        if self._fast_enabled:
             index = address >> 3
             if 0 <= index < self._nwords and not self._fbits[index]:
                 kinds = self._kinds
@@ -496,86 +533,52 @@ class Machine:
                 return
         self._store_general(address, value, size)
 
-    def _on_hop(self, word_address: int) -> None:
-        """Timed cache access for one forwarding hop.
-
-        The old location is genuinely touched, which is how forwarding
-        pollutes the cache (the effect Figure 10(d) attributes latency to).
-        """
-        timing = self._timing
-        start = timing.cycle
-        result = self._hierarchy.access(word_address, False, start)
-        timing.load_completes(result.ready, forwarding=True)
-        self._hop_cycles += result.ready - start
-
     def _load_general(self, address: int, size: int = WORD_SIZE) -> int:
-        """General (reference) load path: observers, forwarding, traps."""
-        self._sync()
-        if self.observer is not None:
-            self.observer.on_load(address, size)
-        timing = self._timing
-        timing.execute(1)
-        self._hop_cycles = 0.0
-        final, hops = self._forwarding.resolve(address, self._on_hop)
-        start = timing.cycle
-        result = self._hierarchy.access(final, False, start)
-        timing.load_completes(result.ready, forwarding=hops > 0)
-        latency = self._load_latency
-        latency.count += 1
-        latency.ordinary_cycles += result.ready - start
-        if hops:
-            latency.forwarded += 1
-            latency.forwarding_cycles += self._hop_cycles + timing.forwarding_trap_cost(hops)
-            timing.forwarding_trap(hops)
-            if self.timeline is not None:
-                self.timeline.note_forwarded(address)
-            self._fire_trap(address, final, hops, is_write=False)
-        if self._speculator is not None and self._speculator.on_load(address, final):
-            timing.misspeculation_flush()
+        """General (reference) load path: forwarding, timeline, traps."""
+        final, hops = self._reference(address, LOAD, LOAD_FWD)
         value = self.memory.read_data(final, size)
-        if self.timeline is not None:
-            # After the reference's full cost, so a window boundary
-            # observes it -- and so a replay, which ticks after each
-            # entry, lands its boundaries on the same references.
-            self.timeline.tick(address)
+        self._retire(address, final, hops, False)
         return value
 
     def _store_general(self, address: int, value: int, size: int = WORD_SIZE) -> None:
-        """General (reference) store path: observers, forwarding, traps."""
-        self._sync()
-        if self.observer is not None:
-            self.observer.on_store(address, value, size)
-        timing = self._timing
-        timing.execute(1)
-        self._hop_cycles = 0.0
-        final, hops = self._forwarding.resolve(address, self._on_hop)
-        start = timing.cycle
-        result = self._hierarchy.access(final, True, start)
-        timing.store_completes(result.ready, forwarding=hops > 0)
-        latency = self._store_latency
-        latency.count += 1
-        latency.ordinary_cycles += result.ready - start
-        if hops:
-            latency.forwarded += 1
-            latency.forwarding_cycles += self._hop_cycles + timing.forwarding_trap_cost(hops)
-            timing.forwarding_trap(hops)
-            if self.timeline is not None:
-                self.timeline.note_forwarded(address)
-            self._fire_trap(address, final, hops, is_write=True)
-        if self._speculator is not None:
-            self._speculator.on_store(address, final)
+        """General (reference) store path: forwarding, timeline, traps."""
+        final, hops = self._reference(address, STORE, STORE_FWD)
         self.memory.write_data(final, value, size)
-        if self.timeline is not None:
-            self.timeline.tick(address)
+        self._retire(address, final, hops, True)
 
-    def _fire_trap(self, initial: int, final: int, hops: int, is_write: bool) -> None:
-        handler = self.trap_handler
-        if handler is not None:
-            self._timing.stall(self.config.user_trap_cycles, "inst")
-            handler(self, ForwardingEvent(initial, final, hops, is_write))
-            # The handler's own references may be pending; cost them
-            # before the interrupted reference finishes its accounting.
-            self._sync()
+    def _reference(self, address: int, kind: int, forwarded_kind: int) -> tuple[int, int]:
+        """Resolve one data reference, then emit and cost its entry.
+
+        The engine's walk yields the hop words, so a forwarded reference
+        is emitted as ``forwarded_kind`` with ``(final, hops)``; a walk
+        that raises (a cycle, an out-of-range hop) emits and costs
+        nothing.  Returns the final address and the hop count.
+        """
+        walk: list = []
+        final, hops = self._forwarding.resolve(address, walk.append)
+        if hops:
+            self._emit(forwarded_kind, address, (final, tuple(walk)))
+        else:
+            self._emit(kind, address)
+        return final, hops
+
+    def _retire(self, address: int, final: int, hops: int, is_write: bool) -> None:
+        """After a data reference's access: the timeline tick, then a trap.
+
+        The tick follows the reference's full cost, so a window boundary
+        observes it -- and so a replay, which ticks after each entry,
+        lands its boundaries on the same references.  A user trap
+        handler runs last: its references are younger than the trapping
+        one in cost, data and timeline alike, the order the stream
+        records.
+        """
+        timeline = self.timeline
+        if timeline is not None:
+            if hops:
+                timeline.note_forwarded(address)
+            timeline.tick(address)
+        if hops and self._trap_handler is not None:
+            self._trap_handler(self, ForwardingEvent(address, final, hops, is_write))
 
     # ------------------------------------------------------------------
     # ISA extensions (Figure 3) -- forwarding mechanism disabled
@@ -589,50 +592,32 @@ class Machine:
         """
         word = address & ~7
         index = word >> 3
-        if self.observer is None and self._fast_enabled and 0 <= index < self._nwords:
+        if self._fast_enabled and 0 <= index < self._nwords:
             self._pend(ACCESS_R, word)
             return self._fbits[index]
-        self._sync()
-        if self.observer is not None:
-            self.observer.on_read_fbit(address)
-        timing = self._timing
-        timing.execute(1)
-        result = self._hierarchy.access(word, False, timing.cycle)
-        timing.load_completes(result.ready)
+        self._emit(ACCESS_R, word)
         return self.memory.read_fbit(word)
 
     def unforwarded_read(self, address: int) -> int:
         """``Unforwarded_Read``: read a word with forwarding disabled."""
         word = address & ~7
         index = word >> 3
-        if self.observer is None and self._fast_enabled and 0 <= index < self._nwords:
+        if self._fast_enabled and 0 <= index < self._nwords:
             self._pend(ACCESS_R, word)
             return self._words[index]
-        self._sync()
-        if self.observer is not None:
-            self.observer.on_unforwarded_read(address)
-        timing = self._timing
-        timing.execute(1)
-        result = self._hierarchy.access(word, False, timing.cycle)
-        timing.load_completes(result.ready)
+        self._emit(ACCESS_R, word)
         return self.memory.read_word(word)
 
     def unforwarded_write(self, address: int, value: int, fbit: int) -> None:
         """``Unforwarded_Write``: atomically set a word and its bit."""
         word = address & ~7
         index = word >> 3
-        if self.observer is None and self._fast_enabled and 0 <= index < self._nwords:
+        if self._fast_enabled and 0 <= index < self._nwords:
             self._pend(ACCESS_W, word)
             self._words[index] = value & WORD_MASK
             self._fbits[index] = 1 if fbit else 0
             return
-        self._sync()
-        if self.observer is not None:
-            self.observer.on_unforwarded_write(address, value, fbit)
-        timing = self._timing
-        timing.execute(1)
-        result = self._hierarchy.access(word, True, timing.cycle)
-        timing.store_completes(result.ready)
+        self._emit(ACCESS_W, word)
         self.memory.write_word_tagged(word, value, fbit)
 
     # ------------------------------------------------------------------
@@ -640,42 +625,32 @@ class Machine:
     # ------------------------------------------------------------------
     def prefetch(self, address: int, lines: int = 1) -> None:
         """Issue one (block) software prefetch instruction."""
-        if self.observer is None and self._fast_enabled:
+        if self._fast_enabled:
             self._extras[len(self._kinds)] = lines
             self._pend(PREFETCH, address)
-            return
-        self._sync()
-        if self.observer is not None:
-            self.observer.on_prefetch(address, lines)
-        timing = self._timing
-        timing.execute(1)
-        self._prefetcher.prefetch_block(address, lines, timing.cycle)
+        else:
+            self._emit(PREFETCH, address, lines)
 
     def execute(self, instructions: int) -> None:
         """Account for ``instructions`` non-memory instructions."""
-        if self.observer is None and self._fast_enabled:
+        if self._fast_enabled:
             kinds = self._kinds
             kinds.append(EXEC)
             self._ops.append(instructions)
             if len(kinds) >= PENDING_ENTRIES:
                 self._drain()
-            return
-        self._sync()
-        if self.observer is not None:
-            self.observer.on_execute(instructions)
-        self._timing.execute(instructions)
+        else:
+            self._emit(EXEC, instructions)
 
     def raw_write(self, address: int, value: int) -> None:
         """Untimed raw word write (no caches, no forwarding, no cost).
 
         This is the escape hatch for modelling *magical* memory updates --
         notably the perfect-forwarding pointer fixup of Figure 10's
-        ``Perf`` bound, which repairs stale pointers for free.  It still
-        goes through the machine (rather than ``memory.write_word``
-        directly) so observers see the mutation and replays stay faithful.
+        ``Perf`` bound, which repairs stale pointers for free.  It emits
+        no entry: a write that retargets a forwarding word only matters
+        to later walks, which read memory and record what they find.
         """
-        if self.observer is not None:
-            self.observer.on_raw_write(address, value)
         self.memory.write_word(address, value)
 
     # ------------------------------------------------------------------
@@ -683,15 +658,11 @@ class Machine:
     # ------------------------------------------------------------------
     def malloc(self, nbytes: int, align: int = WORD_SIZE) -> int:
         """Allocate a heap block; charges allocator bookkeeping time."""
-        if self.observer is None and self._fast_enabled:
+        if self._fast_enabled:
             self._pend(MALLOC, nbytes)
         else:
-            self._sync()
-            self._timing.execute(self.config.malloc_base_cost + (nbytes >> 6))
-        address = self.heap.allocate(nbytes, align)
-        if self.observer is not None:
-            self.observer.on_malloc(nbytes, align, address)
-        return address
+            self._emit(MALLOC, nbytes)
+        return self.heap.allocate(nbytes, align)
 
     def free(self, address: int) -> None:
         """Forwarding-aware deallocation wrapper (Section 3.3).
@@ -700,16 +671,13 @@ class Machine:
         object's first word is released, so relocated copies do not leak
         when the application frees the object by any of its addresses.
         """
-        if self.observer is not None:
-            self.observer.on_free(address)
         chain = self._forwarding.chain(address)
         if self.events is not None:
             self.events.emit("mem.free", address=address, chain=len(chain))
-        if self.observer is None and self._fast_enabled:
+        if self._fast_enabled:
             self._pend(FREE, len(chain))
         else:
-            self._sync()
-            self._timing.execute(self.config.free_base_cost + 2 * len(chain))
+            self._emit(FREE, len(chain))
         freed_any = False
         in_pool = False
         for word_address in chain:
@@ -752,10 +720,19 @@ class Machine:
     # User-level traps (Section 3.2)
     # ------------------------------------------------------------------
     def set_trap_handler(self, handler: TrapHandler | None) -> None:
-        """Install (or clear) the user-level forwarding trap handler."""
-        if self.observer is not None:
-            self.observer.on_set_trap(handler is not None)
-        self.trap_handler = handler
+        """Install (or clear) the user-level forwarding trap handler.
+
+        Emits a ``TRAP`` entry: a forwarded reference made while a
+        handler is installed pays ``user_trap_cycles``.
+        """
+        self._emit(TRAP, 1 if handler is not None else 0)
+        self._trap_handler = handler
+
+    @property
+    def trap_handler(self) -> TrapHandler | None:
+        """The installed handler; read-only, so every change of it goes
+        through :meth:`set_trap_handler` and its ``TRAP`` entry."""
+        return self._trap_handler
 
     # ------------------------------------------------------------------
     # Relocation bookkeeping (Table 1 counters)

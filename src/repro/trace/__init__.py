@@ -12,8 +12,9 @@ parameterises its clustering by line size, and declares so via
 This package exploits that invariance end to end:
 
 * :mod:`repro.trace.recorder` -- capture the reference stream while an
-  application runs, via the machine's observer hook, resolving every
-  forwarded reference as it goes (resolution is config-invariant);
+  application runs: the recorder is the sink on the machine's own entry
+  stream, whose forwarded references carry the machine's chain walk
+  (resolution is config-invariant), and seals it into chunks;
 * :mod:`repro.trace.format` -- a chunked columnar binary trace format
   that stores that resolved stream (fixed-entry-count chunks of kind,
   int64 operand and extras columns, each zlib-compressed and hashed, a

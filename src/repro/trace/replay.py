@@ -13,14 +13,15 @@ at all) is that a reference stream splits cleanly into two halves:
 
 Replay therefore does *not* rebuild a full :class:`~repro.core.machine.
 Machine`.  The config-invariant half was simulated once, at capture: the
-recorder (:mod:`repro.trace.recorder`) resolved every load and store
-through the forwarding map and stored the result, so a trace *is* the
-resolved stream -- every reference annotated with its final address and
-hop addresses.  Replay drives only the config-dependent components with
-it, mirroring ``Machine.load``/``store``/etc. cost-for-cost.
-Config-invariant counters (relocation activity, forwarding hop totals,
-heap footprint) are copied from the capture's stats, which is exact by
-definition.
+machine resolved every load and store with its own chain walk and
+emitted the result, and the recorder (:mod:`repro.trace.recorder`)
+sealed that stream, so a trace *is* the resolved stream -- every
+forwarded reference annotated with its final address and hop addresses.
+Replay drives only the config-dependent components with it, through
+the same cost table the machine's general path uses
+(:func:`repro.core.machine.layered_costs`).  Config-invariant counters
+(relocation activity, forwarding hop totals, heap footprint) are copied
+from the capture's stats, which is exact by definition.
 
 Decode is *streaming*: :func:`iter_resolved_chunks` inflates and
 unpacks one :class:`ResolvedChunk` at a time (flat ``kinds``/``ops``
@@ -44,7 +45,7 @@ from typing import Iterable, Iterator
 
 from repro.apps.base import AppResult, Variant
 from repro.cache.hierarchy import MemoryHierarchy
-from repro.core.kernel import LOAD, LOAD_FWD, PREFETCH, STORE, STORE_FWD, TRAP
+from repro.core.kernel import LOAD, LOAD_FWD, PREFETCH, STORE, STORE_FWD
 from repro.core.machine import MachineConfig, layered_costs
 from repro.core.stats import MachineStats, ReferenceLatencyStats, RelocationStats
 from repro.cpu.prefetch import SoftwarePrefetcher
@@ -207,11 +208,11 @@ class ReplaySession:
     advances them over one chunk; :meth:`finish` folds in the capture's
     config-invariant counters and returns the :class:`AppResult`.
 
-    Every entry is costed through the layered components, exactly as
-    the Machine's general path costs it (:func:`repro.core.machine.
-    layered_costs`), so this session shares no code with the generated
-    kernel and serves as the oracle the specialized engine is checked
-    against.
+    Every entry is costed by :func:`repro.core.machine.layered_costs`,
+    the table the Machine's general path costs its own entries with, so
+    this session reproduces a direct run by construction, shares no code
+    with the generated kernel, and serves as the oracle the specialized
+    engine is checked against.
     """
 
     def __init__(
@@ -231,68 +232,12 @@ class ReplaySession:
         build_components(self, config)
         hierarchy = self.hierarchy
         timing = self.timing
-        speculator = self.speculator
         load_latency = self.load_latency
         store_latency = self.store_latency
-        user_trap_cycles = config.user_trap_cycles
-        # Closures below both read and write this, so it lives in a cell
-        # rather than an attribute lookup on the hot path.
-        trap_cell = [False]
-
-        access = hierarchy.access
-        execute = timing.execute
-        load_completes = timing.load_completes
-        store_completes = timing.store_completes
-
-        def _forwarded(address, extra, is_store):
-            final, hops = extra
-            execute(1)
-            hop_cycles = 0.0
-            for word in hops:  # each hop touches the old location
-                start = timing.cycle
-                result = access(word, False, start)
-                load_completes(result.ready, True)
-                hop_cycles += result.ready - start
-            start = timing.cycle
-            result = access(final, is_store, start)
-            latency = store_latency if is_store else load_latency
-            if is_store:
-                store_completes(result.ready, True)
-            else:
-                load_completes(result.ready, True)
-            latency.count += 1
-            latency.ordinary_cycles += result.ready - start
-            latency.forwarded += 1
-            nhops = len(hops)
-            latency.forwarding_cycles += (
-                hop_cycles + timing.forwarding_trap_cost(nhops)
-            )
-            timing.forwarding_trap(nhops)
-            if trap_cell[0]:
-                # The handler's own machine activity was recorded as
-                # ordinary events; only its invocation cost remains.
-                timing.stall(user_trap_cycles, "inst")
-            if is_store:
-                if speculator is not None:
-                    speculator.on_store(address, final)
-            elif speculator is not None and speculator.on_load(address, final):
-                timing.misspeculation_flush()
-
-        def _handle_trap(flag, _extra):
-            trap_cell[0] = bool(flag)
-
-        # Entry handlers, indexed by kind and called as ``handler(op,
-        # extra)``.  Each mirrors the corresponding Machine method
-        # cost-for-cost (machine.py is the reference; the integration
-        # tests assert exact stats equality against it), minus the
-        # config-invariant work.
-        self._handlers = handlers = layered_costs(
-            config, hierarchy, timing, speculator, self.prefetcher,
+        self._handlers = layered_costs(
+            config, hierarchy, timing, self.speculator, self.prefetcher,
             load_latency, store_latency,
         )
-        handlers[LOAD_FWD] = lambda address, extra: _forwarded(address, extra, False)
-        handlers[STORE_FWD] = lambda address, extra: _forwarded(address, extra, True)
-        handlers[TRAP] = _handle_trap
 
         # Timeline sampling mirrors the direct run's general path: tick
         # once per data reference, after its cost lands, at the

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.adapt.config import DEFAULT_HEATMAP_REGION, AdaptConfig
-from repro.apps import APPLICATIONS
+from repro.apps import APPLICATIONS, get_application
 from repro.apps.base import AppResult, Variant
 from repro.core.debug import get_logger
 from repro.obs.logging import log_event
@@ -225,15 +225,11 @@ def run_task(
         # application/optimizer code replay skips).  Events cells
         # therefore always run direct, even when a trace is warm --
         # their results still persist under their own config
-        # fingerprint, so the re-run happens once.
+        # fingerprint, so the re-run happens once.  The trace is warm,
+        # so the run records nothing.
         with span("trace.capture"):
-            _, result = capture_trace(
-                task.app,
-                Variant(task.variant),
-                config,
-                task.scale,
-                task.seed,
-                on_window=on_window,
+            result = get_application(task.app, task.scale, task.seed).run(
+                Variant(task.variant), config, on_window=on_window
             )
         how = "captured"
     else:

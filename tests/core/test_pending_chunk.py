@@ -126,7 +126,7 @@ def test_trap_handler_references_are_costed_before_the_trap_returns():
         m.unforwarded_write(base + 48, target, 1)  # base+48 -> target
         m.set_trap_handler(lambda machine, event: machine.load(far))
         m.store(target, 1)  # so the forwarded load below misspeculates
-        m.load(base + 48)  # trap, then the misspeculation flush
+        m.load(base + 48)  # the misspeculation flush, then the trap
         m.load(far + 8)  # combines with the handler's in-flight fill
         dumps.append(m.stats().dump())
     assert dumps[0] == dumps[1]

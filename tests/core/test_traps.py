@@ -119,3 +119,16 @@ class TestTrapCost:
         machine2.set_trap_handler(lambda mm, e: None)
         machine2.load(old2)
         assert machine2.cycles > baseline * 0.99  # handler path not cheaper
+
+
+class TestInstall:
+    def test_handler_changes_only_through_set_trap_handler(self, m):
+        """Installing a handler is a costed entry, so the attribute is
+        read-only: an assignment would skip the user-trap stall."""
+        handler = ForwardingProfiler()
+        m.set_trap_handler(handler)
+        assert m.trap_handler is handler
+        with pytest.raises(AttributeError):
+            m.trap_handler = None
+        m.set_trap_handler(None)
+        assert m.trap_handler is None

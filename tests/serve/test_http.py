@@ -272,20 +272,22 @@ class TestStreaming:
     def test_timeline_job_streams_windows_live(self, tmp_path, monkeypatch):
         # Pace the cell so windows drain to subscribers while it is
         # still running: the acceptance bar is >= 2 window events
-        # observed strictly before the job's terminal state event.
+        # observed strictly before the job's terminal state event.  The
+        # service runs batch mode by default, so its worker executes
+        # cells through run_batch_group; its window hook is paced.
         import repro.serve.workers as workers_mod
 
-        real_run_task = workers_mod.run_task
+        real_run_batch_group = workers_mod.run_batch_group
 
-        def _paced(task, store, tracer=None, on_window=None):
+        def _paced(*args, on_window=None, **kwargs):
             paced = None
             if on_window is not None:
-                def paced(window, _push=on_window):
-                    _push(window)
+                def paced(task, window, _push=on_window):
+                    _push(task, window)
                     time.sleep(0.02)
-            return real_run_task(task, store, tracer=tracer, on_window=paced)
+            return real_run_batch_group(*args, on_window=paced, **kwargs)
 
-        monkeypatch.setattr(workers_mod, "run_task", _paced)
+        monkeypatch.setattr(workers_mod, "run_batch_group", _paced)
 
         async def scenario(port, service):
             status, body, _ = await _request(

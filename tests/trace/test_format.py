@@ -1,24 +1,28 @@
 """Property and validation tests for the resolved-stream trace format.
 
-The recorder resolves every forwarded reference while it captures, and
-the file stores the resulting entries column by column.  The round-trip
-properties pin the recorder's streaming resolution to a short reference
-resolver over arbitrary event streams -- including streams that straddle
-chunk boundaries and streams whose chains form cycles -- and the
-validation tests cover every rejection path of :meth:`Trace.from_bytes`,
-:meth:`Chunk.unpack`, and the random-access index, plus a byte-mutation
-fuzz of the whole file.
+The machine resolves every forwarded reference with its own chain walk,
+and the recorder -- the capture sink on the machine's entry stream --
+seals the entries column by column.  The round-trip properties run
+generated in-range programs on a real :class:`Machine`, on the fast path
+and off it, and pin the stream it emits -- read back from bytes, under
+every chunking, including streams that straddle chunk boundaries -- to a
+short reference resolver; programs whose chains form cycles must raise
+the typed error.  The validation tests cover every rejection path of
+:meth:`Trace.from_bytes`, :meth:`Chunk.unpack`, and the random-access
+index, plus a byte-mutation fuzz of the whole file.
 """
 
 import dataclasses
 import json
 import struct
 from array import array
+from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.errors import ForwardingCycleError
+from repro.core.errors import ForwardingCycleError, MemoryAccessError
 from repro.core.kernel import (
     ACCESS_R,
     ACCESS_W,
@@ -32,6 +36,7 @@ from repro.core.kernel import (
     STORE_FWD,
     TRAP,
 )
+from repro.core.machine import Machine, MachineConfig
 from repro.trace import FORMAT_VERSION, Trace, TraceFormatError, TraceRecorder
 from repro.trace.format import (
     CHUNK_EVENTS,
@@ -46,17 +51,21 @@ from repro.trace.format import (
 )
 from repro.trace.replay import iter_resolved_chunks
 
-#: A handful of words that chains can link, so generated streams forward
-#: (and sometimes cycle) instead of scattering over the address space.
-WORDS = tuple(range(0x1000, 0x1000 + 8 * 6, 8))
-addresses = st.one_of(
-    st.sampled_from(WORDS),
-    st.builds(lambda word, offset: word + offset, st.sampled_from(WORDS),
-              st.sampled_from([1, 4])),
-    st.integers(min_value=0, max_value=(1 << 48) - 1),
-)
+#: A small machine, since these tests build hundreds: the heap is
+#: [0x10000, 0x20000) and the pool region [0x20000, 0x30000).
+SMALL = MachineConfig(heap_size=0x10000, pool_region_size=0x10000)
+POOL_BASE = SMALL.heap_base + SMALL.heap_size
+#: Every program runs with this much of the pool region carved, so a
+#: ``free`` whose chain reaches it is legal.
+POOL_BYTES = 0x1000
+#: A handful of pool words that chains link, so generated programs
+#: forward (and sometimes cycle) instead of scattering over memory.
+#: ``malloc`` never clears them, and freeing them is always legal.
+WORDS = tuple(range(POOL_BASE, POOL_BASE + 8 * 6, 8))
+in_range_words = st.integers(0, SMALL.memory_size // 8 - 1).map(lambda i: 8 * i)
+#: Data words and forwarding targets: a chain word or any in-range word.
+words = st.one_of(st.sampled_from(WORDS), in_range_words)
 signed_words = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
-targets = st.one_of(st.sampled_from(WORDS), signed_words)
 sizes = st.sampled_from([1, 2, 4, 8])
 
 
@@ -80,38 +89,45 @@ class TestVarints:
 
 
 @st.composite
-def event_streams(draw):
-    """A sequence of observer events: ``(callback suffix, *arguments)``."""
-    events = []
+def accesses(draw):
+    """An in-range, naturally aligned ``(address, size)``."""
+    size = draw(sizes)
+    return draw(words) + draw(st.sampled_from(range(0, 8, size))), size
+
+
+@st.composite
+def programs(draw):
+    """An in-range program: a list of ``(Machine method, *arguments)``."""
+    program = []
     for _ in range(draw(st.integers(min_value=0, max_value=40))):
-        kind = draw(st.sampled_from([
+        name = draw(st.sampled_from([
             "load", "store", "execute", "prefetch", "read_fbit",
             "unforwarded_read", "unforwarded_write", "malloc", "free",
             "raw_write", "set_trap",
         ]))
-        if kind == "load":
-            events.append((kind, draw(addresses), draw(sizes)))
-        elif kind == "store":
-            events.append((kind, draw(addresses), draw(signed_words), draw(sizes)))
-        elif kind == "execute":
-            events.append((kind, draw(st.integers(0, 1 << 20))))
-        elif kind == "prefetch":
-            events.append((kind, draw(addresses), draw(st.integers(1, 8))))
-        elif kind in ("read_fbit", "unforwarded_read", "free"):
-            events.append((kind, draw(addresses)))
-        elif kind == "unforwarded_write":
-            events.append(
-                (kind, draw(addresses), draw(targets), draw(st.integers(0, 1)))
-            )
-        elif kind == "malloc":
-            events.append(
-                (kind, draw(st.integers(0, 1 << 24)), draw(sizes), draw(addresses))
-            )
-        elif kind == "raw_write":
-            events.append((kind, draw(addresses), draw(targets)))
+        if name == "load":
+            program.append((name, *draw(accesses())))
+        elif name == "store":
+            address, size = draw(accesses())
+            program.append((name, address, draw(signed_words), size))
+        elif name == "execute":
+            program.append((name, draw(st.integers(0, 1 << 20))))
+        elif name == "prefetch":
+            program.append((name, draw(words), draw(st.integers(1, 8))))
+        elif name in ("read_fbit", "unforwarded_read"):
+            program.append((name, draw(accesses())[0]))
+        elif name == "unforwarded_write":
+            word = draw(st.sampled_from(WORDS)) + draw(st.sampled_from([0, 1, 4]))
+            program.append((name, word, draw(words), draw(st.integers(0, 1))))
+        elif name == "malloc":
+            program.append((name, draw(st.integers(1, 256))))
+        elif name == "free":
+            program.append((name, draw(st.sampled_from(WORDS))))
+        elif name == "raw_write":
+            program.append((name, draw(st.sampled_from(WORDS)), draw(words)))
         else:
-            events.append((kind, draw(st.booleans())))
-    return events
+            program.append((name, draw(st.booleans())))
+    return program
 
 
 #: Chunk sizes exercised by the boundary-straddling properties: every
@@ -120,12 +136,12 @@ def event_streams(draw):
 CHUNKINGS = (1, 7, CHUNK_EVENTS)
 
 
-def _reference_entries(events):
-    """The resolution rules applied to a whole event list at once.
+def _reference_entries(program):
+    """The entries a program's machine must emit, computed at once.
 
-    The oracle for the recorder's streaming resolution: a forwarding map
-    fed by ``unforwarded_write``/``raw_write``, chains chased with a
-    visited set (``None`` when one revisits a word -- a cycle).
+    The oracle for the machine's stream: a forwarding map fed by
+    ``unforwarded_write``/``raw_write``, chains chased with a visited set
+    (``None`` when one revisits a word -- a cycle).
     """
     fwd = {}
 
@@ -141,7 +157,7 @@ def _reference_entries(events):
         return value, hops
 
     out = []
-    for name, *args in events:
+    for name, *args in program:
         if name in ("load", "store"):
             resolved = chase(args[0])
             if resolved is None:
@@ -180,11 +196,21 @@ def _reference_entries(events):
     return out
 
 
-def _record(events, chunk_events=CHUNK_EVENTS):
-    """Feed an event list through the recorder; returns the Trace."""
+def _ignore_trap(machine, event):
+    pass
+
+
+def _run(program, chunk_events=CHUNK_EVENTS, fast_path=True):
+    """Run ``program`` on a machine with a recorder sink; returns the Trace."""
     recorder = TraceRecorder(chunk_events=chunk_events)
-    for name, *args in events:
-        getattr(recorder, f"on_{name}")(*args)
+    machine = Machine(replace(SMALL, fast_path=fast_path), sink=recorder)
+    machine.create_pool(POOL_BYTES)
+    for name, *args in program:
+        if name == "set_trap":
+            machine.set_trap_handler(_ignore_trap if args[0] else None)
+        else:
+            getattr(machine, name)(*args)
+    machine.stats()  # drains the pending chunk into the sink
     return Trace(
         app="synthetic",
         variant="N",
@@ -207,24 +233,24 @@ def _entries(trace):
     ]
 
 
-VALID_EVENTS = [
+VALID_PROGRAM = [
     ("unforwarded_write", 0x10000, 0x20000, 1),
     ("load", 0x10004, 4),  # forwarded: final 0x20004 via hop 0x10000
     ("load", 0x10008, 8),
     ("prefetch", 0x20000, 2),
     ("store", 0x10010, -5, 4),
     ("execute", 12),
-    ("free", 0x10000),
+    ("free", 0x10000),  # chain 0x10000 -> 0x20000, in the pool
 ]
 
 
 def _valid_trace(chunk_events=CHUNK_EVENTS):
-    return _record(VALID_EVENTS, chunk_events=chunk_events)
+    return _run(VALID_PROGRAM, chunk_events=chunk_events)
 
 
 @st.composite
 def entry_lists(draw):
-    """Arbitrary well-formed entries, independent of any event stream."""
+    """Arbitrary well-formed entries, independent of any program."""
     out = []
     ops = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
     for _ in range(draw(st.integers(min_value=0, max_value=30))):
@@ -256,34 +282,36 @@ class TestRoundTrip:
             bytes(kinds), ops, extras
         )
 
-    @given(events=event_streams())
+    @given(program=programs())
     @settings(max_examples=150, deadline=None)
-    def test_recorder_matches_reference_resolver(self, events):
-        """Under every chunking, the recorder's entries -- read back from
-        bytes -- are what the reference resolver computes; a forwarding
-        cycle raises the typed error under every chunking instead."""
-        expected = _reference_entries(events)
-        for chunk_events in CHUNKINGS:
-            if expected is None:
-                with pytest.raises(ForwardingCycleError):
-                    _record(events, chunk_events)
-                continue
-            trace = _record(events, chunk_events)
-            clone = Trace.from_bytes(trace.to_bytes())
-            assert _entries(clone) == expected
-            assert trace.event_count == len(expected)
-            assert trace.has_forwarded == any(
-                entry[0] in (LOAD_FWD, STORE_FWD) for entry in expected
-            )
-            if chunk_events == 1:
-                assert len(trace.chunks) == len(expected)
+    def test_recorder_matches_reference_resolver(self, program):
+        """On the fast path and off it, under every chunking, the
+        machine's entries -- read back from bytes -- are what the
+        reference resolver computes; a forwarding cycle raises the typed
+        error instead."""
+        expected = _reference_entries(program)
+        for fast_path in (True, False):
+            for chunk_events in CHUNKINGS:
+                if expected is None:
+                    with pytest.raises(ForwardingCycleError):
+                        _run(program, chunk_events, fast_path)
+                    continue
+                trace = _run(program, chunk_events, fast_path)
+                clone = Trace.from_bytes(trace.to_bytes())
+                assert _entries(clone) == expected
+                assert trace.event_count == len(expected)
+                assert trace.has_forwarded == any(
+                    entry[0] in (LOAD_FWD, STORE_FWD) for entry in expected
+                )
+                if chunk_events == 1:
+                    assert len(trace.chunks) == len(expected)
 
-    @given(events=event_streams(), chunk_events=st.sampled_from(CHUNKINGS))
+    @given(program=programs(), chunk_events=st.sampled_from(CHUNKINGS))
     @settings(max_examples=40, deadline=None)
-    def test_bytes_roundtrip(self, events, chunk_events):
-        if _reference_entries(events) is None:
+    def test_bytes_roundtrip(self, program, chunk_events):
+        if _reference_entries(program) is None:
             return  # a cycle: nothing to round-trip
-        trace = _record(events, chunk_events)
+        trace = _run(program, chunk_events)
         clone = Trace.from_bytes(trace.to_bytes())
         assert clone == trace
         assert clone.content_hash == trace.content_hash
@@ -291,7 +319,7 @@ class TestRoundTrip:
         assert _entries(clone) == _entries(trace)
 
     def test_empty_stream(self):
-        trace = _record([])
+        trace = _run([])
         assert trace.chunks == ()
         clone = Trace.from_bytes(trace.to_bytes())
         assert clone == trace
@@ -299,7 +327,7 @@ class TestRoundTrip:
 
     def test_single_event_chunks(self):
         trace = _valid_trace(chunk_events=1)
-        assert len(trace.chunks) == len(VALID_EVENTS)
+        assert len(trace.chunks) == len(VALID_PROGRAM)
         assert all(chunk.event_count == 1 for chunk in trace.chunks)
         assert _entries(Trace.from_bytes(trace.to_bytes())) == _entries(trace)
 
@@ -318,34 +346,69 @@ class TestRoundTrip:
 
 
 class TestForwardingCycle:
-    """A cyclic chain is a typed error at capture, never a hang."""
+    """A cyclic chain is a typed error from the machine's walk, never a
+    hang, and a walk that raises leaves nothing in the stream."""
+
+    @staticmethod
+    def _runs(program):
+        """``program`` on both paths under every chunking."""
+        for fast_path in (True, False):
+            for chunk_events in CHUNKINGS:
+                yield partial(_run, program, chunk_events, fast_path)
 
     def test_self_loop(self):
-        recorder = TraceRecorder()
-        recorder.on_unforwarded_write(0, 0, 1)
-        with pytest.raises(ForwardingCycleError):
-            recorder.on_load(0, 8)
+        for run in self._runs([
+            ("unforwarded_write", WORDS[0], WORDS[0], 1),
+            ("load", WORDS[0], 8),
+        ]):
+            with pytest.raises(ForwardingCycleError):
+                run()
 
     @pytest.mark.parametrize("event", [
-        ("load", 0x10, 8), ("store", 0x14, 1, 4), ("free", 0x10),
+        ("load", WORDS[0], 8), ("store", WORDS[0] + 4, 1, 4), ("free", WORDS[0]),
     ])
     def test_two_word_cycle(self, event):
-        recorder = TraceRecorder()
-        recorder.on_unforwarded_write(0x10, 0x18, 1)
-        recorder.on_unforwarded_write(0x18, 0x10, 1)
-        with pytest.raises(ForwardingCycleError):
-            getattr(recorder, f"on_{event[0]}")(*event[1:])
+        for run in self._runs([
+            ("unforwarded_write", WORDS[0], WORDS[1], 1),
+            ("unforwarded_write", WORDS[1], WORDS[0], 1),
+            event,
+        ]):
+            with pytest.raises(ForwardingCycleError):
+                run()
 
     def test_long_acyclic_chain_resolves(self):
+        chain = [POOL_BASE + 8 * i for i in range(40)]
+        program = [
+            ("unforwarded_write", old, new, 1) for old, new in zip(chain, chain[1:])
+        ]
+        program += [("load", chain[0], 8), ("free", chain[0])]
+        for run in self._runs(program):
+            entries = _entries(run())
+            assert entries[-2] == (LOAD_FWD, chain[0], chain[-1], tuple(chain[:-1]))
+            assert entries[-1] == (FREE, len(chain))
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    @pytest.mark.parametrize("target,error", [
+        (WORDS[0], ForwardingCycleError),
+        (SMALL.memory_size, MemoryAccessError),
+    ], ids=["cycle", "out-of-range"])
+    def test_failed_walk_leaves_nothing_behind(self, target, error, fast_path):
+        """The reference after a walk that raised carries only its own
+        hops."""
         recorder = TraceRecorder()
-        words = [0x100 + 8 * i for i in range(40)]
-        for old, new in zip(words, words[1:]):
-            recorder.on_unforwarded_write(old, new, 1)
-        recorder.on_load(words[0], 8)
-        recorder.on_free(words[0])
-        entries = _entries(dataclasses.replace(_record([]), chunks=recorder.finish()))
-        assert entries[-2] == (LOAD_FWD, words[0], words[-1], tuple(words[:-1]))
-        assert entries[-1] == (FREE, len(words))
+        machine = Machine(replace(SMALL, fast_path=fast_path), sink=recorder)
+        machine.unforwarded_write(WORDS[0], WORDS[1], 1)
+        machine.unforwarded_write(WORDS[1], target, 1)
+        with pytest.raises(error):
+            machine.load(WORDS[0])
+        machine.unforwarded_write(WORDS[1], WORDS[2], 1)
+        machine.load(WORDS[0])
+        machine.stats()
+        trace = dataclasses.replace(_run([]), chunks=recorder.finish())
+        assert _entries(trace)[-2:] == [
+            (ACCESS_W, WORDS[1]),
+            (LOAD_FWD, WORDS[0], WORDS[2], (WORDS[0], WORDS[1])),
+        ]
 
 
 class TestIndex:
@@ -551,16 +614,16 @@ class TestMutation:
             assert isinstance(_decode_or_error(data[:length]), TraceFormatError)
 
     @given(
-        events=event_streams(),
+        program=programs(),
         chunk_events=st.sampled_from(CHUNKINGS),
         where=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
         mask=st.integers(min_value=1, max_value=255),
     )
     @settings(max_examples=150, deadline=None)
-    def test_random_streams_and_masks(self, events, chunk_events, where, mask):
-        if _reference_entries(events) is None:
+    def test_random_streams_and_masks(self, program, chunk_events, where, mask):
+        if _reference_entries(program) is None:
             return  # a cycle: never captured
-        data = _record(events, chunk_events).to_bytes()
+        data = _run(program, chunk_events).to_bytes()
         original = _entries(Trace.from_bytes(data))
         mutated = bytearray(data)
         mutated[int(where * len(data))] ^= mask
