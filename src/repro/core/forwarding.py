@@ -204,6 +204,9 @@ class ForwardingEngine:
         while memory.read_fbit(word_address):
             word_address = memory.read_word(word_address) & ~WORD_OFFSET_MASK
             if word_address in seen:
+                # Counted as resolve counts it: one check, one cycle.
+                self.stats.cycle_check_invocations += 1
+                self.stats.cycles_detected += 1
                 raise ForwardingCycleError(address, word_address)
             seen.add(word_address)
             out.append(word_address)

@@ -8,10 +8,9 @@ regression tooling and dashboards parse it instead of scraping the
 rendered tables.
 
 The schema is committed next to this module
-(``manifest_schema_v3.json``) and every manifest is validated against
-it before it leaves the process.  Validation prefers :mod:`jsonschema`
-when importable and falls back to a pure-python structural check so the
-artifact pipeline works in minimal environments.
+(``manifest_schema_v3.json``) and is the only contract: every manifest
+is validated against it before it leaves the process, by a small
+interpreter for exactly the JSON Schema keywords the schema uses.
 
 Beyond the core sections, a manifest may carry ``timeline`` (windowed
 time series and address-space heatmap per simulation cell, from the
@@ -29,8 +28,9 @@ from __future__ import annotations
 import functools
 import json
 import platform
+import re
 from importlib import resources
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.obs.registry import Snapshot
 from repro.obs.span import SpanLog
@@ -38,8 +38,6 @@ from repro.obs.span import SpanLog
 MANIFEST_VERSION = 3
 MANIFEST_SCHEMA = "repro.obs.manifest/v3"
 _SCHEMA_FILE = "manifest_schema_v3.json"
-
-_SCALAR = (str, int, float, bool, type(None))
 
 
 class ManifestError(ValueError):
@@ -151,242 +149,232 @@ def validate_manifest(manifest: Mapping[str, Any]) -> None:
     """Raise :class:`ManifestError` unless ``manifest`` matches the schema.
 
     A ``manifest_version`` other than the current one fails first,
-    naming the version.  Uses :mod:`jsonschema` when available;
-    otherwise falls back to a structural check covering the same
-    constraints (required keys, value types, metric-tree shape).
+    naming the version.  The message of any other failure starts with
+    the JSON path of the offending value and names the keyword it
+    broke, e.g. ``spans/0/start: -1.0 is less than the minimum of 0``.
     """
     _check_version(manifest.get("manifest_version"))
-    try:
-        import jsonschema
-    except ImportError:
-        _validate_structurally(manifest)
-        return
-    validator = _jsonschema_validator()
-    error = jsonschema.exceptions.best_match(validator.iter_errors(dict(manifest)))
+    document = dict(manifest)
+    error = _schema_check()(document)
     if error is not None:
-        raise ManifestError(str(error)) from error
+        path, template, args = error
+        where = "/".join(map(str, path)) or "(root)"
+        raise ManifestError(f"{where}: {template.format(*args)}")
+    # The one invariant the schema cannot state: a timeline cell's
+    # window series all have one length.
+    for cell_id, entry in document.get("timeline", {}).get("cells", {}).items():
+        lengths = {name: len(series) for name, series in entry["windows"].items()}
+        if len(set(lengths.values())) > 1:
+            raise ManifestError(
+                f"timeline/cells/{cell_id}/windows: series lengths differ {lengths}"
+            )
 
 
 @functools.cache
-def _jsonschema_validator():
-    """The schema, compiled and schema-checked once: jsonschema.validate
-    redoes both on every call, which dominates hot paths like the serve
-    warm-cache probe."""
-    import jsonschema
-
-    schema = load_schema()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+def _schema_check() -> Check:
+    return _compile_schema(load_schema())
 
 
-def _fail(path: str, message: str) -> None:
-    raise ManifestError(f"{path}: {message}")
+# -- the schema interpreter --------------------------------------------------
+#
+# The schema compiles, once per process, into one closure per subschema.
+# A closure returns None for a valid value, else ``(path, template, args)``:
+# the keys down to the failing value, and a message formatted only for the
+# error finally raised (a oneOf alternative that fails costs a tuple).
+# Semantics are JSON Schema 2020-12's: a boolean is never a number, an
+# integral float is an integer, ``const`` never equates ``True`` with ``1``,
+# and a keyword ignores values of types it does not constrain.  A pattern's
+# trailing ``$`` matches only at the end of input, as in ECMA-262.
 
+Error = tuple[tuple[Any, ...], str, tuple[Any, ...]]
+Check = Callable[[Any], "Error | None"]
 
-def _check_scalar_map(value: Any, path: str) -> None:
-    if not isinstance(value, dict):
-        _fail(path, "must be an object")
-    for key, item in value.items():
-        if not isinstance(key, str):
-            _fail(path, f"non-string key {key!r}")
-        if not isinstance(item, _SCALAR):
-            _fail(f"{path}.{key}", "must be a scalar")
-
-
-def _check_metric_tree(value: Any, path: str) -> None:
-    if not isinstance(value, dict):
-        _fail(path, "metric tree node must be an object")
-    for key, item in value.items():
-        if not isinstance(key, str):
-            _fail(path, f"non-string key {key!r}")
-        if isinstance(item, bool) or not isinstance(item, (int, float, dict)):
-            _fail(f"{path}.{key}", "must be a number or a subtree")
-        if isinstance(item, dict):
-            _check_metric_tree(item, f"{path}.{key}")
-
-
-def _validate_structurally(manifest: Mapping[str, Any]) -> None:
-    """Pure-python fallback mirroring the committed schema files."""
-    required = (
-        "manifest_version",
-        "schema",
-        "artifact",
-        "tool",
-        "run",
-        "seeds",
-        "trace_hashes",
-        "spans",
-        "metrics",
-        "cells",
-    )
-    for key in required:
-        if key not in manifest:
-            _fail(key, "missing required field")
-    _check_version(manifest["manifest_version"])
-    if manifest["schema"] != MANIFEST_SCHEMA:
-        _fail("schema", f"must be {MANIFEST_SCHEMA!r}")
-    allowed_top = set(required) | {"summary", "timeline", "events"}
-    extra_top = set(manifest) - allowed_top
-    if extra_top:
-        _fail("/", f"unexpected keys {sorted(extra_top)}")
-    if not isinstance(manifest["artifact"], str) or not manifest["artifact"]:
-        _fail("artifact", "must be a non-empty string")
-    tool = manifest["tool"]
-    if not isinstance(tool, dict) or set(tool) != {"name", "version", "python"}:
-        _fail("tool", "must have exactly name/version/python")
-    for key, item in tool.items():
-        if not isinstance(item, str):
-            _fail(f"tool.{key}", "must be a string")
-    _check_scalar_map(manifest["run"], "run")
-    seeds = manifest["seeds"]
-    if not isinstance(seeds, dict):
-        _fail("seeds", "must be an object")
-    for app, seed in seeds.items():
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            _fail(f"seeds.{app}", "must be an integer")
-    hashes = manifest["trace_hashes"]
-    if not isinstance(hashes, dict):
-        _fail("trace_hashes", "must be an object")
-    for key, digest in hashes.items():
-        if not isinstance(digest, str) or not digest or set(digest) - set(
-            "0123456789abcdef"
-        ):
-            _fail(f"trace_hashes.{key}", "must be a lowercase hex string")
-    spans = manifest["spans"]
-    if not isinstance(spans, list):
-        _fail("spans", "must be an array")
-    span_keys = {"name", "wall_seconds", "depth", "metrics"}
-    span_optional = {"error", "trace_id", "span_id", "parent_id", "start"}
-    for index, record in enumerate(spans):
-        path = f"spans[{index}]"
-        if not isinstance(record, dict):
-            _fail(path, "must be an object")
-        extra = set(record) - span_keys - span_optional
-        missing = span_keys - set(record)
-        if extra or missing:
-            _fail(path, f"bad keys (extra={extra}, missing={missing})")
-        if "error" in record and (
-            not isinstance(record["error"], str) or not record["error"]
-        ):
-            _fail(f"{path}.error", "must be a non-empty string")
-        for id_field in ("trace_id", "span_id", "parent_id"):
-            if id_field in record:
-                value = record[id_field]
-                if not isinstance(value, str) or not value or set(value) - set(
-                    "0123456789abcdef"
-                ):
-                    _fail(f"{path}.{id_field}", "must be a lowercase hex string")
-        if "start" in record and (
-            isinstance(record["start"], bool)
-            or not isinstance(record["start"], (int, float))
-            or record["start"] < 0
-        ):
-            _fail(f"{path}.start", "must be a non-negative number")
-        if not isinstance(record["name"], str) or not record["name"]:
-            _fail(f"{path}.name", "must be a non-empty string")
-        if isinstance(record["wall_seconds"], bool) or not isinstance(
-            record["wall_seconds"], (int, float)
-        ) or record["wall_seconds"] < 0:
-            _fail(f"{path}.wall_seconds", "must be a non-negative number")
-        if isinstance(record["depth"], bool) or not isinstance(
-            record["depth"], int
-        ) or record["depth"] < 0:
-            _fail(f"{path}.depth", "must be a non-negative integer")
-        _check_metric_tree(record["metrics"], f"{path}.metrics")
-    _check_metric_tree(manifest["metrics"], "metrics")
-    cells = manifest["cells"]
-    if not isinstance(cells, list):
-        _fail("cells", "must be an array")
-    for index, entry in enumerate(cells):
-        path = f"cells[{index}]"
-        if not isinstance(entry, dict):
-            _fail(path, "must be an object")
-        if set(entry) - {"id", "labels", "checksum", "metrics", "values"}:
-            _fail(path, "unexpected keys")
-        if not isinstance(entry.get("id"), str) or not entry["id"]:
-            _fail(f"{path}.id", "must be a non-empty string")
-        if "labels" in entry:
-            _check_scalar_map(entry["labels"], f"{path}.labels")
-        if "checksum" in entry and entry["checksum"] is not None:
-            if isinstance(entry["checksum"], bool) or not isinstance(
-                entry["checksum"], int
-            ):
-                _fail(f"{path}.checksum", "must be an integer or null")
-        if "metrics" in entry:
-            _check_metric_tree(entry["metrics"], f"{path}.metrics")
-        if "values" in entry:
-            _check_scalar_map(entry["values"], f"{path}.values")
-    if "summary" in manifest:
-        _check_scalar_map(manifest["summary"], "summary")
-    if "timeline" in manifest:
-        _check_timeline_section(manifest["timeline"], "timeline")
-    if "events" in manifest:
-        _check_events_section(manifest["events"], "events")
-
-
-_WINDOW_SERIES_KEYS = (
-    "refs",
-    "cycles",
-    "l1_misses",
-    "miss_rate",
-    "stall_slots",
-    "chases",
-    "mshr_occupancy",
+#: The keywords implemented and the annotations ignored (``$defs`` is read
+#: at the root only).  Any other keyword raises when the schema compiles, so
+#: the schema cannot grow a constraint that validation would silently skip.
+_KEYWORDS = frozenset(
+    "type properties required additionalProperties items $ref const minimum "
+    "minLength pattern oneOf $schema $id title description".split()
 )
+_TYPES = {
+    "object": (dict,), "array": (list,), "string": (str,), "number": (int, float),
+    "integer": (), "boolean": (bool,), "null": (type(None),),
+}
 
 
-def _check_timeline_section(section: Any, path: str) -> None:
-    if not isinstance(section, dict) or set(section) != {"cells"}:
-        _fail(path, "must be an object with exactly a 'cells' key")
-    for cell_id, cell in section["cells"].items():
-        cell_path = f"{path}.cells.{cell_id}"
-        if not isinstance(cell, dict) or set(cell) != {
-            "sample_interval",
-            "window_count",
-            "windows",
-            "heatmap",
-        }:
-            _fail(cell_path, "bad keys")
-        windows = cell["windows"]
-        if not isinstance(windows, dict) or set(windows) != set(
-            _WINDOW_SERIES_KEYS
+def _compile_schema(schema: Mapping[str, Any]) -> Check:
+    """Compile a root schema; ``ValueError`` on anything not implemented."""
+    defs = schema.get("$defs", {})
+    slots: dict[str, list[Check]] = {f"#/$defs/{name}": [] for name in defs}
+    check = _compile({k: v for k, v in schema.items() if k != "$defs"}, "#", slots)
+    for name, subschema in defs.items():
+        slots[f"#/$defs/{name}"].append(_compile(subschema, f"#/$defs/{name}", slots))
+    return check
+
+
+def _compile(schema: Any, where: str, slots: dict[str, list[Check]]) -> Check:
+    if not isinstance(schema, dict):
+        raise ValueError(f"schema at {where} is not an object")
+    unknown = set(schema) - _KEYWORDS
+    if unknown:
+        raise ValueError(f"schema at {where}: unsupported keyword(s) {sorted(unknown)}")
+    checks = []
+    if "type" in schema:
+        checks.append(_type_check(schema["type"]))
+    if "const" in schema:
+        const = schema["const"]
+        checks.append(
+            lambda value: None
+            if _json_equal(value, const)
+            else ((), "{!r} was expected", (const,))
+        )
+    if "minimum" in schema:
+        bound = schema["minimum"]
+        checks.append(_guarded_check(
+            (int, float), lambda value: value < bound,
+            "{!r} is less than the minimum of {!r}", bound,
+        ))
+    if "minLength" in schema:
+        length = schema["minLength"]
+        checks.append(_guarded_check(
+            str, lambda value: len(value) < length,
+            "{!r} is shorter than the minLength of {!r}", length,
+        ))
+    if "pattern" in schema:
+        pattern = schema["pattern"]
+        # A trailing unescaped ``$`` becomes ``\Z``: the end of input only.
+        pattern_re = re.compile(re.sub(r"(?<!\\)((?:\\\\)*)\$$", r"\1\\Z", pattern))
+        checks.append(_guarded_check(
+            str, lambda value: pattern_re.search(value) is None,
+            "{!r} does not match {!r}", pattern,
+        ))
+    if {"required", "properties", "additionalProperties"} & schema.keys():
+        properties = {
+            name: _compile(subschema, f"{where}/properties/{name}", slots)
+            for name, subschema in schema.get("properties", {}).items()
+        }
+        additional = schema.get("additionalProperties", True)
+        if not isinstance(additional, bool):
+            additional = _compile(additional, f"{where}/additionalProperties", slots)
+        checks.append(
+            _object_check(tuple(schema.get("required", ())), properties, additional)
+        )
+    if "items" in schema:
+        checks.append(_items_check(_compile(schema["items"], f"{where}/items", slots)))
+    if "$ref" in schema:
+        slot = slots.get(schema["$ref"])
+        if slot is None:
+            raise ValueError(f"schema at {where}: unresolvable $ref {schema['$ref']!r}")
+        checks.append(lambda value: slot[0](value))
+    if "oneOf" in schema:
+        checks.append(_one_of_check([
+            _compile(subschema, f"{where}/oneOf/{index}", slots)
+            for index, subschema in enumerate(schema["oneOf"])
+        ]))
+    if len(checks) == 1:
+        return checks[0]
+
+    def check_all(value: Any) -> Error | None:
+        for check in checks:
+            error = check(value)
+            if error is not None:
+                return error
+        return None
+
+    return check_all
+
+
+def _type_check(names: str | list[str]) -> Check:
+    names = [names] if isinstance(names, str) else list(names)
+    if set(names) - set(_TYPES):
+        raise ValueError(f"unknown type name(s) {sorted(set(names) - set(_TYPES))}")
+    classes = tuple(cls for name in names for cls in _TYPES[name])
+    allow_bool = "boolean" in names
+    integral = "integer" in names
+    template = "{!r} is not of type " + ", ".join(map(repr, names))
+
+    def check(value: Any) -> Error | None:
+        if isinstance(value, bool):
+            if allow_bool:
+                return None
+        elif isinstance(value, classes) or integral and (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()
         ):
-            _fail(f"{cell_path}.windows", "bad series keys")
-        lengths = set()
-        for name, series in windows.items():
-            if not isinstance(series, list):
-                _fail(f"{cell_path}.windows.{name}", "must be an array")
-            lengths.add(len(series))
-        if len(lengths) > 1:
-            _fail(f"{cell_path}.windows", "series lengths differ")
-        heatmap = cell["heatmap"]
-        if not isinstance(heatmap, dict) or set(heatmap) != {
-            "region_bytes",
-            "regions",
-        }:
-            _fail(f"{cell_path}.heatmap", "bad keys")
+            return None
+        return (), template, (value,)
+
+    return check
 
 
-def _check_events_section(section: Any, path: str) -> None:
-    if not isinstance(section, dict) or set(section) != {"cells"}:
-        _fail(path, "must be an object with exactly a 'cells' key")
-    for cell_id, payload in section["cells"].items():
-        cell_path = f"{path}.cells.{cell_id}"
-        if not isinstance(payload, dict) or set(payload) != {
-            "capacity",
-            "total",
-            "dropped",
-            "counts",
-            "records",
-        }:
-            _fail(cell_path, "bad keys")
-        if not isinstance(payload["records"], list):
-            _fail(f"{cell_path}.records", "must be an array")
-        for index, record in enumerate(payload["records"]):
-            if not isinstance(record, dict) or set(record) != {
-                "ts",
-                "kind",
-                "args",
-            }:
-                _fail(f"{cell_path}.records[{index}]", "bad keys")
+def _json_equal(left: Any, right: Any) -> bool:
+    """Equality of JSON values: ``True`` is not ``1``, at any depth."""
+    if isinstance(left, bool) or isinstance(right, bool):
+        return left is right
+    if isinstance(left, list) and isinstance(right, list):
+        return len(left) == len(right) and all(map(_json_equal, left, right))
+    if isinstance(left, dict) and isinstance(right, dict):
+        return left.keys() == right.keys() and all(
+            _json_equal(item, right[key]) for key, item in left.items()
+        )
+    return left == right
+
+
+def _guarded_check(
+    kind: Any, fails: Callable[[Any], bool], template: str, limit: Any
+) -> Check:
+    """A keyword that constrains one kind of value and ignores the rest
+    (a boolean is never a number)."""
+
+    def check(value: Any) -> Error | None:
+        if isinstance(value, kind) and not isinstance(value, bool) and fails(value):
+            return (), template, (value, limit)
+        return None
+
+    return check
+
+
+def _object_check(
+    required: tuple[str, ...], properties: dict[str, Check], additional: Check | bool
+) -> Check:
+    def check(value: Any) -> Error | None:
+        if not isinstance(value, dict):
+            return None
+        for name in required:
+            if name not in value:
+                return (), "{!r} is a required property", (name,)
+        for key, item in value.items():
+            sub = properties.get(key, additional)
+            if sub is False:
+                return (), "additional property {!r} is not allowed", (key,)
+            if sub is not True:
+                error = sub(item)
+                if error is not None:
+                    return (key, *error[0]), error[1], error[2]
+        return None
+
+    return check
+
+
+def _items_check(sub: Check) -> Check:
+    def check(value: Any) -> Error | None:
+        if isinstance(value, list):
+            for index, item in enumerate(value):
+                error = sub(item)
+                if error is not None:
+                    return (index, *error[0]), error[1], error[2]
+        return None
+
+    return check
+
+
+def _one_of_check(alternatives: list[Check]) -> Check:
+    def check(value: Any) -> Error | None:
+        matched = 0
+        for alternative in alternatives:
+            if alternative(value) is None:
+                matched += 1
+        if matched == 1:
+            return None
+        return (), "{!r} matches {} oneOf alternatives, not exactly 1", (value, matched)
+
+    return check

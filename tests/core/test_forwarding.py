@@ -111,6 +111,7 @@ class TestChain:
         forward(mem, 0x100, 0x200)
         forward(mem, 0x200, 0x300)
         assert engine.chain(0x100) == [0x100, 0x200, 0x300]
+        assert engine.stats == type(engine.stats)()  # an acyclic walk counts nothing
 
     def test_chain_of_unforwarded_word(self, engine):
         assert engine.chain(0x500) == [0x500]
@@ -124,6 +125,9 @@ class TestChain:
         forward(mem, 0x200, 0x100)
         with pytest.raises(ForwardingCycleError):
             engine.chain(0x100)
+        # Counted as resolve counts it: one check that found a cycle.
+        assert engine.stats.cycle_check_invocations == 1
+        assert engine.stats.cycles_detected == 1
 
 
 class TestStats:

@@ -102,6 +102,30 @@ class TestForwardedTiming:
         assert machine.forwarding.stats.cycle_check_invocations >= 1
 
 
+class TestForwardingCycles:
+    """A cycle is counted alike whichever walk finds it."""
+
+    @staticmethod
+    def _two_word_cycle():
+        machine = Machine(MachineConfig(heap_size=64 << 10, pool_region_size=64 << 10))
+        a = machine.malloc(16)
+        b = machine.malloc(16)
+        machine.memory.write_word_tagged(a, b, 1)
+        machine.memory.write_word_tagged(b, a, 1)
+        return machine, a
+
+    @pytest.mark.parametrize("op", ["load", "free"])
+    def test_cycle_is_counted(self, op):
+        from repro.core.errors import ForwardingCycleError
+
+        machine, a = self._two_word_cycle()
+        with pytest.raises(ForwardingCycleError):
+            getattr(machine, op)(a)
+        assert machine.forwarding.stats.cycles_detected == 1
+        assert machine.forwarding.stats.cycle_check_invocations == 1
+        assert machine.stats().cycle_checks == 1
+
+
 class TestStatsSnapshot:
     def test_snapshot_is_decoupled_from_live_state(self, m):
         addr = m.malloc(8)
