@@ -4,7 +4,6 @@ Usage::
 
     python -m repro [artifact ...] [--scale S] [--jobs N]
                     [--trace-dir DIR] [--no-cache] [--format text|json]
-                    [--batch | --no-batch]
                     [--timeline] [--sample-interval N]
                     [--events] [--events-capacity N]
                     [--mechanism NAME] [--vc-entries N] [--mc-entries N]
@@ -26,13 +25,12 @@ absorption normalized against the baseline hierarchy; with
 The paper artifacts run capture-once-replay-many: each distinct
 reference stream is simulated directly once, then replayed through every
 other cache configuration that needs it (``--jobs N`` shards the work
-across N processes).  By default replay runs in *batch* mode: cells are
-grouped by reference stream, each group decodes its trace once, and
-each config replays through an exec-specialized kernel with the machine
-shape baked in as literals (bit-identical to the sequential path --
-``--no-batch`` -- by contract; manifests record the engine per cell).
-``--batch`` with ``--events`` exits with an error, since the event
-stream forces the direct interpreter path.  Traces and replayed results persist under
+across N processes).  Cells are grouped by reference stream, each group
+decodes its trace once, and each config replays through an
+exec-specialized kernel with the machine shape baked in as literals
+where it fits, the general replay path otherwise (bit-identical by
+contract; manifests record the engine per cell: ``direct``,
+``general`` or ``specialized``).  Traces and replayed results persist under
 ``--trace-dir`` (default ``results/trace-cache``), so a repeated
 invocation with unchanged code and parameters skips simulation entirely;
 ``--no-cache`` starts cold and persists nothing.
@@ -46,8 +44,9 @@ each artifact name to its schema-validated run manifest (see
 a window of miss-rate / stall / forwarding-chase deltas, and the
 ``--format json`` manifests grow a ``timeline`` section.  ``--events``
 additionally records the bounded structured event stream (relocations,
-chain walks, L2 inclusion victims, pool traffic) -- this forces the
-general interpreter path, so use it for diagnosis, not benchmarking.
+chain walks, L2 inclusion victims, pool traffic) -- events exist only
+in a direct run, so every events cell runs direct, on the general
+interpreter path; use it for diagnosis, not benchmarking.
 
 There is also a ``timeline`` subcommand over saved manifests::
 
@@ -62,11 +61,9 @@ JSON (loadable in https://ui.perfetto.dev) or one cell's windows as CSV.
 Long-lived serving (DESIGN.md §5e)::
 
     python -m repro serve --port 8321 --workers 4 --trace-dir DIR
-    python -m repro serve.bench --scale 0.3 --out BENCH_PR5.json
 
 ``serve`` exposes the experiment surface as an async HTTP JSON API with
-request coalescing against the content-hashed artifact store;
-``serve.bench`` load-tests it and records cold/warm service latency.
+request coalescing against the content-hashed artifact store.
 
 Trace-corpus management (DESIGN.md §5h)::
 
@@ -112,7 +109,7 @@ _ALL = _PAPER_ARTIFACTS + (
 )
 
 #: First-word subcommands (everything else is an artifact list).
-_SUBCOMMANDS = ("timeline", "serve", "serve.bench", "corpus")
+_SUBCOMMANDS = ("timeline", "serve", "corpus")
 
 
 class _CLIError(Exception):
@@ -476,10 +473,6 @@ def main(argv: list[str] | None = None) -> int:
             from repro.serve import serve_main
 
             return serve_main(argv[1:])
-        if argv and argv[0] == "serve.bench":
-            from repro.serve.bench import bench_main
-
-            return bench_main(argv[1:])
         if argv and argv[0] == "corpus":
             return _corpus_main(argv[1:])
         return _artifacts_main(argv)
@@ -548,22 +541,11 @@ def _artifacts_main(argv: list[str]) -> int:
         help="window width in data references for --timeline "
              "(default 10000; requires --timeline)",
     )
-    batch_group = parser.add_mutually_exclusive_group()
-    batch_group.add_argument(
-        "--batch", dest="batch", action="store_true", default=None,
-        help="group sweep cells by reference stream and replay each "
-             "group through one decoded stream with exec-specialized "
-             "per-config kernels (the default; results are bit-identical "
-             "to the sequential path)",
-    )
-    batch_group.add_argument(
-        "--no-batch", dest="batch", action="store_false",
-        help="run every cell through the sequential one-at-a-time path",
-    )
     parser.add_argument(
         "--events", action="store_true",
-        help="record the structured event stream (implies the general "
-             "interpreter path; do not combine with benchmarking)",
+        help="record the structured event stream (every cell runs direct, "
+             "on the general interpreter path; do not combine with "
+             "benchmarking)",
     )
     parser.add_argument(
         "--events-capacity", type=int, default=None, metavar="N",
@@ -618,13 +600,6 @@ def _artifacts_main(argv: list[str]) -> int:
         parser.error("--sample-interval only makes sense with --timeline")
     if args.events_capacity is not None and not args.events:
         parser.error("--events-capacity only makes sense with --events")
-    if args.batch and args.events:
-        parser.error(
-            "--batch cannot be combined with --events: the event stream "
-            "forces the direct interpreter path (drop --batch; event "
-            "cells always run sequentially)"
-        )
-    batch = (not args.events) if args.batch is None else args.batch
     sample_interval = 10000 if args.sample_interval is None else args.sample_interval
     events_capacity = 4096 if args.events_capacity is None else args.events_capacity
     if sample_interval < 1:
@@ -699,7 +674,6 @@ def _artifacts_main(argv: list[str]) -> int:
         timeline_interval=sample_interval if args.timeline else 0,
         events_capacity=events_capacity if args.events else 0,
         mechanism=mechanism,
-        batch=batch,
         heatmap_region=heatmap_region,
         adapt_policy=args.adapt_policy,
         **misspath_knobs,

@@ -27,16 +27,8 @@ from repro.apps.base import AppResult, Variant
 from repro.core.debug import enable_progress_logging, get_logger
 from repro.experiments.config import APP_SEEDS
 from repro.obs import Registry
-from repro.trace.batch import BatchCellError, group_by_trace, run_batch_group
 from repro.trace.store import ArtifactStore
-from repro.trace.sweep import (
-    SweepError,
-    SweepTask,
-    batch_label,
-    execute_sweep,
-    log_progress,
-    run_task,
-)
+from repro.trace.sweep import SweepTask, execute_sweep
 
 
 @dataclass(frozen=True)
@@ -154,14 +146,11 @@ class ExperimentRunner:
         When False, ignore and do not populate ``trace_dir`` -- every
         invocation starts cold.  Parallel priming then shards through a
         throwaway temporary store instead.
-    batch:
-        When True (the default), :meth:`prime` groups cells by trace key
-        and runs each group through the batch replay engine
-        (:mod:`repro.trace.batch`): one decode per trace, N configs
-        through the shared stream, with the exec-specialized kernel
-        where the config allows.  Results are bit-identical either way
-        (the parity suites enforce it); False preserves the legacy
-        per-cell pipeline.
+
+    Every cell runs through the one cell executor
+    (:func:`repro.trace.batch.run_batch_group`): cells group by trace
+    key, each trace is decoded once for all of its configs, and each
+    config replays through the exec-specialized kernel where it allows.
     """
 
     def __init__(
@@ -178,14 +167,12 @@ class ExperimentRunner:
         mc_entries: int = 8,
         sb_count: int = 4,
         sb_depth: int = 4,
-        batch: bool = True,
         heatmap_region: int = DEFAULT_HEATMAP_REGION,
         adapt_policy: str | None = None,
     ) -> None:
         self.scale = scale
         self.verbose = verbose
         self.jobs = max(1, jobs)
-        self.batch = batch
         #: Timeline sampling knobs applied to every run (0 = off).
         self.timeline_interval = timeline_interval
         self.events_capacity = events_capacity
@@ -220,9 +207,9 @@ class ExperimentRunner:
         self._scratch: tempfile.TemporaryDirectory | None = None
         self._cache: dict[RunSpec, AppResult] = {}
         self._traces: dict = {}
-        #: Replay engine per completed cell (``RunSpec.cell_id`` ->
-        #: label from :mod:`repro.trace.batch`); manifests annotate
-        #: their cells with it.
+        #: Engine per simulated cell (``RunSpec.cell_id`` -> label from
+        #: :mod:`repro.trace.batch`; cached cells have none); manifests
+        #: annotate their cells with it.
         self.engines: dict[str, str] = {}
         #: Instrumentation registry: ``runs.*`` outcome counters, the
         #: merged metric tree of every simulation this runner performed,
@@ -248,12 +235,13 @@ class ExperimentRunner:
         )
 
     def _record(
-        self, spec: RunSpec, result: AppResult, how: str, engine: str = "sequential"
+        self, spec: RunSpec, result: AppResult, how: str, engine: str | None
     ) -> None:
         """Fold one completed simulation into the runner's registry."""
         self.obs.counter(f"runs.{how}").inc()
-        self.obs.counter(f"runs.engine.{engine.replace('+', '_')}").inc()
-        self.engines[spec.cell_id] = engine
+        if engine is not None:
+            self.obs.counter(f"runs.engine.{engine}").inc()
+            self.engines[spec.cell_id] = engine
         self.obs.absorb(result.stats.to_snapshot())
         if result.timeline is not None:
             self.timelines[spec.cell_id] = result.timeline
@@ -293,26 +281,24 @@ class ExperimentRunner:
         memo/metric tree.
         """
         spec = self._with_knobs(spec)
-        result = self._cache.get(spec)
-        if result is None:
-            result, how = run_task(spec.task(), self.store, self._traces)
-            self._cache[spec] = result
-            self._record(spec, result, how)
-            if self.verbose:
-                log_progress(spec.task(), result, how)
-        else:
+        if spec in self._cache:
             # Memo hits are counted but not re-absorbed: the metric tree
             # reflects simulation work, and a memoized cell did none.
             self.obs.counter("runs.memoized").inc()
-        return result
+        else:
+            self.prime([spec])
+        return self._cache[spec]
 
     def prime(self, specs: Iterable[RunSpec]) -> None:
         """Fill the memo for ``specs``, sharding across ``jobs`` workers.
 
         Figures then assemble their matrices through :meth:`run` at
-        memo-hit speed.  In batch mode (the default) cells group by
-        trace key so each stream is decoded once for all of its configs
-        -- in-process when ``jobs == 1``, sharded by group otherwise.
+        memo-hit speed.  Cells group by trace key so each stream is
+        decoded once for all of its configs -- in-process (against the
+        runner's store and trace cache) when ``jobs == 1``, sharded by
+        group otherwise.  Results are recorded in spec order, whatever
+        order the pool finishes them in, so the merged metric tree does
+        not depend on ``jobs``.
         """
         todo = [
             spec
@@ -324,43 +310,20 @@ class ExperimentRunner:
         if not todo:
             return
         by_task = {spec.task(): spec for spec in todo}
-        if self.jobs <= 1 or len(todo) == 1:
-            if not self.batch:
-                for spec in todo:
-                    self.run_spec(spec)
-                return
-            groups = group_by_trace(list(by_task))
-            for key, group in groups.items():
-                try:
-                    outcomes = run_batch_group(group, self.store, self._traces)
-                except BatchCellError as exc:
-                    raise SweepError(exc.task, exc) from exc
-                for outcome in outcomes:
-                    spec = by_task[outcome.task]
-                    self._cache[spec] = outcome.result
-                    self._record(spec, outcome.result, outcome.how, outcome.engine)
-                    if self.verbose:
-                        log_progress(
-                            outcome.task,
-                            outcome.result,
-                            outcome.how,
-                            engine=outcome.engine,
-                            batch=batch_label(key, group),
-                        )
-            return
+        pooled = self.jobs > 1 and len(todo) > 1
         engines: dict = {}
         outcomes = execute_sweep(
             list(by_task),
-            self._sweep_store(),
+            self._sweep_store() if pooled else self.store,
             jobs=self.jobs,
             verbose=self.verbose,
-            batch=self.batch,
             engines=engines,
+            traces=self._traces,
         )
-        for task, (result, how) in outcomes.items():
-            spec = by_task[task]
+        for task, spec in by_task.items():
+            result, how = outcomes[task]
             self._cache[spec] = result
-            self._record(spec, result, how, engines.get(task, "sequential"))
+            self._record(spec, result, how, engines.get(task))
 
     def _sweep_store(self) -> ArtifactStore:
         """The persistent store, or a lazily created throwaway one."""
@@ -431,7 +394,6 @@ class ExperimentRunner:
             "trace_dir": str(self.store.root) if self.store else None,
             "timeline_interval": self.timeline_interval,
             "events_capacity": self.events_capacity,
-            "batch": self.batch,
         }
         if self.mechanism != "none":
             # Only mechanism-carrying runs grow the section, so baseline

@@ -10,9 +10,8 @@ batch CLI emits -- since PR 9 their span lists carry the request's full
 causal trace (HTTP admission through worker-side replay), jobs stream
 live telemetry over ``GET /jobs/<id>/stream``, and the registry renders
 Prometheus text exposition at ``GET /metrics?format=prometheus``.
-``python -m repro serve.bench`` is the load generator that pins service
-throughput in ``benchmarks/BENCH_PR5.json`` (latency quantiles since
-``BENCH_PR9.json``).
+Service latency is measured by the ``serve_closed`` workload of
+``perfbench/``.
 """
 
 from repro.serve.http import HttpServer, serve_main

@@ -412,7 +412,6 @@ async def _serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         job_timeout=args.job_timeout,
         max_retries=args.max_retries,
-        batch=args.batch,
     )
     server = HttpServer(service, host=args.host, port=args.port)
     await server.start()
@@ -469,11 +468,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         "--log-level", default=None, metavar="LEVEL",
         help="structured-log level (DEBUG/INFO/...; also via "
              "REPRO_LOG_LEVEL; default INFO unless --quiet)",
-    )
-    parser.add_argument(
-        "--no-batch", dest="batch", action="store_false", default=True,
-        help="run every job individually instead of folding queued jobs "
-             "that share a reference stream into one batch",
     )
     args = parser.parse_args(argv)
     if args.workers < 0:

@@ -4,10 +4,13 @@
 ``python -m repro serve``.  It accepts validated job specs, serves warm
 cells straight from the artifact store (O(ms), no worker round-trip),
 coalesces identical in-flight requests, and feeds everything else
-through the cache-aware scheduler into the worker pool.  Every finished
-job carries a schema-validated ``repro.obs.manifest/v3`` run manifest --
-the same artifact format the batch CLI emits -- so service clients and
-batch pipelines consume identical documents.
+through the cache-aware scheduler into the worker pool: each pop takes
+the next runnable job plus every queued job sharing its trace key, and
+one worker round-trip runs them as one batch group (a lone job is a
+group of one).  Every finished job carries a schema-validated
+``repro.obs.manifest/v3`` run manifest -- the same artifact format the
+batch CLI emits -- so service clients and batch pipelines consume
+identical documents.
 
 Since PR 9 every job is traced end to end: admission opens a
 ``serve.request`` root span on a per-job :class:`~repro.obs.Tracer`,
@@ -90,7 +93,6 @@ class SimulationService:
         max_retries: int = 1,
         history_limit: int = 512,
         retry_after: float = 1.0,
-        batch: bool = True,
     ) -> None:
         self.store = ArtifactStore(trace_dir)
         swept = self.store.sweep_stale()
@@ -105,8 +107,6 @@ class SimulationService:
             job_timeout=job_timeout,
             max_retries=max_retries,
         )
-        #: Fold queued jobs sharing a trace key into one worker batch.
-        self.batch = batch
         self.started_at = time.time()
         self._draining = False
         self._consumers: list[asyncio.Task] = []
@@ -286,15 +286,9 @@ class SimulationService:
     # -- execution ------------------------------------------------------
     async def _consume(self) -> None:
         while True:
-            if self.batch:
-                jobs = await self.scheduler.pop_batch()
-            else:
-                jobs = [await self.scheduler.pop()]
+            jobs = await self.scheduler.pop_batch()
             try:
-                if self.batch:
-                    await self._run_batch(jobs)
-                else:
-                    await self._run_job(jobs[0])
+                await self._run_batch(jobs)
             except asyncio.CancelledError:
                 raise
             except Exception:  # pragma: no cover - defensive: keep serving
@@ -323,43 +317,6 @@ class SimulationService:
             self._ensure_forwarder()
             return job.id
         return None
-
-    async def _run_job(self, job: Job) -> None:
-        spec = job.spec
-        tracer = job.tracer
-        self._queue_wait(job)
-        try:
-            if tracer is not None:
-                with tracer.span("serve.execute") as exec_rec:
-                    ctx = tracer.current().to_wire()
-                    result, how, spans, attempts = await self.pool.run(
-                        spec.task(), ctx=ctx, token=self._stream_token(job)
-                    )
-                tracer.absorb(spans, depth_offset=exec_rec.depth + 1)
-            else:
-                result, how, spans, attempts = await self.pool.run(spec.task())
-        except Exception as exc:
-            detail = str(exc)
-            error = (
-                f"{type(exc).__name__}: {detail}" if detail else type(exc).__name__
-            )
-            if isinstance(exc, JobTimeout):
-                self.obs.counter("serve.jobs.timeouts").inc()
-            self.obs.counter("serve.jobs.failed").inc()
-            _log.warning("job %s (%s) failed: %s", job.id, spec.cell_id, error)
-            if tracer is not None:
-                tracer.end(job.root_span, error=error)
-            job.fail(error, self._failure_manifest(spec, error, tracer=tracer))
-            self.scheduler.finished(job, captured=False)
-            return
-        job.attempts = attempts
-        if tracer is not None:
-            tracer.end(job.root_span)
-        manifest = self._success_manifest(spec, result, how, tracer=tracer)
-        job.complete(how, manifest)
-        self.obs.counter("serve.jobs.completed").inc()
-        self._observe_latency(how, job.latency_seconds or 0.0)
-        self.scheduler.finished(job, captured=True)
 
     async def _run_batch(self, jobs: list[Job]) -> None:
         """Execute a popped trace-key batch via one worker round-trip.

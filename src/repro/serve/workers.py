@@ -1,10 +1,10 @@
 """The worker tier: simulation cells executed off the event loop.
 
-Workers run :func:`repro.trace.sweep.run_task` -- the same
-capture-once-replay-many cell executor the batch sweeps use -- against
-the service's shared artifact store, so everything the batch path
-learned (traces, replayed results) is immediately visible to the
-service and vice versa.
+Workers run :func:`repro.trace.batch.run_batch_group` -- the one cell
+executor the sweeps use too -- over each popped trace-key group (a lone
+job is a group of one), against the service's shared artifact store,
+so everything a sweep learned (traces, replayed results) is immediately
+visible to the service and vice versa.
 
 Two executor kinds:
 
@@ -15,12 +15,12 @@ Two executor kinds:
   simulation cells share no mutable state, so threads are correct, just
   GIL-bound.
 
-Observability (PR 9) crosses the pool boundary in both directions:
+Observability crosses the pool boundary in both directions:
 
 * *into* the worker, a serialized :class:`~repro.obs.tracing.SpanContext`
   per cell.  The worker builds a child :class:`~repro.obs.tracing.Tracer`
-  from it, wraps the cell in a ``worker.execute`` span, and ships the
-  completed span dicts back in the return value, where the service
+  from it, wraps the group run in a ``worker.execute`` span, and ships
+  the completed span dicts back in the return value, where the service
   splices them under its ``serve.execute`` span;
 * *out of* the worker, live timeline windows.  Cells with sampling
   enabled push ``(token, window_dict)`` tuples onto a bounded telemetry
@@ -58,16 +58,11 @@ from typing import Any
 
 from repro.apps.base import AppResult
 from repro.core.debug import get_logger
-from repro.obs.logging import (
-    ROOT_LOGGER_NAME,
-    AtomicLineHandler,
-    trace_context,
-    worker_init,
-)
+from repro.obs.logging import ROOT_LOGGER_NAME, AtomicLineHandler, worker_init
 from repro.obs.tracing import SpanContext, Tracer
 from repro.trace.batch import run_batch_group
 from repro.trace.store import ArtifactStore
-from repro.trace.sweep import SweepTask, run_task
+from repro.trace.sweep import SweepTask
 
 _log = get_logger("serve.workers")
 
@@ -98,64 +93,27 @@ def _window_pusher(telemetry: Any, token: str):
     return push
 
 
-def _execute(
-    task: SweepTask,
-    store_root: str,
-    ctx: dict | None = None,
-    telemetry: Any = None,
-    token: str | None = None,
-) -> tuple[AppResult, str, list[dict] | None]:
-    """Pool entry point (module-level, hence picklable).
-
-    Cold cells take the store's capture lock so concurrent *processes*
-    (multiple serve instances, or serve next to a batch sweep, sharing
-    one ``--trace-dir``) never duplicate a capture: the loser of the
-    race waits, then finds the trace warm and replays.
-
-    With ``ctx`` set the cell runs under a child tracer joined to the
-    service's trace; the third element of the return value carries the
-    completed span dicts (``None`` when untraced).
-    """
-    store = ArtifactStore(store_root)
-    key = task.key()
-    tracer = Tracer(parent=SpanContext.from_wire(ctx)) if ctx is not None else None
-    on_window = (
-        _window_pusher(telemetry, token)
-        if telemetry is not None and token is not None
-        else None
-    )
-
-    def _run() -> tuple[AppResult, str]:
-        if not store.has_trace(key):
-            with store.capture_lock(key):
-                return run_task(task, store, tracer=tracer, on_window=on_window)
-        return run_task(task, store, tracer=tracer, on_window=on_window)
-
-    if tracer is None:
-        result, how = _run()
-        return result, how, None
-    with trace_context(tracer.trace_id):
-        with tracer.span("worker.execute"):
-            result, how = _run()
-    return result, how, tracer.to_list()
-
-
 def _execute_batch(
     tasks: list[SweepTask],
     store_root: str,
     ctxs: dict[SweepTask, dict] | None = None,
     telemetry: Any = None,
     tokens: dict[SweepTask, str] | None = None,
-) -> list[tuple[SweepTask, AppResult | None, str, str, str | None, list[dict] | None]]:
+) -> list[
+    tuple[SweepTask, AppResult | None, str, str | None, str | None, list[dict] | None]
+]:
     """Pool entry point for a trace-sharing batch group (picklable).
 
-    Same capture-lock discipline as :func:`_execute`, with the whole
-    group behind one lock: the stream is captured (or loaded) once and
-    every config replays against the shared decoded stream.  Returns
-    plain-data ``(task, result, how, engine, error_message, spans)``
-    tuples -- per-cell failures come back as data rather than a raised
-    exception, because the jobs folded into a batch must fail
-    individually on the service side, not collectively.
+    A cold group takes the store's capture lock, so concurrent
+    *processes* (multiple serve instances, or serve next to a sweep,
+    sharing one ``--trace-dir``) never duplicate a capture: the loser of
+    the race waits, then finds the trace warm and replays.  The stream
+    is captured (or loaded) once and every config replays against the
+    shared decoded stream.  Returns plain-data ``(task, result, how,
+    engine, error_message, spans)`` tuples -- per-cell failures come
+    back as data rather than a raised exception, because the jobs folded
+    into a batch must fail individually on the service side, not
+    collectively.
 
     ``ctxs``/``tokens`` are per-task maps (tasks are frozen dataclasses,
     hence hashable and stable across the pickle boundary).  Each traced
@@ -272,14 +230,6 @@ class WorkerPool:
                 self._telemetry = self._manager.Queue(TELEMETRY_QUEUE_LIMIT)
         return self._telemetry
 
-    def _submit(
-        self, task: SweepTask, ctx: dict | None, token: str | None
-    ) -> Future:
-        telemetry = self._telemetry if token is not None else None
-        return self._pool.submit(
-            _execute, task, self.store_root, ctx, telemetry, token
-        )
-
     def _submit_batch(
         self,
         tasks: list[SweepTask],
@@ -292,50 +242,6 @@ class WorkerPool:
         )
 
     # ------------------------------------------------------------------
-    async def run(
-        self,
-        task: SweepTask,
-        *,
-        ctx: dict | None = None,
-        token: str | None = None,
-    ) -> tuple[AppResult, str, list[dict] | None, int]:
-        """Execute one cell; returns ``(result, how, spans, attempts)``.
-
-        Raises :class:`JobTimeout` on budget overrun and re-raises the
-        worker's own exception for genuine simulation failures.  Pool
-        crashes are absorbed: the pool is rebuilt and the cell retried
-        up to ``max_retries`` times before the crash surfaces.
-        """
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                future = self._submit(task, ctx, token)
-                result, how, spans = await asyncio.wait_for(
-                    asyncio.wrap_future(future), self.job_timeout
-                )
-                return result, how, spans, attempts
-            except asyncio.TimeoutError:
-                future.cancel()
-                raise JobTimeout(
-                    f"cell {task.app}/{task.line_size}B/{task.variant} "
-                    f"exceeded {self.job_timeout:.0f}s budget"
-                ) from None
-            except BrokenExecutor as exc:
-                self.restarts += 1
-                _log.warning(
-                    "worker pool broke running %s (%s); rebuilding "
-                    "(attempt %d/%d)",
-                    task.app,
-                    exc,
-                    attempts,
-                    self.max_retries + 1,
-                )
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = self._make_pool()
-                if attempts > self.max_retries:
-                    raise
-
     async def run_batch(
         self,
         tasks: list[SweepTask],
@@ -345,7 +251,7 @@ class WorkerPool:
     ) -> tuple[
         list[
             tuple[
-                SweepTask, AppResult | None, str, str, str | None,
+                SweepTask, AppResult | None, str, str | None, str | None,
                 list[dict] | None,
             ]
         ],
@@ -354,9 +260,11 @@ class WorkerPool:
         """Execute one trace-sharing group; returns ``(outcomes, attempts)``.
 
         ``outcomes`` mirrors :func:`_execute_batch`'s tuples, so per-cell
-        failures arrive as data.  Timeout and crash handling match
-        :meth:`run` with the group as the unit: a budget overrun or an
-        exhausted-retry pool crash fails every cell in the batch.
+        failures arrive as data.  The group is the unit of timeout and
+        crash handling: a budget overrun fails every cell in the batch
+        with :class:`JobTimeout`, and a crashed pool is rebuilt and the
+        group retried up to ``max_retries`` times before the crash
+        fails every cell.
         """
         attempts = 0
         while True:

@@ -31,8 +31,9 @@ This package exploits that invariance end to end:
 * :mod:`repro.trace.kernels` -- exec-specialized per-config replay
   kernels: the replay loop compiled with the machine shape baked in as
   literals, bit-identical to the general path by contract;
-* :mod:`repro.trace.batch` -- batch multi-config replay: decode one
-  trace, drive N configs through the shared resolved stream;
+* :mod:`repro.trace.batch` -- the one cell executor: a trace-sharing
+  group of cells (a single cell is a group of one) decodes its trace
+  once and drives N configs through the shared resolved stream;
 * :mod:`repro.trace.sweep` -- a parallel sweep executor sharding batch
   groups (one per trace key) across a process pool.
 
@@ -50,14 +51,14 @@ from repro.trace.format import (
     load_index,
 )
 from repro.trace.batch import (
-    BATCH_GENERAL,
-    BATCH_SPECIALIZED,
-    SEQUENTIAL,
+    DIRECT,
+    GENERAL,
+    SPECIALIZED,
     BatchCellError,
     BatchOutcome,
     group_by_trace,
-    replay_engine,
     run_batch_group,
+    session_for,
 )
 from repro.trace.kernels import (
     SpecializationError,
@@ -84,16 +85,16 @@ from repro.trace.sweep import SweepError, SweepTask, execute_sweep, run_task
 
 __all__ = [
     "ArtifactStore",
-    "BATCH_GENERAL",
-    "BATCH_SPECIALIZED",
     "BatchCellError",
     "BatchOutcome",
     "Chunk",
+    "DIRECT",
     "FORMAT_VERSION",
+    "GENERAL",
     "LockTimeout",
     "ReplaySession",
     "ResolvedChunk",
-    "SEQUENTIAL",
+    "SPECIALIZED",
     "SpecializationError",
     "SpecializedSession",
     "SweepError",
@@ -110,11 +111,11 @@ __all__ = [
     "group_by_trace",
     "iter_resolved_chunks",
     "load_index",
-    "replay_engine",
     "replay_specialized",
     "replay_trace",
     "run_batch_group",
     "run_task",
+    "session_for",
     "specializable",
     "trace_key",
 ]

@@ -1,35 +1,35 @@
-"""Batch multi-config replay: decode each chunk once, simulate many configs.
+"""The cell executor: a trace-sharing group of cells, one decode, N configs.
 
-The sweep's unit of work used to be the *cell* -- each cell loaded (or
-captured) its trace, decoded the payload, and replayed.  The natural
-unit is the *trace*: every cell sharing a trace key can run against one
-decode of the stream.  A trace stores its resolved stream in chunks
-(:func:`repro.trace.replay.iter_resolved_chunks` unpacks one at a time),
-so the group loop interleaves at chunk granularity: decode one chunk,
-drive **every** config's session over it, drop it, pull the next.
-Resident memory is one resolved chunk plus N session states -- O(chunk),
-not O(trace) -- however many configs share the stream.  This module is
-that grouping layer:
+Every cell runs here.  A sweep's natural unit of work is the *trace*:
+every cell sharing a trace key can run against one decode of the
+stream, and a single cell is simply a group of one
+(:func:`repro.trace.sweep.run_task`).  A trace stores its resolved
+stream in chunks (:func:`repro.trace.replay.iter_resolved_chunks`
+unpacks one at a time), so the group loop interleaves at chunk
+granularity: decode one chunk, drive **every** config's session over
+it, drop it, pull the next.  Resident memory is one resolved chunk plus
+N session states -- O(chunk), not O(trace) -- however many configs
+share the stream.
 
 * :func:`group_by_trace` partitions sweep tasks into per-trace-key
   groups (insertion-ordered, so progress output stays deterministic);
-* :func:`run_batch_group` executes one group end to end -- capture the
-  stream if it is missing (the capturing cell's direct result answers
-  that cell), answer cached cells from the store, then build one replay
-  session per remaining config and drive them all through one streaming
-  decode;
-* :func:`replay_engine` / :func:`_session_for` pick the per-config
-  engine: the exec-specialized kernel session
-  (:class:`~repro.trace.kernels.SpecializedSession`) when the config is
-  inside the specializer's feature matrix, the general
-  :class:`~repro.trace.replay.ReplaySession` otherwise.  Both are
-  bit-identical by contract; the engine label is diagnostics, not
-  semantics.
+* :func:`run_batch_group` executes one group end to end -- load the
+  stream once, or capture it if it is missing everywhere (the capturing
+  cell's direct result answers that cell), answer cached cells from the
+  store, run events cells direct, then build one replay session per
+  remaining config and drive them all through one streaming decode;
+* :func:`session_for` picks the per-config replay session: the
+  exec-specialized kernel (:class:`~repro.trace.kernels.
+  SpecializedSession`) when the config is inside the specializer's
+  feature matrix, the general :class:`~repro.trace.replay.ReplaySession`
+  otherwise.  Both are bit-identical by contract.
 
-The engine label travels with every outcome (``"sequential"``,
-``"batch+general"``, ``"batch+specialized"``) so manifests and progress
-logs can say which code path produced each cell -- the parity suite
-makes the labels interchangeable, the labels make the claim auditable.
+Every simulated cell carries an engine label naming what produced its
+numbers: :data:`DIRECT` (the Machine ran, for a capture or an events
+cell), :data:`GENERAL` or :data:`SPECIALIZED` (the two replay
+sessions).  A cached cell carries none; its ``how`` says it was cached.
+The parity suites make the labels interchangeable, the labels make the
+claim auditable.
 
 Error contract: :class:`BatchCellError` names the exact failing cell
 inside a group and is pickle-safe (its ``args`` are plain data), so a
@@ -45,24 +45,28 @@ every cell still riding it (there is no stream left to finish them).
 from __future__ import annotations
 
 import time as _time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
-from repro.apps.base import AppResult
+from repro.apps import get_application
+from repro.apps.base import AppResult, Variant
 from repro.core.machine import MachineConfig
 from repro.trace.format import Trace
 from repro.trace.kernels import SpecializedSession, specializable
-from repro.trace.replay import (
-    MAX_CHUNK_SPANS,
-    ReplaySession,
-    drive_traced,
-    iter_resolved_chunks,
-)
+from repro.trace.recorder import capture_trace
+from repro.trace.replay import ReplaySession, iter_resolved_chunks
 from repro.trace.store import ArtifactStore, config_fingerprint
 
-#: Engine labels recorded per cell (manifests, progress logs, metrics).
-SEQUENTIAL = "sequential"
-BATCH_GENERAL = "batch+general"
-BATCH_SPECIALIZED = "batch+specialized"
+#: Engine labels recorded per simulated cell (manifests, progress logs,
+#: metrics).
+DIRECT = "direct"
+GENERAL = "general"
+SPECIALIZED = "specialized"
+
+#: Per-cell cap on chunk spans recorded into a tracer, so a large trace
+#: doesn't flood the manifest; the ``replay.chunks`` summary span always
+#: carries the full totals.
+MAX_CHUNK_SPANS = 32
 
 
 class BatchCellError(RuntimeError):
@@ -89,41 +93,27 @@ class BatchOutcome:
 
     task: object  # SweepTask (kept untyped to avoid an import cycle)
     result: AppResult | None
-    #: ``"captured"`` / ``"replayed"`` / ``"cached"`` (run_task's word).
+    #: ``"captured"`` / ``"replayed"`` / ``"cached"`` / ``"failed"``.
     how: str
-    #: Which engine produced the result (``SEQUENTIAL`` etc.).
-    engine: str
+    #: Which engine produced the result (:data:`DIRECT` etc.); ``None``
+    #: for a cached or failed cell.
+    engine: str | None
     #: Set instead of ``result`` when ``collect_errors=True``.
     error: BatchCellError | None = None
 
 
-def replay_engine(
-    trace: Trace, config: MachineConfig, *, tracer=None, on_window=None
-) -> tuple[AppResult, str]:
-    """Replay ``trace`` through the best engine for ``config``.
-
-    Returns ``(result, engine)``; the engine is chosen as in a batch
-    group (:func:`_session_for`).  Results are bit-identical either way
-    (enforced by the parity suites), and both engines record the same
-    chunk spans into ``tracer``.
-    """
-    session, engine = _session_for(trace, config, on_window=on_window)
-    drive_traced(trace, session, tracer)
-    return session.finish(), engine
-
-
-def _session_for(trace: Trace, config: MachineConfig, on_window=None):
+def session_for(trace: Trace, config: MachineConfig, on_window=None):
     """Build the best chunk-consuming session for ``config``.
 
-    :data:`BATCH_SPECIALIZED` when the config fits the specializer's
-    feature matrix, :data:`BATCH_GENERAL` otherwise.  ``on_window`` only
-    reaches the general session: the specializer's feature matrix
-    requires ``timeline_interval == 0``, so a config with windows to
-    stream always takes the general path anyway.
+    Returns ``(session, engine)``: :data:`SPECIALIZED` when the config
+    fits the specializer's feature matrix, :data:`GENERAL` otherwise.
+    ``on_window`` only reaches the general session: the specializer's
+    feature matrix requires ``timeline_interval == 0``, so a config with
+    windows to stream always takes the general path anyway.
     """
     if specializable(config):
-        return SpecializedSession(trace, config), BATCH_SPECIALIZED
-    return ReplaySession(trace, config, on_window=on_window), BATCH_GENERAL
+        return SpecializedSession(trace, config), SPECIALIZED
+    return ReplaySession(trace, config, on_window=on_window), GENERAL
 
 
 def group_by_trace(tasks) -> dict[str, list]:
@@ -132,6 +122,10 @@ def group_by_trace(tasks) -> dict[str, list]:
     for task in tasks:
         groups.setdefault(task.key(), []).append(task)
     return groups
+
+
+def _untraced(name: str):
+    return nullcontext()
 
 
 def run_batch_group(
@@ -145,16 +139,19 @@ def run_batch_group(
 ) -> list[BatchOutcome]:
     """Execute one trace-sharing group of cells; one decode, N configs.
 
-    All tasks must share a trace key.  The group runs in two phases.
+    All tasks must share a trace key.  ``traces`` is an optional
+    in-process trace cache (keyed like the store) consulted before, and
+    populated after, the group's one store probe.  The group runs in two
+    phases.
 
     **Resolve** (per cell, in task order):
 
-    * events cells (``events_capacity > 0``) always run direct -- replay
-      cannot reproduce the discrete event stream -- via the sequential
-      single-cell executor;
-    * if the group's trace is missing everywhere, the first such cell
-      captures it (its direct result answers that cell);
+    * the first cell finds the group's trace -- in ``traces``, else by
+      one ``store.load_trace`` -- or, when it is missing everywhere,
+      captures it; the capture's direct result answers that cell;
     * cached results come straight from the store;
+    * events cells (``events_capacity > 0``) run direct -- replay cannot
+      reproduce the discrete event stream -- and persist their result;
     * everything else gets a replay session (specialized kernel or
       general path, per config).
 
@@ -163,22 +160,19 @@ def run_batch_group(
     next -- and finally each session's ``finish()``
     produces and persists its cell's result.
 
-    With ``collect_errors=False`` (batch sweeps) the first failing cell
-    raises :class:`BatchCellError`; with ``collect_errors=True`` (the
-    serve tier) each failure becomes an error outcome and the remaining
-    cells still run.
+    With ``collect_errors=False`` (sweeps) the first failing cell raises
+    :class:`BatchCellError`; with ``collect_errors=True`` (the serve
+    tier) each failure becomes an error outcome and the remaining cells
+    still run.
 
     ``tracers`` (``{task: Tracer}``), when given, records each cell's
-    phases as spans into that cell's causal tree -- capture, cache
-    probe, the shared drive (one ``replay.run`` span per cell with
+    phases as spans into that cell's causal tree -- trace load, capture,
+    cache probe, the shared drive (one ``replay.run`` span per cell with
     capped per-chunk children), result writes.  ``on_window`` is called
     as ``on_window(task, window_dict)`` for every timeline window a
-    cell's session closes while the drive runs.  Both default to
-    ``None`` and add nothing to the chunk loop when absent.
+    cell's run or session closes.  Both default to ``None`` and add
+    nothing to the chunk loop when absent.
     """
-    # Deferred import: sweep imports this module for its batch path.
-    from repro.trace.sweep import run_task
-
     keys = {task.key() for task in tasks}
     if len(keys) > 1:
         raise ValueError(
@@ -201,73 +195,78 @@ def run_batch_group(
         error.__cause__ = exc
         if not collect_errors:
             raise error from exc
-        outcomes[position] = BatchOutcome(
-            task, None, "failed", SEQUENTIAL, error=error
-        )
-
-    def _tracer(task):
-        return tracers.get(task) if tracers is not None else None
-
-    def _window_cb(task):
-        if on_window is None:
-            return None
-        return lambda window, _task=task: on_window(_task, window)
+        outcomes[position] = BatchOutcome(task, None, "failed", None, error=error)
 
     #: (position, task, fingerprint, session, engine, tracer) per
     #: replay cell.
     pending: list[tuple] = []
     for position, task in enumerate(tasks):
+        tracer = tracers.get(task) if tracers is not None else None
+        span = tracer.span if tracer is not None else _untraced
+        window_cb = None
+        if on_window is not None:
+            def window_cb(window, _task=task):
+                on_window(_task, window)
         try:
-            tracer = _tracer(task)
             config = task.config()
-            if config.events_capacity > 0:
-                # Direct re-capture; never touches the shared stream.
-                result, how = run_task(
-                    task, store, traces,
-                    tracer=tracer, on_window=_window_cb(task),
-                )
-                outcomes[position] = BatchOutcome(
-                    task, result, how, SEQUENTIAL
-                )
-                continue
             if trace is None:
                 trace = traces.get(key)
-            if trace is None and store is not None:
-                trace = store.load_trace(key)
-                if trace is not None:
-                    traces[key] = trace
-            if trace is None:
-                # First cold cell captures for the whole group; its own
-                # direct result answers this cell.
-                result, how = run_task(
-                    task, store, traces,
-                    tracer=tracer, on_window=_window_cb(task),
-                )
-                trace = traces.get(key)
-                outcomes[position] = BatchOutcome(
-                    task, result, how, SEQUENTIAL
-                )
-                continue
-            fingerprint = config_fingerprint(config)
-            if store is not None:
-                if tracer is None:
-                    cached = store.load_result(trace.content_hash, fingerprint)
-                else:
-                    with tracer.span("store.result_probe"):
-                        cached = store.load_result(
-                            trace.content_hash, fingerprint
+                if trace is None and store is not None:
+                    with span("trace.load"):
+                        trace = store.load_trace(key)
+                if trace is None:
+                    # First cold cell captures for the whole group; its
+                    # own direct result answers this cell.
+                    with span("trace.capture"):
+                        trace, result = capture_trace(
+                            task.app,
+                            Variant(task.variant),
+                            config,
+                            task.scale,
+                            task.seed,
+                            on_window=window_cb,
                         )
-                if cached is not None:
+                    traces[key] = trace
+                    if store is not None:
+                        with span("store.trace_write"):
+                            store.save_trace(key, trace)
+                            store.save_result(
+                                trace.content_hash,
+                                config_fingerprint(config),
+                                result,
+                            )
                     outcomes[position] = BatchOutcome(
-                        task, cached, "cached", SEQUENTIAL
+                        task, result, "captured", DIRECT
                     )
                     continue
-            session, engine = _session_for(
-                trace, config, on_window=_window_cb(task)
-            )
-            pending.append(
-                (position, task, fingerprint, session, engine, tracer)
-            )
+                traces[key] = trace
+            fingerprint = config_fingerprint(config)
+            if store is not None:
+                with span("store.result_probe"):
+                    cached = store.load_result(trace.content_hash, fingerprint)
+                if cached is not None:
+                    outcomes[position] = BatchOutcome(task, cached, "cached", None)
+                    continue
+            if config.events_capacity > 0:
+                # Discrete events only occur during direct execution:
+                # replay reproduces the windowed *rates* exactly, but not
+                # the event stream (relocations, pool traffic, chain
+                # walks happen in the application/optimizer code replay
+                # skips).  Events cells therefore always run direct,
+                # even when the trace is warm -- their results still
+                # persist under their own config fingerprint, so the
+                # re-run happens once.
+                with span("trace.capture"):
+                    result = get_application(
+                        task.app, task.scale, task.seed
+                    ).run(Variant(task.variant), config, on_window=window_cb)
+                if store is not None:
+                    with span("store.result_write"):
+                        store.save_result(trace.content_hash, fingerprint, result)
+                outcomes[position] = BatchOutcome(task, result, "captured", DIRECT)
+                continue
+            session, engine = session_for(trace, config, on_window=window_cb)
+            pending.append((position, task, fingerprint, session, engine, tracer))
         except Exception as exc:
             fail(position, task, exc)
 

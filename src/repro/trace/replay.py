@@ -39,7 +39,6 @@ asserting replayed stats equal direct-run stats exactly, app by app.
 
 from __future__ import annotations
 
-import time as _time
 from array import array
 from typing import Iterable, Iterator
 
@@ -106,23 +105,17 @@ def iter_resolved_chunks(trace: Trace) -> Iterator[ResolvedChunk]:
         yield ResolvedChunk(*chunk.unpack(index))
 
 
-def drive_sessions(trace: Trace, sessions: Iterable, on_chunk=None) -> None:
+def drive_sessions(trace: Trace, sessions: Iterable) -> None:
     """Feed every chunk to every session, in stream order.
 
     Each chunk is unpacked exactly once however many sessions ride
-    along -- this is the batch engine's decode-once loop.
-
-    ``on_chunk(index, entries, seconds)``, when given, is called after
-    each chunk has been run through every session -- the tracing layer's
-    per-chunk replay spans.
+    along -- the batch engine's decode-once loop, without its spans and
+    per-cell error handling.
     """
     sessions = list(sessions)
-    for index, chunk in enumerate(iter_resolved_chunks(trace)):
-        started = _time.perf_counter()
+    for chunk in iter_resolved_chunks(trace):
         for session in sessions:
             session.run_chunk(chunk)
-        if on_chunk is not None:
-            on_chunk(index, chunk.n, _time.perf_counter() - started)
 
 
 def check_line_size(trace: Trace, config: MachineConfig) -> None:
@@ -300,62 +293,14 @@ class ReplaySession:
         )
 
 
-#: Per-replay cap on chunk spans recorded into a tracer, so a large
-#: trace doesn't flood the manifest; the ``replay.chunks`` summary span
-#: always carries the full totals.
-MAX_CHUNK_SPANS = 32
-
-
-def drive_traced(trace: Trace, session, tracer=None) -> None:
-    """Drive one session over ``trace``, recording chunk spans if traced.
-
-    ``tracer`` (a :class:`repro.obs.tracing.Tracer`) records one span
-    per resolved chunk (capped at :data:`MAX_CHUNK_SPANS`) plus a
-    ``replay.chunks`` summary span; ``None`` adds nothing to the loop.
-    """
-    if tracer is None:
-        drive_sessions(trace, [session])
-        return
-    totals = [0, 0, 0.0]  # chunks, entries, seconds
-
-    def _on_chunk(index: int, entries: int, seconds: float) -> None:
-        totals[0] += 1
-        totals[1] += entries
-        totals[2] += seconds
-        if totals[0] <= MAX_CHUNK_SPANS:
-            tracer.record(
-                f"replay.chunk[{index}]",
-                seconds,
-                metrics={"entries": entries},
-            )
-
-    drive_sessions(trace, [session], on_chunk=_on_chunk)
-    tracer.record(
-        "replay.chunks",
-        totals[2],
-        metrics={"chunks": totals[0], "entries": totals[1]},
-    )
-
-
-def replay_trace(
-    trace: Trace,
-    config: MachineConfig,
-    *,
-    tracer=None,
-    on_window=None,
-) -> AppResult:
+def replay_trace(trace: Trace, config: MachineConfig) -> AppResult:
     """Replay ``trace`` against ``config``; stats match a direct run.
 
     Returns an :class:`AppResult` whose config-dependent stats come from
     driving ``config``'s hierarchy/timing/speculator with the resolved
     chunks, whose config-invariant stats come from the capture, and
     whose checksum/extras come from the captured application run.
-
-    ``tracer`` records per-chunk spans (see :func:`drive_traced`);
-    ``on_window`` streams the timeline sampler's per-window deltas while
-    the replay runs.  Both default to ``None`` and add nothing to the
-    replay loop when absent.
     """
-    session = ReplaySession(trace, config, on_window=on_window)
-    drive_traced(trace, session, tracer)
+    session = ReplaySession(trace, config)
+    drive_sessions(trace, [session])
     return session.finish()

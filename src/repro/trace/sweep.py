@@ -1,14 +1,15 @@
 """Sharded sweep execution: capture once, replay everywhere, in parallel.
 
 A sweep is a set of :class:`SweepTask` cells -- ``(app, variant, line
-size, scale, seed)``.  By default cells execute in **batch mode**
-(:mod:`repro.trace.batch`): tasks are grouped by trace key (one key per
-workload identity; line-size-insensitive apps share one key across all
-their line sizes), each group's stream is captured or loaded and decoded
-exactly once, and every config in the group replays the shared resolved
-stream -- through the exec-specialized kernel when the config fits the
-specializer's matrix, the general path otherwise.  The capturing cell's
-direct result answers that cell for free, exactly as before.
+size, scale, seed)``.  Cells run through the one cell executor,
+:func:`repro.trace.batch.run_batch_group`: tasks are grouped by trace
+key (one key per workload identity; line-size-insensitive apps share
+one key across all their line sizes), each group's stream is captured
+or loaded and decoded exactly once, and every config in the group
+replays the shared resolved stream -- through the exec-specialized
+kernel when the config fits the specializer's matrix, the general path
+otherwise.  The capturing cell's direct result answers that cell for
+free.  A single cell is a group of one (:func:`run_task`).
 
 With ``jobs > 1`` the process pool shards by *group*, not by cell: the
 decoded stream is the expensive thing worth keeping local to one
@@ -17,34 +18,24 @@ then all of its replays).  Workers coordinate purely through the
 (atomic-write) artifact store, so there is no shared mutable state.
 With ``jobs <= 1`` everything runs in-process, which is also the path
 :class:`~repro.experiments.runner.ExperimentRunner` uses for its lazy
-per-call API.  ``batch=False`` preserves the legacy per-cell two-phase
-pipeline (capture all missing traces in parallel, then replay cells in
-parallel).
+per-call API.
 """
 
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable
 
 from repro.adapt.config import DEFAULT_HEATMAP_REGION, AdaptConfig
-from repro.apps import APPLICATIONS, get_application
+from repro.apps import APPLICATIONS
 from repro.apps.base import AppResult, Variant
 from repro.core.debug import get_logger
 from repro.obs.logging import log_event
 from repro.obs.registry import EMPTY, Snapshot
-from repro.trace.batch import (
-    SEQUENTIAL,
-    BatchCellError,
-    group_by_trace,
-    replay_engine,
-    run_batch_group,
-)
+from repro.trace.batch import BatchCellError, group_by_trace, run_batch_group
 from repro.trace.format import Trace
-from repro.trace.recorder import capture_trace
 from repro.trace.store import ArtifactStore, config_fingerprint, trace_key
 
 _log = get_logger("trace.sweep")
@@ -166,96 +157,24 @@ def run_task(
     task: SweepTask,
     store: ArtifactStore | None = None,
     traces: dict[str, Trace] | None = None,
-    *,
-    tracer=None,
-    on_window=None,
 ) -> tuple[AppResult, str]:
     """Obtain one cell's result; returns ``(result, how)``.
 
-    ``how`` is ``"captured"``, ``"replayed"``, or ``"cached"`` --
-    diagnostics for progress logging and the tests.  ``traces`` is an
-    optional in-process trace cache (keyed like the store) consulted
-    before, and populated after, any store access.
-
-    ``tracer`` (:class:`repro.obs.tracing.Tracer`), when given, records
-    spans for the cell's phases -- trace load, capture, store writes,
-    replay with per-chunk children -- into the caller's causal tree.
-    ``on_window`` streams timeline windows live (capture and replay
-    alike).  Both default to ``None`` and leave the sweep hot path
-    bit-for-bit unchanged.
+    A single cell is a batch group of one: this is
+    :func:`~repro.trace.batch.run_batch_group` over ``[task]``.  ``how``
+    is ``"captured"``, ``"replayed"``, or ``"cached"`` -- diagnostics for
+    progress logging and the tests.  ``traces`` is an optional
+    in-process trace cache (keyed like the store) consulted before, and
+    populated after, any store access.  A failure raises
+    :class:`~repro.trace.batch.BatchCellError` naming the cell.
     """
-    span = tracer.span if tracer is not None else (lambda name: nullcontext())
-    config = task.config()
-    key = task.key()
-    trace = traces.get(key) if traces is not None else None
-    if trace is None and store is not None:
-        with span("trace.load"):
-            trace = store.load_trace(key)
-    if trace is None:
-        with span("trace.capture"):
-            trace, result = capture_trace(
-                task.app,
-                Variant(task.variant),
-                config,
-                task.scale,
-                task.seed,
-                on_window=on_window,
-            )
-        if traces is not None:
-            traces[key] = trace
-        if store is not None:
-            with span("store.trace_write"):
-                store.save_trace(key, trace)
-                store.save_result(
-                    trace.content_hash, config_fingerprint(config), result
-                )
-        return result, "captured"
-    if traces is not None and key not in traces:
-        traces[key] = trace
-    fingerprint = config_fingerprint(config)
-    if store is not None:
-        with span("store.result_probe"):
-            cached = store.load_result(trace.content_hash, fingerprint)
-        if cached is not None:
-            return cached, "cached"
-    if config.events_capacity > 0:
-        # Discrete events only occur during direct execution: replay
-        # reproduces the windowed *rates* exactly, but not the event
-        # stream (relocations, pool traffic, chain walks happen in the
-        # application/optimizer code replay skips).  Events cells
-        # therefore always run direct, even when a trace is warm --
-        # their results still persist under their own config
-        # fingerprint, so the re-run happens once.  The trace is warm,
-        # so the run records nothing.
-        with span("trace.capture"):
-            result = get_application(task.app, task.scale, task.seed).run(
-                Variant(task.variant), config, on_window=on_window
-            )
-        how = "captured"
-    else:
-        # Same engine a batch group would pick (the specialized kernel
-        # unless the config is outside its matrix); callers still label
-        # the cell SEQUENTIAL.
-        with span("replay.run"):
-            result, _engine = replay_engine(
-                trace, config, tracer=tracer, on_window=on_window
-            )
-        how = "replayed"
-    if store is not None:
-        with span("store.result_write"):
-            store.save_result(trace.content_hash, fingerprint, result)
-    return result, how
-
-
-def _worker(task: SweepTask, store_root: str) -> tuple[SweepTask, AppResult, str]:
-    """Process-pool entry point (module level, hence picklable)."""
-    result, how = run_task(task, ArtifactStore(store_root))
-    return task, result, how
+    (outcome,) = run_batch_group([task], store, traces)
+    return outcome.result, outcome.how
 
 
 def _batch_worker(
     group: list[SweepTask], store_root: str
-) -> list[tuple[SweepTask, AppResult, str, str]]:
+) -> list[tuple[SweepTask, AppResult, str, str | None]]:
     """Process-pool entry point for one trace-sharing group.
 
     Returns plain tuples (picklable); a failing cell raises
@@ -273,73 +192,37 @@ def batch_label(key: str, group: list[SweepTask]) -> str:
 
 def execute_sweep(
     tasks: list[SweepTask],
-    store: ArtifactStore,
+    store: ArtifactStore | None,
     jobs: int = 1,
     verbose: bool = False,
+    *,
     batch: bool = True,
     engines: dict | None = None,
+    traces: dict[str, Trace] | None = None,
 ) -> dict[SweepTask, tuple[AppResult, str]]:
-    """Run every task; returns ``{task: (result, how)}``.
+    """Run every task; returns ``{task: (result, how)}`` in task order.
 
-    The store is required (workers coordinate through it); callers that
-    want a throwaway sweep point it at a temporary directory.
+    Cells are grouped by trace key and each group runs through
+    :func:`repro.trace.batch.run_batch_group` -- one decode, N configs.
+    With ``jobs <= 1`` (or a single group) the groups run in-process
+    against ``store``, which may be ``None`` (nothing persists), and
+    ``traces``, an optional in-process trace cache shared across calls.
+    Otherwise the process pool shards by *group* (the decoded stream is
+    the thing worth keeping local to a worker), not by cell, and
+    ``store`` is required: workers coordinate through it.  ``engines``,
+    when given, is filled with ``{task: engine_label}`` (see
+    :mod:`repro.trace.batch`; cached cells have none) for manifest
+    annotation.
 
-    With ``batch=True`` (the default) cells are grouped by trace key and
-    each group runs through :func:`repro.trace.batch.run_batch_group` --
-    one decode, N configs -- and the process pool shards by *group*
-    (the decoded stream is the thing worth keeping local to a worker),
-    not by cell.  ``batch=False`` preserves the legacy per-cell path.
-    ``engines``, when given, is filled with ``{task: engine_label}``
-    (see :mod:`repro.trace.batch`) for manifest annotation.
+    ``batch`` accepts only ``True`` and raises :class:`ValueError` for
+    any other value: grouping is the only executor, and the keyword
+    remains only for callers that still pass it.
     """
-    results: dict[SweepTask, tuple[AppResult, str]] = {}
-    if batch:
-        return _execute_batched(tasks, store, jobs, verbose, engines)
-    if engines is not None:
-        engines.update((task, SEQUENTIAL) for task in tasks)
-    if jobs <= 1 or len(tasks) <= 1:
-        traces: dict[str, Trace] = {}
-        for task in tasks:
-            try:
-                results[task] = run_task(task, store, traces)
-            except Exception as exc:
-                raise SweepError(task, exc) from exc
-            if verbose:
-                log_progress(task, *results[task])
-        return results
-
-    # Phase 1: capture each missing trace exactly once, in parallel.
-    representatives: dict[str, SweepTask] = {}
-    for task in tasks:
-        representatives.setdefault(task.key(), task)
-    to_capture = [
-        task for key, task in representatives.items() if not store.has_trace(key)
-    ]
-    remaining = set(tasks)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        if to_capture:
-            futures = {
-                pool.submit(_worker, task, str(store.root)): task
-                for task in to_capture
-            }
-            _collect(futures, results, remaining, verbose)
-        # Phase 2: replay (or fetch) every remaining cell in parallel.
-        futures = {
-            pool.submit(_worker, task, str(store.root)): task
-            for task in remaining
-        }
-        _collect(futures, results, None, verbose)
-    return results
-
-
-def _execute_batched(
-    tasks: list[SweepTask],
-    store: ArtifactStore,
-    jobs: int,
-    verbose: bool,
-    engines: dict | None,
-) -> dict[SweepTask, tuple[AppResult, str]]:
-    """Grouped execution: one decoded stream per group, sharded by group."""
+    if batch is not True:
+        raise ValueError(
+            f"execute_sweep(batch={batch!r}): cells run only as batch "
+            "groups; batch must be True"
+        )
     results: dict[SweepTask, tuple[AppResult, str]] = {}
     groups = group_by_trace(tasks)
 
@@ -347,13 +230,14 @@ def _execute_batched(
         label = batch_label(key, group)
         for task, result, how, engine in outcomes:
             results[task] = (result, how)
-            if engines is not None:
+            if engines is not None and engine is not None:
                 engines[task] = engine
             if verbose:
-                log_progress(task, result, how, engine=engine, batch=label)
+                log_progress(task, result, how, engine=engine, group=label)
 
     if jobs <= 1 or len(groups) <= 1:
-        traces: dict[str, Trace] = {}
+        if traces is None:
+            traces = {}
         for key, group in groups.items():
             try:
                 outcomes = run_batch_group(group, store, traces)
@@ -364,58 +248,30 @@ def _execute_batched(
             _absorb(
                 key, group, [(o.task, o.result, o.how, o.engine) for o in outcomes]
             )
-        return results
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {
-            pool.submit(_batch_worker, group, str(store.root)): key
-            for key, group in groups.items()
-        }
-        try:
-            for future in as_completed(futures):
-                key = futures[future]
-                try:
-                    outcomes = future.result()
-                except BatchCellError as exc:
-                    raise SweepError(exc.task, exc) from exc
-                except Exception as exc:
-                    raise SweepError(groups[key][0], exc) from exc
-                _absorb(key, groups[key], outcomes)
-        except SweepError:
-            for future in futures:
-                future.cancel()
-            raise
-    return results
-
-
-def _collect(
-    futures: dict,
-    results: dict[SweepTask, tuple[AppResult, str]],
-    remaining: set[SweepTask] | None,
-    verbose: bool,
-) -> None:
-    """Drain one phase's futures; fail fast and clean on a bad cell.
-
-    A worker exception cancels every not-yet-started future in the phase
-    and surfaces as :class:`SweepError` naming the failing cell, so a
-    broken cell neither hangs the pool nor masquerades as an anonymous
-    pickle traceback.
-    """
-    try:
-        for future in as_completed(futures):
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = {
+                pool.submit(_batch_worker, group, str(store.root)): key
+                for key, group in groups.items()
+            }
             try:
-                task, result, how = future.result()
-            except Exception as exc:
-                raise SweepError(futures[future], exc) from exc
-            results[task] = (result, how)
-            if remaining is not None:
-                remaining.discard(task)
-            if verbose:
-                log_progress(task, result, how)
-    except SweepError:
-        for future in futures:
-            future.cancel()
-        raise
+                for future in as_completed(futures):
+                    key = futures[future]
+                    try:
+                        outcomes = future.result()
+                    except BatchCellError as exc:
+                        raise SweepError(exc.task, exc) from exc
+                    except Exception as exc:
+                        raise SweepError(groups[key][0], exc) from exc
+                    _absorb(key, groups[key], outcomes)
+            except SweepError:
+                for future in futures:
+                    future.cancel()
+                raise
+    # Groups finish in pool completion order; hand results back in task
+    # order, so anything summed over them (floats included) is the same
+    # whatever the order of completion.
+    return {task: results[task] for task in tasks}
 
 
 def aggregate_metrics(results: Iterable[AppResult]) -> Snapshot:
@@ -437,13 +293,14 @@ def log_progress(
     result: AppResult,
     how: str,
     engine: str | None = None,
-    batch: str | None = None,
+    group: str | None = None,
 ) -> None:
-    """One progress line per completed cell (shared with the runner).
+    """One progress line per completed cell.
 
-    Grouped execution still reports cell by cell -- ``batch`` merely
-    tags the line with the group the cell ran in, and ``engine`` with
-    the replay engine that produced it.
+    Grouped execution still reports cell by cell -- ``group`` merely
+    tags the line (as its ``batch`` field) with the group the cell ran
+    in, and ``engine`` with the engine that produced it (cached cells
+    have none).
     """
     fields = {
         "how": how,
@@ -452,8 +309,8 @@ def log_progress(
         "line_size": task.line_size,
         "cycles": round(result.stats.cycles),
     }
-    if engine and engine != SEQUENTIAL:
+    if engine:
         fields["engine"] = engine
-    if batch:
-        fields["batch"] = batch
+    if group:
+        fields["batch"] = group
     log_event(_log, logging.INFO, "cell complete", **fields)

@@ -4,7 +4,7 @@ One mst_phase slice at a decision-firing scale: the static arms anchor
 the normalization, the adaptive arm fires at least one audited
 decision, checksums agree across arms, and the manifest validates with
 the ``adapt.*`` counter subtree.  The full-scale win numbers live in
-the benchmark suite (``benchmarks/bench_adapt.py``).
+the benchmark suite (``benchmarks/test_extensions.py``).
 """
 
 import pytest

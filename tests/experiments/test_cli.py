@@ -188,12 +188,6 @@ class TestCLIErrorPaths:
         assert excinfo.value.code == 2
         assert "--workers must be >= 0" in capsys.readouterr().err
 
-    def test_serve_bench_bad_scale_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["serve.bench", "--scale", "0"])
-        assert excinfo.value.code == 2
-        assert "--scale must be > 0" in capsys.readouterr().err
-
     def test_unknown_mechanism_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["misspath", "--mechanism", "teleporter"])

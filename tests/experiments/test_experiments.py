@@ -5,6 +5,8 @@ matrix of cells, renders, and that the shared runner memoises.  The
 paper-shape assertions at full scale live in the benchmark suite.
 """
 
+from concurrent.futures import Future
+
 import pytest
 
 from repro.apps import FIGURE5_APPS
@@ -13,6 +15,7 @@ from repro.experiments import (
     ExperimentRunner,
     line_sizes_for,
 )
+from repro.experiments.runner import specs_for_artifacts
 from repro.experiments import ablations, figure5, figure6, figure7, figure10, table1
 
 SCALE = 0.15
@@ -41,6 +44,61 @@ class TestRunner:
 
     def test_checksum_match_helper(self, runner):
         assert runner.checksum_match("health", [Variant.N, Variant.L], 32)
+
+    def test_lazy_warm_cell_is_labelled_specialized(self):
+        runner = ExperimentRunner(scale=0.05)
+        runner.run("health", Variant.N, 32)
+        runner.run("health", Variant.N, 64)
+        # The first cell captured the shared stream (a direct run); the
+        # second replayed it through the specialized kernel.
+        assert runner.engines == {
+            "health/32B/N": "direct",
+            "health/64B/N": "specialized",
+        }
+        snapshot = runner.obs.snapshot()
+        assert snapshot["runs.engine.direct"] == 1
+        assert snapshot["runs.engine.specialized"] == 1
+
+    def test_pooled_prime_records_cells_in_spec_order(self, monkeypatch):
+        import repro.trace.sweep as sweep_mod
+
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", _InlinePool)
+        # The pool hands groups back in the reverse of submission order.
+        monkeypatch.setattr(
+            sweep_mod, "as_completed", lambda futures: list(futures)[::-1]
+        )
+        specs = [
+            spec
+            for spec in specs_for_artifacts(["figure5"], 0.05)
+            if spec.app in ("health", "mst", "bh")
+        ]
+        serial = ExperimentRunner(scale=0.05)
+        serial.prime(specs)
+        pooled = ExperimentRunner(scale=0.05, jobs=2)
+        pooled.prime(specs)
+        order = [spec.cell_id for spec in specs]
+        assert list(serial.engines) == order
+        assert list(pooled.engines) == order
+        # Same order of absorption, so the float sums agree to the bit.
+        assert pooled.obs.snapshot() == serial.obs.snapshot()
+
+
+class _InlinePool:
+    """A process-pool stand-in that runs each submission at once."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 class TestTable1:

@@ -2,13 +2,13 @@
 
 Random *config sets* -- mixed line sizes, replacement policies, OoO
 windows, speculation on/off, and miss-path mechanisms -- replayed
-through the batch engine must produce per-cell stats and aggregate
-metric trees bit-identical to driving ``replay_trace`` one cell at a
-time.  This is the hypothesis-shaped version of the contract the
-integration suite pins app by app: here the *machine space* is the
-random variable, on a fixed pair of small traces (one without forwarded
-references, one with, so both speculation modes of the specializer are
-exercised).
+through one decode, the way a batch group drives them, must produce
+per-cell stats and aggregate metric trees bit-identical to driving
+``replay_trace`` one cell at a time.  This is the hypothesis-shaped
+version of the contract the integration suite pins app by app: here the
+*machine space* is the random variable, on a fixed pair of small traces
+(one without forwarded references, one with, so both speculation modes
+of the specializer are exercised).
 """
 
 from dataclasses import replace
@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps.base import Variant
 from repro.experiments.config import experiment_config
-from repro.trace import capture_trace, replay_trace
-from repro.trace.batch import BATCH_GENERAL, replay_engine
+from repro.trace import capture_trace, drive_sessions, replay_trace
+from repro.trace.batch import GENERAL, session_for
 from repro.trace.sweep import aggregate_metrics
 
 SCALE = 0.03
@@ -52,6 +52,16 @@ CELLS = st.fixed_dictionaries(
 )
 
 
+def _drive_together(trace, configs):
+    """Every config's session through one decode of ``trace``.
+
+    Returns ``[(result, engine)]`` in config order.
+    """
+    built = [session_for(trace, config) for config in configs]
+    drive_sessions(trace, [session for session, _engine in built])
+    return [(session.finish(), engine) for session, engine in built]
+
+
 def _config(cell):
     config = experiment_config(cell["line_size"])
     config = replace(
@@ -76,10 +86,11 @@ class TestRandomConfigSets:
         configs = [_config(cell) for cell in cells]
         sequential = [replay_trace(trace, config) for config in configs]
         batched = []
-        for cell, config in zip(cells, configs):
-            result, engine = replay_engine(trace, config)
+        for cell, (result, engine) in zip(
+            cells, _drive_together(trace, configs)
+        ):
             if cell["mechanism"] != "none":
-                assert engine == BATCH_GENERAL
+                assert engine == GENERAL
             batched.append(result)
         for reference, result in zip(sequential, batched):
             assert result.stats.dump() == reference.stats.dump()
@@ -94,8 +105,9 @@ class TestRandomConfigSets:
         """The L variant's stream carries forwarded references, so the
         specializer's full speculation bookkeeping is on the line."""
         trace = _trace("health", Variant.L)
-        for cell in cells:
-            config = _config(cell)
+        configs = [_config(cell) for cell in cells]
+        for config, (result, _engine) in zip(
+            configs, _drive_together(trace, configs)
+        ):
             reference = replay_trace(trace, config)
-            result, _engine = replay_engine(trace, config)
             assert result.stats.dump() == reference.stats.dump()

@@ -157,12 +157,13 @@ class TestFailure:
     def test_worker_exception_fails_job_with_span_error(
         self, tmp_path, monkeypatch
     ):
-        import repro.trace.sweep as sweep_mod
+        import repro.trace.batch as batch_mod
 
-        def _explode(task, store, traces=None, **kwargs):
+        def _explode(*args, **kwargs):
             raise RuntimeError("simulated worker failure")
 
-        monkeypatch.setattr(sweep_mod, "run_task", _explode)
+        # A cold cell's first step in the group executor is its capture.
+        monkeypatch.setattr(batch_mod, "capture_trace", _explode)
 
         async def scenario():
             service = _service(tmp_path)
@@ -195,13 +196,13 @@ class TestFailure:
     def test_job_timeout_fails_with_timeouts_counter(
         self, tmp_path, monkeypatch
     ):
-        import repro.trace.sweep as sweep_mod
+        import repro.trace.batch as batch_mod
 
-        def _stall(task, store, traces=None, **kwargs):
+        def _stall(*args, **kwargs):
             time.sleep(0.8)
             raise AssertionError("unreachable in a passing test")
 
-        monkeypatch.setattr(sweep_mod, "run_task", _stall)
+        monkeypatch.setattr(batch_mod, "capture_trace", _stall)
 
         async def scenario():
             service = _service(tmp_path, job_timeout=0.1)
@@ -292,35 +293,20 @@ class TestBatchFold:
                 for job in jobs:
                     assert await job.wait(60.0)
                     assert job.state == DONE
-                # The leader captured the stream; the folded cells
-                # replayed it through the specialized kernel.
+                # The leader captured the stream (a direct run); the
+                # folded cells replayed it through the specialized kernel.
                 assert jobs[0].how == "captured"
-                assert jobs[0].manifest["summary"]["engine"] == "sequential"
+                assert jobs[0].manifest["summary"]["engine"] == "direct"
                 for job in jobs[1:]:
                     assert job.how == "replayed"
                     assert (
                         job.manifest["summary"]["engine"]
-                        == "batch+specialized"
+                        == "specialized"
                     )
                     validate_manifest(job.manifest)
                 snapshot = service.obs.snapshot()
                 assert snapshot["serve.jobs.batch_folded"] == 2
                 assert snapshot["serve.jobs.completed"] == 3
-            finally:
-                await service.drain(timeout=10.0)
-
-        asyncio.run(scenario())
-
-    def test_batch_disabled_still_serves(self, tmp_path):
-        async def scenario():
-            service = _service(tmp_path, batch=False)
-            await service.start()
-            try:
-                job, _ = await _submit_and_wait(service, _payload())
-                assert job.state == DONE
-                assert "engine" not in job.manifest["summary"]
-                snapshot = service.obs.snapshot()
-                assert snapshot["serve.jobs.batch_folded"] == 0
             finally:
                 await service.drain(timeout=10.0)
 

@@ -5,20 +5,20 @@ import pickle
 import pytest
 
 from repro.trace import (
-    BATCH_GENERAL,
-    BATCH_SPECIALIZED,
-    SEQUENTIAL,
+    DIRECT,
+    GENERAL,
+    SPECIALIZED,
     ArtifactStore,
     BatchCellError,
     SweepTask,
     capture_trace,
+    drive_sessions,
     group_by_trace,
-    replay_engine,
     replay_trace,
     run_batch_group,
-    run_task,
+    session_for,
 )
-from repro.apps import Variant
+from repro.apps import Variant, get_application
 from repro.experiments.config import experiment_config
 
 SCALE = 0.05
@@ -58,21 +58,28 @@ class TestGrouping:
             run_batch_group(tasks, ArtifactStore(tmp_path))
 
 
+def _replay(trace, config):
+    """One config through the session a batch group would build."""
+    session, engine = session_for(trace, config)
+    drive_sessions(trace, [session])
+    return session.finish(), engine
+
+
 class TestEngines:
-    def test_replay_engine_specializes_plain_configs(self):
+    def test_session_for_specializes_plain_configs(self):
         trace = _trace()
-        result, engine = replay_engine(trace, experiment_config(64))
-        assert engine == BATCH_SPECIALIZED
+        result, engine = _replay(trace, experiment_config(64))
+        assert engine == SPECIALIZED
         reference = replay_trace(trace, experiment_config(64))
         assert result.stats.dump() == reference.stats.dump()
 
-    def test_replay_engine_falls_back_for_uncovered_features(self):
+    def test_session_for_falls_back_for_uncovered_features(self):
         from dataclasses import replace
 
         trace = _trace()
         config = replace(experiment_config(64), timeline_interval=500)
-        result, engine = replay_engine(trace, config)
-        assert engine == BATCH_GENERAL
+        result, engine = _replay(trace, config)
+        assert engine == GENERAL
         reference = replay_trace(trace, config)
         assert result.stats.dump() == reference.stats.dump()
 
@@ -86,14 +93,31 @@ class TestRunBatchGroup:
         outcomes = run_batch_group(tasks, store)
         assert [o.how for o in outcomes] == ["captured", "replayed", "replayed"]
         assert [o.engine for o in outcomes] == [
-            SEQUENTIAL,
-            BATCH_SPECIALIZED,
-            BATCH_SPECIALIZED,
+            DIRECT,
+            SPECIALIZED,
+            SPECIALIZED,
         ]
-        # Each outcome matches the sequential single-cell path bit for bit.
+        # Each outcome matches a direct run of its cell bit for bit.
         for task, outcome in zip(tasks, outcomes):
-            reference, _ = run_task(task, ArtifactStore(tmp_path / "ref"))
+            reference = get_application(task.app, task.scale, task.seed).run(
+                Variant(task.variant), task.config()
+            )
             assert outcome.result.stats.dump() == reference.stats.dump()
+            assert outcome.result.checksum == reference.checksum
+
+    def test_cold_group_probes_the_store_once(self, tmp_path, monkeypatch):
+        probes = []
+        real_load_trace = ArtifactStore.load_trace
+
+        def counting_load_trace(store, key):
+            probes.append(key)
+            return real_load_trace(store, key)
+
+        monkeypatch.setattr(ArtifactStore, "load_trace", counting_load_trace)
+        task = SweepTask("health", "N", 32, SCALE, 1)
+        outcomes = run_batch_group([task], ArtifactStore(tmp_path))
+        assert [o.how for o in outcomes] == ["captured"]
+        assert probes == [task.key()]
 
     def test_warm_store_serves_cached_cells(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -101,7 +125,8 @@ class TestRunBatchGroup:
         run_batch_group(tasks, store)
         again = run_batch_group(tasks, store)
         assert [o.how for o in again] == ["cached", "cached"]
-        assert all(o.engine == SEQUENTIAL for o in again)
+        # A cached cell names no engine: nothing simulated it.
+        assert all(o.engine is None for o in again)
 
     def test_events_cells_run_sequentially(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -112,7 +137,7 @@ class TestRunBatchGroup:
         outcomes = run_batch_group(tasks, store)
         # The event stream only exists during direct execution, so the
         # events cell re-captures even though the group's trace is warm.
-        assert outcomes[1].engine == SEQUENTIAL
+        assert outcomes[1].engine == DIRECT
         assert outcomes[1].how == "captured"
 
     def test_storeless_group_replays_from_shared_trace(self):

@@ -187,6 +187,12 @@ def test_execute_sweep_serial(tmp_path):
         assert warm[task][0].stats.dump() == results[task][0].stats.dump()
 
 
+def test_execute_sweep_accepts_only_batch_true(tmp_path):
+    """Batch groups are the one executor; no keyword selects another."""
+    with pytest.raises(ValueError, match="batch must be True"):
+        execute_sweep(_tiny_matrix(), ArtifactStore(tmp_path), batch=False)
+
+
 def test_execute_sweep_parallel_matches_serial(tmp_path):
     tasks = _tiny_matrix()
     serial = execute_sweep(tasks, ArtifactStore(tmp_path / "serial"))
