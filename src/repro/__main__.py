@@ -712,9 +712,11 @@ def _artifacts_main(argv: list[str]) -> int:
         elif artifact == "ablations":
             obs = Registry()
             scale = min(args.scale, 0.5)
-            results = ablations.run_all(scale=scale, obs=obs)
+            results = ablations.run_all(scale=scale, obs=obs, tracer=runner.tracer)
             if emit_json:
-                manifests[artifact] = ablations.manifest(results, scale, obs)
+                manifests[artifact] = ablations.manifest(
+                    results, scale, obs, runner.tracer
+                )
             else:
                 for ablation in results:
                     print(ablation.render())

@@ -9,42 +9,12 @@ debugging, and doctest-style documentation:
   either the data value or ``-> target`` for a forwarding stub;
 * :func:`dump_chain` -- the full forwarding chain from an address;
 * :func:`region_summary` -- counts of data vs forwarding words.
-
-It also hosts the package's progress logging entry points
-(:func:`get_logger`, :func:`enable_progress_logging`): experiment
-drivers log per-run progress through here (to stderr) instead of
-printing to stdout.  Since PR 9 the actual handler lives in
-:mod:`repro.obs.logging` -- structured JSON lines written atomically,
-so parallel sweep workers never interleave torn lines into the stream.
 """
 
 from __future__ import annotations
 
-import logging
-
 from repro.core.forwarding import ForwardingEngine
 from repro.core.memory import TaggedMemory, WORD_SIZE
-from repro.obs.logging import ROOT_LOGGER_NAME, configure_logging
-
-
-def get_logger(name: str | None = None) -> logging.Logger:
-    """The ``repro`` logger, or a child of it (``get_logger("sweep")``)."""
-    if not name or name == ROOT_LOGGER_NAME:
-        return logging.getLogger(ROOT_LOGGER_NAME)
-    if name.startswith(ROOT_LOGGER_NAME + "."):
-        return logging.getLogger(name)
-    return logging.getLogger(f"{ROOT_LOGGER_NAME}.{name}")
-
-
-def enable_progress_logging(level: int = logging.INFO) -> logging.Logger:
-    """Attach the structured stderr handler to ``repro`` (idempotent).
-
-    Kept as the historical entry point; delegates to
-    :func:`repro.obs.logging.configure_logging`, which emits one JSON
-    object per line through a single atomic ``os.write`` -- safe under
-    the process pool where plain ``StreamHandler`` lines tear.
-    """
-    return configure_logging(level)
 
 
 def dump_region(memory: TaggedMemory, start: int, nwords: int, title: str = "") -> str:

@@ -24,7 +24,7 @@ from repro.apps.base import Variant
 from repro.apps.health import Health
 from repro.experiments.config import APP_SEEDS, experiment_config
 from repro.experiments.report import render_table
-from repro.obs import Registry
+from repro.obs import Registry, Tracer
 
 
 def _absorb(obs: Registry | None, stats) -> None:
@@ -227,9 +227,13 @@ def pointer_compare_overhead(
 
 
 def run_all(
-    scale: float = 0.5, obs: Registry | None = None
+    scale: float = 0.5,
+    obs: Registry | None = None,
+    tracer: Tracer | None = None,
 ) -> list[AblationResult]:
+    """Every study, each in an ``ablations.<name>`` span of ``tracer``."""
     registry = obs if obs is not None else Registry()
+    tracer = tracer if tracer is not None else Tracer()
     studies = (
         ("hop_limit", lambda: hop_limit_sweep(scale, obs=registry)),
         ("speculation", lambda: speculation_ablation(scale, obs=registry)),
@@ -240,7 +244,7 @@ def run_all(
     )
     results = []
     for name, study in studies:
-        with registry.span(f"ablations.{name}"):
+        with tracer.span(f"ablations.{name}", registry):
             results.append(study())
     return results
 
@@ -255,7 +259,7 @@ _STUDY_SLUGS = {
 
 
 def manifest(
-    results: list[AblationResult], scale: float, obs: Registry
+    results: list[AblationResult], scale: float, obs: Registry, tracer: Tracer
 ) -> dict:
     """Schema-validated run manifest for the ablation suite."""
     from repro.experiments.config import APP_SEEDS
@@ -283,7 +287,7 @@ def manifest(
         run={"scale": scale, "jobs": 1, "cache": False, "trace_dir": None},
         seeds=dict(APP_SEEDS),
         metrics=obs.snapshot(),
-        spans=obs.spans,
+        spans=tracer.to_list(),
         cells=cells,
     )
 

@@ -11,22 +11,26 @@ per-process, optionally persisted in an on-disk artifact store (so a
 second invocation skips capture *and* replay), and batches can shard
 across a process pool (:meth:`ExperimentRunner.prime`).
 
-Progress reporting goes through :mod:`repro.core.debug` logging (to
-stderr), never ``print``: parallel workers must not interleave garbage
-into the rendered artifacts on stdout.
+Progress reporting goes through :mod:`repro.obs.logging` (structured
+lines on stderr), never ``print``: parallel workers must not interleave
+garbage into the rendered artifacts on stdout.  Each runner records one
+trace (:class:`~repro.obs.tracing.Tracer`): a ``prime`` span per sweep,
+with every cell's ``worker.execute`` tree under it wherever the cell
+ran, and whatever spans the caller opens with :meth:`ExperimentRunner.
+span`.
 """
 
 from __future__ import annotations
 
+import logging
 import tempfile
 from dataclasses import dataclass
 from typing import Iterable
 
 from repro.adapt.config import DEFAULT_HEATMAP_REGION, AdaptConfig
 from repro.apps.base import AppResult, Variant
-from repro.core.debug import enable_progress_logging, get_logger
 from repro.experiments.config import APP_SEEDS
-from repro.obs import Registry
+from repro.obs import Registry, Tracer, configure_logging, trace_context
 from repro.trace.store import ArtifactStore
 from repro.trace.sweep import SweepTask, execute_sweep
 
@@ -198,23 +202,26 @@ class ExperimentRunner:
         #: Per-cell adaptive-engine payloads (decisions, ledger,
         #: counters) keyed by ``RunSpec.cell_id``.
         self.adapt_payloads: dict[str, dict] = {}
-        self._log = get_logger("experiments")
         if verbose:
-            enable_progress_logging()
+            configure_logging(logging.INFO)
         self.store = (
             ArtifactStore(trace_dir) if (trace_dir and use_cache) else None
         )
         self._scratch: tempfile.TemporaryDirectory | None = None
         self._cache: dict[RunSpec, AppResult] = {}
         self._traces: dict = {}
+        #: Content hash of every trace a sweep of this runner used, by
+        #: trace key, wherever its group ran.
+        self._trace_hashes: dict[str, str] = {}
         #: Engine per simulated cell (``RunSpec.cell_id`` -> label from
         #: :mod:`repro.trace.batch`; cached cells have none); manifests
         #: annotate their cells with it.
         self.engines: dict[str, str] = {}
-        #: Instrumentation registry: ``runs.*`` outcome counters, the
-        #: merged metric tree of every simulation this runner performed,
-        #: and the span log experiment drivers time themselves with.
+        #: Instrumentation registry: ``runs.*`` outcome counters and the
+        #: merged metric tree of every simulation this runner performed.
         self.obs = Registry()
+        #: The run's one trace: sweeps and the regions callers time.
+        self.tracer = Tracer()
 
     # ------------------------------------------------------------------
     def _with_knobs(self, spec: RunSpec) -> RunSpec:
@@ -312,18 +319,21 @@ class ExperimentRunner:
         by_task = {spec.task(): spec for spec in todo}
         pooled = self.jobs > 1 and len(todo) > 1
         engines: dict = {}
-        outcomes = execute_sweep(
-            list(by_task),
-            self._sweep_store() if pooled else self.store,
-            jobs=self.jobs,
-            verbose=self.verbose,
-            engines=engines,
-            traces=self._traces,
-        )
-        for task, spec in by_task.items():
-            result, how = outcomes[task]
-            self._cache[spec] = result
-            self._record(spec, result, how, engines.get(task))
+        with trace_context(self.tracer.trace_id), self.tracer.span("prime"):
+            outcomes = execute_sweep(
+                list(by_task),
+                self._sweep_store() if pooled else self.store,
+                jobs=self.jobs,
+                verbose=self.verbose,
+                engines=engines,
+                traces=self._traces,
+                tracer=self.tracer,
+                hashes=self._trace_hashes,
+            )
+            for task, spec in by_task.items():
+                result, how = outcomes[task]
+                self._cache[spec] = result
+                self._record(spec, result, how, engines.get(task))
 
     def _sweep_store(self) -> ArtifactStore:
         """The persistent store, or a lazily created throwaway one."""
@@ -335,19 +345,20 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------
     def span(self, name: str):
-        """Time a region (e.g. one artifact build) against the registry."""
-        return self.obs.span(name)
+        """Time a region (e.g. one artifact build) into the run's trace.
+
+        The registry's counter deltas across the region are attributed
+        to the span.
+        """
+        return self.tracer.span(name, self.obs)
 
     def trace_hashes(self) -> dict[str, str]:
-        """Content hash of every trace this process touched, by trace key.
+        """Content hash of every trace this runner's sweeps used, by key.
 
-        Covers in-process captures and loads; cells simulated inside
-        pool workers (parallel :meth:`prime`) coordinate through the
-        artifact store and are not re-read here.
+        Covers in-process and pool-worker groups alike: each group hands
+        its trace's content hash back with its results.
         """
-        return {
-            key: trace.content_hash for key, trace in sorted(self._traces.items())
-        }
+        return dict(sorted(self._trace_hashes.items()))
 
     def seeds(self) -> dict[str, int]:
         """Workload seed for every app this runner has simulated."""
@@ -365,7 +376,7 @@ class ExperimentRunner:
         """Schema-validated run manifest for ``artifact`` (see repro.obs).
 
         Carries this runner's full configuration, seeds, trace content
-        hashes, span timeline, and merged metric tree; the caller supplies
+        hashes, span tree, and merged metric tree; the caller supplies
         the artifact-specific cells and summary.
         """
         from repro.obs import build_manifest
@@ -415,7 +426,7 @@ class ExperimentRunner:
             run=run_section,
             seeds=self.seeds(),
             metrics=self.obs.snapshot(),
-            spans=self.obs.spans,
+            spans=self.tracer.to_list(),
             cells=self._annotate_engines(cells),
             trace_hashes=self.trace_hashes(),
             summary=summary,

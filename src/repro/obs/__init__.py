@@ -7,10 +7,10 @@ reproduction:
   hot-path counter slots), snapshotted in O(metrics).
 * :class:`Snapshot` — immutable metric view with lossless
   ``merge``/``diff`` (shard aggregation, span attribution).
-* :func:`span` / :class:`SpanLog` — wall-time + counter-delta tracing.
-* :class:`Tracer` / :class:`SpanContext` — request-scoped causal
-  tracing with picklable span contexts across the process pool
-  (DESIGN.md §5i).
+* :class:`Tracer` / :class:`SpanContext` — the one span API: wall
+  time, counter-delta attribution and causal ids, with picklable span
+  contexts across the process pool.  CLI runs, sweeps and serve jobs
+  all record into a tracer (DESIGN.md §5c, §5i).
 * :class:`Timeline` / :class:`EventLog` — windowed time-series sampling
   and the bounded structured event stream (DESIGN.md §5d).
 * :func:`chrome_trace` / :func:`diff_timelines` — Perfetto export and
@@ -20,7 +20,8 @@ reproduction:
 * :func:`render_prometheus` / :func:`parse_prometheus` — text
   exposition of a snapshot for standard scrapers.
 * :func:`configure_logging` — structured JSON logs, atomic per line,
-  trace-id stamped.
+  stamped with the trace id bound where a run primes its sweep and
+  where each traced cell resolves its trace.
 
 See DESIGN.md §5c for the design contract, in particular the hot-path
 flush rule: the generated reference kernel never touches the registry;
@@ -59,9 +60,8 @@ from repro.obs.registry import (
     Snapshot,
     histogram_quantiles,
 )
-from repro.obs.span import SpanLog, SpanRecord, span
 from repro.obs.timeline import Timeline
-from repro.obs.tracing import SpanContext, Tracer, new_id, span_tree
+from repro.obs.tracing import SpanContext, SpanRecord, Tracer, new_id, span_tree
 
 __all__ = [
     "COUNTER",
@@ -79,7 +79,6 @@ __all__ = [
     "Registry",
     "Snapshot",
     "SpanContext",
-    "SpanLog",
     "SpanRecord",
     "Timeline",
     "Tracer",
@@ -96,7 +95,6 @@ __all__ = [
     "parse_prometheus",
     "render_diff",
     "render_prometheus",
-    "span",
     "span_tree",
     "trace_context",
     "validate_manifest",

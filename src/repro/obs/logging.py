@@ -8,8 +8,10 @@ the ``stream.write`` level), and nothing ties a log line back to the
 request that caused it.  This module fixes both:
 
 * :class:`JsonFormatter` renders one JSON object per line -- timestamp,
-  level, logger, message, the current ``trace_id`` (a contextvar set by
-  the serve tier), plus any ``extra={"fields": {...}}`` payload;
+  level, logger, message, the current ``trace_id`` (a contextvar bound
+  by :func:`repro.trace.batch.run_batch_group` around each traced
+  cell's resolve step and by ``ExperimentRunner.prime`` around a run's
+  sweep), plus any ``extra={"fields": {...}}`` payload;
 * :class:`AtomicLineHandler` buffers the formatted record and emits it
   with a *single* ``os.write`` on the stream's file descriptor, so
   lines from concurrent workers interleave whole, never torn;
@@ -20,8 +22,8 @@ request that caused it.  This module fixes both:
   configuration inside freshly spawned worker processes.
 
 Everything stays off by default: importing this module configures
-nothing, and library code keeps logging through the stdlib ``logging``
-tree exactly as before.
+nothing, and library code logs through the stdlib ``logging`` tree,
+each module to ``logging.getLogger(__name__)`` under ``repro``.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ import sys
 import time
 from typing import Any, Iterator, TextIO
 
-#: Root of the package's logger hierarchy (kept in sync with
-#: :mod:`repro.core.debug`, which predates this module).
+#: Root of the package's logger hierarchy: every module's
+#: ``logging.getLogger(__name__)`` sits under it.
 ROOT_LOGGER_NAME = "repro"
 
 #: Environment variable consulted for the default level.

@@ -18,7 +18,7 @@ time series and address-space heatmap per simulation cell, from the
 event stream), and its span records may carry an ``error`` string plus
 causal identity -- ``trace_id``/``span_id``/``parent_id`` hex ids and a
 wall-clock ``start`` stamp (the ``repro.obs.tracing`` layer) -- so a
-serve-tier manifest carries the full request span tree across the
+CLI or serve manifest carries its full span tree across the
 process-pool boundary.  Every producer stamps version 3; any other
 ``manifest_version`` is rejected with :class:`ManifestError` naming it.
 """
@@ -33,7 +33,6 @@ from importlib import resources
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.obs.registry import Snapshot
-from repro.obs.span import SpanLog
 
 MANIFEST_VERSION = 3
 MANIFEST_SCHEMA = "repro.obs.manifest/v3"
@@ -94,7 +93,7 @@ def build_manifest(
     run: Mapping[str, Any],
     seeds: Mapping[str, int],
     metrics: Snapshot | Mapping[str, Any],
-    spans: SpanLog | Iterable[Mapping[str, Any]] | None = None,
+    spans: Iterable[Mapping[str, Any]] | None = None,
     cells: Iterable[Mapping[str, Any]] = (),
     trace_hashes: Mapping[str, str] | None = None,
     summary: Mapping[str, Any] | None = None,
@@ -110,12 +109,6 @@ def build_manifest(
     """
     from repro import __version__
 
-    if isinstance(spans, SpanLog):
-        span_list = spans.to_list()
-    elif spans is None:
-        span_list = []
-    else:
-        span_list = [dict(record) for record in spans]
     manifest: dict[str, Any] = {
         "manifest_version": MANIFEST_VERSION,
         "schema": MANIFEST_SCHEMA,
@@ -128,7 +121,7 @@ def build_manifest(
         "run": dict(run),
         "seeds": dict(seeds),
         "trace_hashes": dict(trace_hashes or {}),
-        "spans": span_list,
+        "spans": [dict(record) for record in spans or ()],
         "metrics": (
             metrics.tree() if isinstance(metrics, Snapshot) else dict(metrics)
         ),

@@ -304,7 +304,7 @@ class Registry:
     :meth:`Snapshot.tree` well-defined.
     """
 
-    __slots__ = ("_owned", "_bound", "_prefixes", "spans", "flush")
+    __slots__ = ("_owned", "_bound", "_prefixes", "flush")
 
     def __init__(self) -> None:
         self._owned: dict[str, Counter | Gauge | Histogram] = {}
@@ -314,10 +314,6 @@ class Registry:
         #: to date when read (a machine drains its pending chunk here).
         self.flush: Callable[[], None] | None = None
         self._prefixes: set[str] = set()
-        # Imported here to avoid a cycle (span.py imports Snapshot).
-        from repro.obs.span import SpanLog
-
-        self.spans = SpanLog()
 
     # -- registration --------------------------------------------------
     def _claim(self, name: str) -> None:
@@ -424,13 +420,3 @@ class Registry:
             value = getter()
             values[name] = dict(value) if kind == HISTOGRAM else value
         return Snapshot(values, kinds)
-
-    def span(self, name: str):
-        """Context manager timing a region against this registry.
-
-        Records wall time and the counter deltas between entry and exit
-        into :attr:`spans`.  See :mod:`repro.obs.span`.
-        """
-        from repro.obs.span import span as _span
-
-        return _span(name, registry=self, log=self.spans)

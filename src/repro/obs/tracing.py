@@ -1,13 +1,15 @@
-"""Request-scoped causal tracing across process boundaries.
+"""Spans: the one tracing API, causal across process boundaries.
 
-PR 3's :mod:`repro.obs.span` records flat (name, wall, depth) tuples
-inside one process; the serve tier needs more: a job admitted over HTTP
-is probed on the event loop, queued by the scheduler, executed in a
-*worker process*, and replayed chunk by chunk -- and the manifest should
-carry that whole causal story as one tree.  This module adds the three
-missing pieces:
+A span brackets a region of execution -- a CLI sweep, one artifact
+build, a serve request, one cell's capture or replay -- and records how
+long it took, what simulation work happened inside it (the diff of a
+registry's counters between entry and exit), and where it sits in the
+causal tree.  A serve job is probed on the event loop, queued by the
+scheduler, executed in a *worker process* and replayed chunk by chunk;
+a CLI run primes its sweep across a process pool.  Either way the
+manifest carries the whole story as one tree:
 
-* stable identifiers -- every request gets a ``trace_id`` and every
+* stable identifiers -- every trace gets a ``trace_id`` and every
   span a ``span_id``/``parent_id``, so records reassemble into a tree
   no matter which process produced them;
 * a :class:`Tracer` that owns one trace: a parent stack for nesting,
@@ -15,12 +17,11 @@ missing pieces:
   ``absorb()`` to splice in records a worker shipped back;
 * :class:`SpanContext`, the picklable wire form (two hex strings) that
   crosses the pool boundary so worker-side spans parent correctly
-  under the service's ``serve.execute`` span.
+  under the span that submitted them.
 
-Records are plain :class:`~repro.obs.span.SpanRecord` objects (with the
-optional identity fields set), so the manifest schema, Perfetto export,
-and span-log tooling all keep working; :func:`span_tree` rebuilds the
-nested form for tests and exporters.
+Records are :class:`SpanRecord` objects; :func:`span_tree` rebuilds the
+nested form for tests and exporters.  Spans are instrumentation, not
+accounting: they never touch simulated time.
 
 Ids are drawn from ``uuid4`` (not ``random``) so tracing never perturbs
 seeded simulations.
@@ -31,10 +32,8 @@ from __future__ import annotations
 import time
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
-
-from repro.obs.span import SpanRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.registry import Registry
@@ -47,6 +46,57 @@ SPAN_ID_HEX = 8
 def new_id(hex_digits: int = SPAN_ID_HEX) -> str:
     """A fresh lowercase-hex identifier, independent of seeded RNGs."""
     return uuid.uuid4().hex[:hex_digits]
+
+
+@dataclass(slots=True)
+class SpanRecord:
+    """One completed span."""
+
+    name: str
+    wall_seconds: float
+    #: Nesting depth at the time the span ran (0 = top level).
+    depth: int = 0
+    #: Counter deltas observed across the span (dotted name -> delta).
+    #: Zero deltas are dropped; gauges report their exit value.
+    metrics: dict[str, Any] = field(default_factory=dict)
+    #: Exception summary when the span body raised (``None`` for clean
+    #: exits).  A failed region still accounts for its time and work.
+    error: str | None = None
+    #: Causal identity: hex strings; ``parent_id`` is ``None`` for
+    #: trace roots.
+    trace_id: str | None = None
+    span_id: str | None = None
+    parent_id: str | None = None
+    #: Wall-clock start stamp (``time.time()``), letting exporters lay
+    #: spans out on a real axis instead of packing them sequentially.
+    start: float | None = None
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-safe form used by run manifests."""
+        out = {
+            "name": self.name,
+            "wall_seconds": round(self.wall_seconds, 6),
+            "depth": self.depth,
+            "metrics": {
+                name: (
+                    {str(k): v for k, v in sorted(value.items())}
+                    if isinstance(value, dict)
+                    else value
+                )
+                for name, value in sorted(self.metrics.items())
+            },
+        }
+        if self.error is not None:
+            out["error"] = self.error
+        if self.trace_id is not None:
+            out["trace_id"] = self.trace_id
+        if self.span_id is not None:
+            out["span_id"] = self.span_id
+        if self.parent_id is not None:
+            out["parent_id"] = self.parent_id
+        if self.start is not None:
+            out["start"] = round(self.start, 6)
+        return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,8 +120,9 @@ class SpanContext:
 class Tracer:
     """One trace: a stack of open spans and the records they complete into.
 
-    A tracer is **not** thread-safe; the serve tier gives each job its
-    own, and each worker builds a child tracer from the wire context.
+    A tracer is **not** thread-safe; a CLI run and each serve job own
+    one, and each cell of a group gets a child tracer built from the
+    wire context (:func:`repro.trace.batch.execute_group`).
 
     Parameters
     ----------
@@ -121,10 +172,14 @@ class Tracer:
     ) -> Iterator[SpanRecord]:
         """Open a child span for the duration of the block.
 
-        Mirrors :func:`repro.obs.span.span` (exception-safe timing and
-        metric attribution) but threads trace identity and keeps the
-        parent stack so nested ``span()``/``record()`` calls attach
-        underneath.
+        Yields the (still incomplete) :class:`SpanRecord`; its fields
+        are filled in when the block exits, including on exception -- a
+        failed region still accounts for its time, records the counter
+        deltas of ``registry`` (when given), and carries the exception
+        summary in ``record.error``.  The exception propagates unchanged,
+        and nested spans unwind cleanly: the parent stack pops and the
+        record is appended even if computing the metric delta raises.
+        Nested ``span()``/``record()`` calls attach underneath.
         """
         before = registry.snapshot() if registry is not None else None
         record = self._child(name)
@@ -217,17 +272,20 @@ class Tracer:
         self,
         spans: Iterable[Mapping[str, Any]] | None,
         *,
-        depth_offset: int = 0,
+        depth_offset: int | None = None,
     ) -> None:
         """Splice in span dicts produced by a worker-side tracer.
 
         The worker's depths are local (its root children are depth 0);
         ``depth_offset`` rebases them under the span the worker's
-        context pointed at.  Identity fields are kept verbatim -- the
-        worker already parented them correctly via the wire context.
+        context pointed at -- by default the innermost span still open
+        here.  Identity fields are kept verbatim -- the worker already
+        parented them correctly via the wire context.
         """
         if not spans:
             return
+        if depth_offset is None:
+            depth_offset = self._stack[-1][1]
         for span in spans:
             copied = dict(span)
             copied["depth"] = int(copied.get("depth", 0)) + depth_offset

@@ -38,17 +38,17 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import logging
 import signal
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
-from repro.core.debug import get_logger
 from repro.obs.logging import configure_logging
 from repro.serve.protocol import ProtocolError
 from repro.serve.scheduler import QueueFull
 from repro.serve.service import ServiceClosed, SimulationService
 
-_log = get_logger("serve.http")
+_log = logging.getLogger(__name__)
 
 #: Submissions larger than this are rejected outright (413).
 MAX_BODY_BYTES = 1 << 20

@@ -47,11 +47,11 @@ exposition format via :func:`repro.obs.render_prometheus`.
 from __future__ import annotations
 
 import asyncio
+import logging
 import queue as _queue
 import time
 from typing import Any
 
-from repro.core.debug import get_logger
 from repro.obs import (
     GAUGE,
     Registry,
@@ -70,7 +70,7 @@ from repro.trace.store import ArtifactStore, config_fingerprint
 
 __all__ = ["QueueFull", "ServiceClosed", "SimulationService"]
 
-_log = get_logger("serve.service")
+_log = logging.getLogger(__name__)
 
 #: Latency buckets, by how the result was obtained.
 _HOWS = ("captured", "replayed", "cached")
@@ -101,7 +101,7 @@ class SimulationService:
         self.table = JobTable(history_limit)
         self.scheduler = Scheduler(self.store, queue_limit, retry_after)
         self.pool = WorkerPool(
-            str(self.store.root),
+            self.store,
             workers=workers,
             mode=mode,
             job_timeout=job_timeout,

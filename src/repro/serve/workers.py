@@ -1,7 +1,7 @@
 """The worker tier: simulation cells executed off the event loop.
 
-Workers run :func:`repro.trace.batch.run_batch_group` -- the one cell
-executor the sweeps use too -- over each popped trace-key group (a lone
+Workers run :func:`repro.trace.batch.execute_group` -- the group entry
+point the sweeps call too -- over each popped trace-key group (a lone
 job is a group of one), against the service's shared artifact store,
 so everything a sweep learned (traces, replayed results) is immediately
 visible to the service and vice versa.
@@ -18,17 +18,19 @@ Two executor kinds:
 Observability crosses the pool boundary in both directions:
 
 * *into* the worker, a serialized :class:`~repro.obs.tracing.SpanContext`
-  per cell.  The worker builds a child :class:`~repro.obs.tracing.Tracer`
-  from it, wraps the group run in a ``worker.execute`` span, and ships
-  the completed span dicts back in the return value, where the service
-  splices them under its ``serve.execute`` span;
-* *out of* the worker, live timeline windows.  Cells with sampling
-  enabled push ``(token, window_dict)`` tuples onto a bounded telemetry
-  queue (a ``Manager().Queue`` proxy for process pools -- a plain
-  ``multiprocessing.Queue`` is not picklable as a task argument -- or a
-  ``queue.Queue`` for thread pools) which the service drains into SSE
-  subscribers.  Pushes never block and never raise: a full queue or a
-  torn-down manager just drops the window.
+  per cell.  The group entry point builds a child
+  :class:`~repro.obs.tracing.Tracer` from it, wraps the group run in a
+  ``worker.execute`` span, and ships the completed span dicts back in
+  the return value, where the service splices them under its
+  ``serve.execute`` span;
+* *out of* the worker, live timeline windows.  This module's one
+  adapter, :func:`_push_window`, is the entry point's ``on_window``:
+  cells with sampling enabled push ``(token, window_dict)`` tuples onto
+  a bounded telemetry queue (a ``Manager().Queue`` proxy for process
+  pools -- a plain ``multiprocessing.Queue`` is not picklable as a task
+  argument -- or a ``queue.Queue`` for thread pools) which the service
+  drains into SSE subscribers.  Pushes never block and never raise: a
+  full queue or a torn-down manager just drops the window.
 
 Robustness contract:
 
@@ -54,17 +56,16 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
+from functools import partial
 from typing import Any
 
 from repro.apps.base import AppResult
-from repro.core.debug import get_logger
 from repro.obs.logging import ROOT_LOGGER_NAME, AtomicLineHandler, worker_init
-from repro.obs.tracing import SpanContext, Tracer
-from repro.trace.batch import run_batch_group
+from repro.trace.batch import execute_group
 from repro.trace.store import ArtifactStore
 from repro.trace.sweep import SweepTask
 
-_log = get_logger("serve.workers")
+_log = logging.getLogger(__name__)
 
 #: Bound on the shared worker->service telemetry queue.  Sized for
 #: bursts (every sampled cell in a batch closing windows at once);
@@ -76,98 +77,24 @@ class JobTimeout(Exception):
     """A job exceeded the per-job wall-clock budget."""
 
 
-def _window_pusher(telemetry: Any, token: str):
-    """A drop-never-block callback pushing ``(token, window)`` tuples.
+def _push_window(
+    telemetry: Any, tokens: dict[SweepTask, str], task: SweepTask, window: dict
+) -> None:
+    """``on_window`` for :func:`execute_group`: queue a streamed window.
 
+    Bound with :func:`functools.partial` to the telemetry queue and the
+    per-task routing tokens, so it pickles into a process worker.
     Best-effort by design: a full queue (slow service loop) or a dead
     manager (service shutting down mid-job) silently drops the window
     -- live telemetry must never fail or stall a simulation.
     """
-
-    def push(window: dict) -> None:
-        try:
-            telemetry.put_nowait((token, window))
-        except (queue.Full, OSError, EOFError):
-            pass
-
-    return push
-
-
-def _execute_batch(
-    tasks: list[SweepTask],
-    store_root: str,
-    ctxs: dict[SweepTask, dict] | None = None,
-    telemetry: Any = None,
-    tokens: dict[SweepTask, str] | None = None,
-) -> list[
-    tuple[SweepTask, AppResult | None, str, str | None, str | None, list[dict] | None]
-]:
-    """Pool entry point for a trace-sharing batch group (picklable).
-
-    A cold group takes the store's capture lock, so concurrent
-    *processes* (multiple serve instances, or serve next to a sweep,
-    sharing one ``--trace-dir``) never duplicate a capture: the loser of
-    the race waits, then finds the trace warm and replays.  The stream
-    is captured (or loaded) once and every config replays against the
-    shared decoded stream.  Returns plain-data ``(task, result, how,
-    engine, error_message, spans)`` tuples -- per-cell failures come
-    back as data rather than a raised exception, because the jobs folded
-    into a batch must fail individually on the service side, not
-    collectively.
-
-    ``ctxs``/``tokens`` are per-task maps (tasks are frozen dataclasses,
-    hence hashable and stable across the pickle boundary).  Each traced
-    cell gets its own child tracer with a ``worker.execute`` root span
-    bracketing the shared group run.
-    """
-    store = ArtifactStore(store_root)
-    key = tasks[0].key()
-    tracers: dict[SweepTask, Tracer] = {}
-    roots: dict[SweepTask, Any] = {}
-    if ctxs:
-        for task, wire in ctxs.items():
-            tracer = Tracer(parent=SpanContext.from_wire(wire))
-            tracers[task] = tracer
-            roots[task] = tracer.begin("worker.execute")
-
-    on_window = None
-    if telemetry is not None and tokens:
-        pushers = {
-            task: _window_pusher(telemetry, token)
-            for task, token in tokens.items()
-        }
-
-        def on_window(task: SweepTask, window: dict) -> None:
-            push = pushers.get(task)
-            if push is not None:
-                push(window)
-
+    token = tokens.get(task)
+    if token is None:
+        return
     try:
-        if not store.has_trace(key):
-            with store.capture_lock(key):
-                outcomes = run_batch_group(
-                    tasks, store, collect_errors=True,
-                    tracers=tracers or None, on_window=on_window,
-                )
-        else:
-            outcomes = run_batch_group(
-                tasks, store, collect_errors=True,
-                tracers=tracers or None, on_window=on_window,
-            )
-    finally:
-        for task, tracer in tracers.items():
-            tracer.end(roots[task])
-    return [
-        (
-            outcome.task,
-            outcome.result,
-            outcome.how,
-            outcome.engine,
-            outcome.error.message if outcome.error is not None else None,
-            tracers[outcome.task].to_list() if outcome.task in tracers else None,
-        )
-        for outcome in outcomes
-    ]
+        telemetry.put_nowait((token, window))
+    except (queue.Full, OSError, EOFError):
+        pass
 
 
 class WorkerPool:
@@ -175,7 +102,7 @@ class WorkerPool:
 
     def __init__(
         self,
-        store_root: str,
+        store: ArtifactStore,
         workers: int = 2,
         mode: str = "process",
         job_timeout: float = 300.0,
@@ -185,7 +112,7 @@ class WorkerPool:
             raise ValueError(f"unknown worker mode {mode!r}")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.store_root = store_root
+        self.store = store
         self.workers = workers
         self.mode = mode
         self.job_timeout = job_timeout
@@ -236,9 +163,12 @@ class WorkerPool:
         ctxs: dict[SweepTask, dict] | None,
         tokens: dict[SweepTask, str] | None,
     ) -> Future:
-        telemetry = self._telemetry if tokens else None
+        on_window = None
+        if tokens:
+            on_window = partial(_push_window, self._telemetry, tokens)
         return self._pool.submit(
-            _execute_batch, tasks, self.store_root, ctxs, telemetry, tokens
+            execute_group, tasks, self.store, None, ctxs,
+            on_window=on_window, collect_errors=True,
         )
 
     # ------------------------------------------------------------------
@@ -259,19 +189,19 @@ class WorkerPool:
     ]:
         """Execute one trace-sharing group; returns ``(outcomes, attempts)``.
 
-        ``outcomes`` mirrors :func:`_execute_batch`'s tuples, so per-cell
-        failures arrive as data.  The group is the unit of timeout and
-        crash handling: a budget overrun fails every cell in the batch
-        with :class:`JobTimeout`, and a crashed pool is rebuilt and the
-        group retried up to ``max_retries`` times before the crash
-        fails every cell.
+        ``outcomes`` are :func:`execute_group`'s per-cell rows, so
+        per-cell failures arrive as data.  The group is the unit of
+        timeout and crash handling: a budget overrun fails every cell in
+        the batch with :class:`JobTimeout`, and a crashed pool is
+        rebuilt and the group retried up to ``max_retries`` times before
+        the crash fails every cell.
         """
         attempts = 0
         while True:
             attempts += 1
             try:
                 future = self._submit_batch(tasks, ctxs, tokens)
-                outcomes = await asyncio.wait_for(
+                _content_hash, outcomes = await asyncio.wait_for(
                     asyncio.wrap_future(future), self.job_timeout
                 )
                 return outcomes, attempts

@@ -18,6 +18,10 @@ share the stream.
   cell's direct result answers that cell), answer cached cells from the
   store, run events cells direct, then build one replay session per
   remaining config and drive them all through one streaming decode;
+* :func:`execute_group` is the entry point every executor calls --
+  sweeps in-process and across their pool, serve's worker pool -- which
+  wraps :func:`run_batch_group` with the capture lock, per-cell child
+  tracers and plain-data results;
 * :func:`session_for` picks the per-config replay session: the
   exec-specialized kernel (:class:`~repro.trace.kernels.
   SpecializedSession`) when the config is inside the specializer's
@@ -51,6 +55,8 @@ from dataclasses import dataclass
 from repro.apps import get_application
 from repro.apps.base import AppResult, Variant
 from repro.core.machine import MachineConfig
+from repro.obs.logging import bind_trace_id, reset_trace_id
+from repro.obs.tracing import SpanContext, Tracer
 from repro.trace.format import Trace
 from repro.trace.kernels import SpecializedSession, specializable
 from repro.trace.recorder import capture_trace
@@ -168,9 +174,10 @@ def run_batch_group(
     ``tracers`` (``{task: Tracer}``), when given, records each cell's
     phases as spans into that cell's causal tree -- trace load, capture,
     cache probe, the shared drive (one ``replay.run`` span per cell with
-    capped per-chunk children), result writes.  ``on_window`` is called
-    as ``on_window(task, window_dict)`` for every timeline window a
-    cell's run or session closes.  Both default to ``None`` and add
+    capped per-chunk children), result writes -- and binds the cell's
+    trace id for log lines around its resolve step.  ``on_window`` is
+    called as ``on_window(task, window_dict)`` for every timeline window
+    a cell's run or session closes.  Both default to ``None`` and add
     nothing to the chunk loop when absent.
     """
     keys = {task.key() for task in tasks}
@@ -207,6 +214,9 @@ def run_batch_group(
         if on_window is not None:
             def window_cb(window, _task=task):
                 on_window(_task, window)
+        # A traced cell's log lines (an unreadable trace or result
+        # discarded) carry its trace id.
+        bound = bind_trace_id(tracer.trace_id) if tracer is not None else None
         try:
             config = task.config()
             if trace is None:
@@ -269,10 +279,75 @@ def run_batch_group(
             pending.append((position, task, fingerprint, session, engine, tracer))
         except Exception as exc:
             fail(position, task, exc)
+        finally:
+            if bound is not None:
+                reset_trace_id(bound)
 
     if pending:
         _drive_pending(trace, pending, outcomes, store, fail)
     return [outcomes[position] for position in sorted(outcomes)]
+
+
+def execute_group(
+    tasks: list,
+    store: ArtifactStore | None = None,
+    traces: dict[str, Trace] | None = None,
+    ctxs: dict | None = None,
+    *,
+    on_window=None,
+    collect_errors: bool = False,
+) -> tuple[str | None, list[tuple]]:
+    """Run one trace-sharing group: the entry point of every executor.
+
+    Sweeps call it in-process and through their process pool, and the
+    serve tier's worker pool calls it for each popped group, so its
+    arguments and results are plain, picklable data.  A cold key (in
+    neither ``traces`` nor ``store``) is run under the store's capture
+    lock, so concurrent processes sharing one store never duplicate a
+    capture: the loser of the race waits, then finds the trace warm.
+
+    ``ctxs`` maps a task to the wire form of a
+    :class:`~repro.obs.tracing.SpanContext`; each such cell gets a child
+    :class:`~repro.obs.tracing.Tracer` whose ``worker.execute`` root
+    brackets the shared group run.  ``on_window`` is forwarded to
+    :func:`run_batch_group`, as is ``collect_errors``.
+
+    Returns ``(content_hash, rows)``: the group's trace content hash
+    (``None`` if no trace was found or captured) and one
+    ``(task, result, how, engine, error_message, spans)`` tuple per
+    cell, in task order; ``spans`` is the cell's span dicts, or ``None``
+    for an untraced cell.
+    """
+    key = tasks[0].key()
+    if traces is None:
+        traces = {}
+    tracers = {
+        task: Tracer(parent=SpanContext.from_wire(wire))
+        for task, wire in (ctxs or {}).items()
+    }
+    roots = {task: tracer.begin("worker.execute") for task, tracer in tracers.items()}
+    cold = store is not None and key not in traces and not store.has_trace(key)
+    try:
+        with store.capture_lock(key) if cold else nullcontext():
+            outcomes = run_batch_group(
+                tasks, store, traces, collect_errors,
+                tracers=tracers or None, on_window=on_window,
+            )
+    finally:
+        for task, tracer in tracers.items():
+            tracer.end(roots[task])
+    trace = traces.get(key)
+    return trace.content_hash if trace is not None else None, [
+        (
+            outcome.task,
+            outcome.result,
+            outcome.how,
+            outcome.engine,
+            outcome.error.message if outcome.error is not None else None,
+            tracers[outcome.task].to_list() if outcome.task in tracers else None,
+        )
+        for outcome in outcomes
+    ]
 
 
 def _drive_pending(trace, pending, outcomes, store, fail) -> None:

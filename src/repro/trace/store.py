@@ -61,13 +61,13 @@ import contextlib
 import hashlib
 import itertools
 import json
+import logging
 import os
 import time
 from dataclasses import asdict
 from pathlib import Path
 
 from repro.apps.base import AppResult, Variant
-from repro.core.debug import get_logger
 from repro.core.machine import MachineConfig
 from repro.core.stats import MachineStats
 from repro.trace.format import (
@@ -77,7 +77,7 @@ from repro.trace.format import (
     load_index,
 )
 
-_log = get_logger("trace.store")
+_log = logging.getLogger(__name__)
 
 #: A lock or temp file untouched for this long is presumed abandoned.
 STALE_AFTER_SECONDS = 900.0

@@ -15,10 +15,13 @@ With ``jobs > 1`` the process pool shards by *group*, not by cell: the
 decoded stream is the expensive thing worth keeping local to one
 worker, so a worker owns a trace key end to end (capture if needed,
 then all of its replays).  Workers coordinate purely through the
-(atomic-write) artifact store, so there is no shared mutable state.
-With ``jobs <= 1`` everything runs in-process, which is also the path
-:class:`~repro.experiments.runner.ExperimentRunner` uses for its lazy
-per-call API.
+(atomic-write) artifact store and its capture locks, so there is no
+shared mutable state.  With ``jobs <= 1`` everything runs in-process,
+which is also the path :class:`~repro.experiments.runner.
+ExperimentRunner` uses for its lazy per-call API.  Either way each
+group runs through :func:`repro.trace.batch.execute_group`, the entry
+point serve's worker pool calls too, and hands back the same rows: each
+cell's result and spans, and the group's trace content hash.
 """
 
 from __future__ import annotations
@@ -31,14 +34,19 @@ from typing import Iterable
 from repro.adapt.config import DEFAULT_HEATMAP_REGION, AdaptConfig
 from repro.apps import APPLICATIONS
 from repro.apps.base import AppResult, Variant
-from repro.core.debug import get_logger
 from repro.obs.logging import log_event
 from repro.obs.registry import EMPTY, Snapshot
-from repro.trace.batch import BatchCellError, group_by_trace, run_batch_group
+from repro.obs.tracing import Tracer
+from repro.trace.batch import (
+    BatchCellError,
+    execute_group,
+    group_by_trace,
+    run_batch_group,
+)
 from repro.trace.format import Trace
 from repro.trace.store import ArtifactStore, config_fingerprint, trace_key
 
-_log = get_logger("trace.sweep")
+_log = logging.getLogger(__name__)
 
 
 class SweepError(RuntimeError):
@@ -172,19 +180,6 @@ def run_task(
     return outcome.result, outcome.how
 
 
-def _batch_worker(
-    group: list[SweepTask], store_root: str
-) -> list[tuple[SweepTask, AppResult, str, str | None]]:
-    """Process-pool entry point for one trace-sharing group.
-
-    Returns plain tuples (picklable); a failing cell raises
-    :class:`~repro.trace.batch.BatchCellError`, whose args are plain
-    data, so the cell identity survives the pool's result pipe.
-    """
-    outcomes = run_batch_group(group, ArtifactStore(store_root))
-    return [(o.task, o.result, o.how, o.engine) for o in outcomes]
-
-
 def batch_label(key: str, group: list[SweepTask]) -> str:
     """Short human-readable tag for one batch group's progress lines."""
     return f"{key.split('-')[0]}[{len(group)}]"
@@ -199,11 +194,13 @@ def execute_sweep(
     batch: bool = True,
     engines: dict | None = None,
     traces: dict[str, Trace] | None = None,
+    tracer: Tracer | None = None,
+    hashes: dict[str, str] | None = None,
 ) -> dict[SweepTask, tuple[AppResult, str]]:
     """Run every task; returns ``{task: (result, how)}`` in task order.
 
     Cells are grouped by trace key and each group runs through
-    :func:`repro.trace.batch.run_batch_group` -- one decode, N configs.
+    :func:`repro.trace.batch.execute_group` -- one decode, N configs.
     With ``jobs <= 1`` (or a single group) the groups run in-process
     against ``store``, which may be ``None`` (nothing persists), and
     ``traces``, an optional in-process trace cache shared across calls.
@@ -212,7 +209,10 @@ def execute_sweep(
     ``store`` is required: workers coordinate through it.  ``engines``,
     when given, is filled with ``{task: engine_label}`` (see
     :mod:`repro.trace.batch`; cached cells have none) for manifest
-    annotation.
+    annotation, and ``hashes`` with ``{trace key: content hash}`` for
+    every group.  With a ``tracer``, every cell records a
+    ``worker.execute`` span tree under the tracer's innermost open span,
+    wherever its group ran.
 
     ``batch`` accepts only ``True`` and raises :class:`ValueError` for
     any other value: grouping is the only executor, and the keyword
@@ -225,13 +225,22 @@ def execute_sweep(
         )
     results: dict[SweepTask, tuple[AppResult, str]] = {}
     groups = group_by_trace(tasks)
+    wire = tracer.current().to_wire() if tracer is not None else None
 
-    def _absorb(key, group, outcomes):
+    def _ctxs(group):
+        return None if wire is None else dict.fromkeys(group, wire)
+
+    def _absorb(key, group, done):
+        content_hash, rows = done
+        if hashes is not None and content_hash is not None:
+            hashes[key] = content_hash
         label = batch_label(key, group)
-        for task, result, how, engine in outcomes:
+        for task, result, how, engine, _error, spans in rows:
             results[task] = (result, how)
             if engines is not None and engine is not None:
                 engines[task] = engine
+            if tracer is not None:
+                tracer.absorb(spans)
             if verbose:
                 log_progress(task, result, how, engine=engine, group=label)
 
@@ -240,30 +249,28 @@ def execute_sweep(
             traces = {}
         for key, group in groups.items():
             try:
-                outcomes = run_batch_group(group, store, traces)
+                done = execute_group(group, store, traces, _ctxs(group))
             except BatchCellError as exc:
                 raise SweepError(exc.task, exc) from exc
             except Exception as exc:
                 raise SweepError(group[0], exc) from exc
-            _absorb(
-                key, group, [(o.task, o.result, o.how, o.engine) for o in outcomes]
-            )
+            _absorb(key, group, done)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                pool.submit(_batch_worker, group, str(store.root)): key
+                pool.submit(execute_group, group, store, None, _ctxs(group)): key
                 for key, group in groups.items()
             }
             try:
                 for future in as_completed(futures):
                     key = futures[future]
                     try:
-                        outcomes = future.result()
+                        done = future.result()
                     except BatchCellError as exc:
                         raise SweepError(exc.task, exc) from exc
                     except Exception as exc:
                         raise SweepError(groups[key][0], exc) from exc
-                    _absorb(key, groups[key], outcomes)
+                    _absorb(key, groups[key], done)
             except SweepError:
                 for future in futures:
                     future.cancel()

@@ -5,6 +5,8 @@ matrix of cells, renders, and that the shared runner memoises.  The
 paper-shape assertions at full scale live in the benchmark suite.
 """
 
+import time
+from collections import Counter
 from concurrent.futures import Future
 
 import pytest
@@ -17,6 +19,7 @@ from repro.experiments import (
 )
 from repro.experiments.runner import specs_for_artifacts
 from repro.experiments import ablations, figure5, figure6, figure7, figure10, table1
+from repro.obs.tracing import span_tree
 
 SCALE = 0.15
 
@@ -81,6 +84,57 @@ class TestRunner:
         assert list(pooled.engines) == order
         # Same order of absorption, so the float sums agree to the bit.
         assert pooled.obs.snapshot() == serial.obs.snapshot()
+        assert serial.trace_hashes()
+        assert pooled.trace_hashes() == serial.trace_hashes()
+
+
+class TestRunTrace:
+    """A run records one span tree: the sweep, then the artifact."""
+
+    def test_root_spans_cover_the_run(self):
+        runner = ExperimentRunner(scale=0.05)
+        specs = specs_for_artifacts(["figure5"], 0.05)
+        started = time.perf_counter()
+        runner.prime(specs)
+        with runner.span("figure5"):
+            result = figure5.run(runner, scale=0.05)
+        manifest = figure5.manifest(result, runner)
+        wall = time.perf_counter() - started
+        roots = span_tree(manifest["spans"])
+        assert [root["name"] for root in roots] == ["prime", "figure5"]
+        covered = sum(root["wall_seconds"] for root in roots)
+        assert covered >= 0.9 * wall, (covered, wall)
+        # One per-cell tree under the sweep, wherever the cell ran.
+        cells = roots[0]["children"]
+        assert [node["name"] for node in cells] == ["worker.execute"] * len(specs)
+        assert len(manifest["trace_hashes"]) == len(
+            {spec.task().key() for spec in specs}
+        )
+
+    def test_pooled_prime_records_the_same_spans(self, tmp_path):
+        specs = [
+            spec
+            for spec in specs_for_artifacts(["figure5"], 0.05)
+            if spec.app in ("health", "mst")
+        ]
+        manifests = []
+        for jobs in (1, 2):
+            runner = ExperimentRunner(
+                scale=0.05, jobs=jobs, trace_dir=str(tmp_path / f"jobs{jobs}")
+            )
+            runner.prime(specs)
+            manifests.append(runner.manifest("probe"))
+        serial, pooled = manifests
+        assert pooled["trace_hashes"] == serial["trace_hashes"]
+        assert Counter(s["name"] for s in pooled["spans"]) == Counter(
+            s["name"] for s in serial["spans"]
+        )
+        (prime,) = span_tree(pooled["spans"])
+        assert prime["name"] == "prime"
+        assert len(prime["children"]) == len(specs)
+        assert {s["trace_id"] for s in pooled["spans"]} == {
+            pooled["spans"][-1]["trace_id"]
+        }
 
 
 class _InlinePool:

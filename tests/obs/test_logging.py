@@ -169,14 +169,12 @@ class TestConfiguration:
             logger.handlers[:] = saved_handlers
             logger.setLevel(saved_level)
 
-    def test_enable_progress_logging_delegates(self):
-        from repro.core.debug import enable_progress_logging
-
+    def test_configure_logging_attaches_to_repro_root(self):
         logger = logging.getLogger("repro")
         saved_handlers = list(logger.handlers)
         saved_level = logger.level
         try:
-            returned = enable_progress_logging()
+            returned = configure_logging(logging.INFO)
             assert returned is logger
             assert any(
                 isinstance(h, AtomicLineHandler) for h in logger.handlers

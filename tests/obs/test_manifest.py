@@ -17,7 +17,7 @@ import pytest
 import repro
 from repro.experiments import ExperimentRunner
 from repro.experiments import ablations, figure5, figure6, figure7, figure10, table1
-from repro.obs import Registry
+from repro.obs import Registry, Tracer
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     MANIFEST_VERSION,
@@ -232,8 +232,9 @@ class TestEveryArtifactEmitsAValidManifest:
 
     def test_ablations(self):
         obs = Registry()
-        results = ablations.run_all(scale=SCALE, obs=obs)
-        manifest = ablations.manifest(results, SCALE, obs)
+        tracer = Tracer()
+        results = ablations.run_all(scale=SCALE, obs=obs, tracer=tracer)
+        manifest = ablations.manifest(results, SCALE, obs, tracer)
         validate_manifest(manifest)
         ids = [entry["id"] for entry in manifest["cells"]]
         assert len(ids) == len(set(ids)), "ablation cell ids must be unique"

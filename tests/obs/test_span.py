@@ -1,109 +1,110 @@
-"""Unit tests for span timing and counter attribution."""
+"""Unit tests for span timing and counter attribution (Tracer.span)."""
+
+import json
 
 import pytest
 
 from repro.obs.registry import Registry
-from repro.obs.span import SpanLog, span
+from repro.obs.tracing import Tracer
 
 
 class TestSpan:
     def test_records_wall_time(self):
-        log = SpanLog()
-        with span("work", log=log):
+        tracer = Tracer()
+        with tracer.span("work"):
             pass
-        record = log.records[-1]
+        record = tracer.records[-1]
         assert record.name == "work"
         assert record.wall_seconds >= 0.0
 
     def test_attributes_counter_deltas(self):
         registry = Registry()
-        registry.counter("runs.captured").inc(2)
-        with registry.span("phase"):
+        registry.counter("runs.captured").inc(2)  # before the span
+        tracer = Tracer()
+        with tracer.span("phase", registry) as record:
             registry.counter("runs.captured").inc(3)
             registry.counter("runs.cached")  # stays zero -> dropped
-        record = registry.spans.find("phase")
         assert record.metrics == {"runs.captured": 3}
 
     def test_nesting_depth(self):
-        registry = Registry()
-        with registry.span("outer"):
-            with registry.span("inner"):
+        tracer = Tracer()
+        with tracer.span("outer") as outer:
+            with tracer.span("inner") as inner:
                 pass
-        assert registry.spans.find("inner").depth == 1
-        assert registry.spans.find("outer").depth == 0
+        assert inner.depth == 1
+        assert outer.depth == 0
         # Completion order: innermost first.
-        assert [r.name for r in registry.spans.records] == ["inner", "outer"]
+        assert [r.name for r in tracer.records] == ["inner", "outer"]
 
     def test_exception_still_recorded(self):
         registry = Registry()
+        tracer = Tracer()
         with pytest.raises(RuntimeError):
-            with registry.span("doomed"):
+            with tracer.span("doomed", registry) as record:
                 registry.counter("runs.captured").inc()
                 raise RuntimeError("boom")
-        assert registry.spans.find("doomed").metrics == {"runs.captured": 1}
+        assert tracer.records == [record]
+        assert record.metrics == {"runs.captured": 1}
 
     def test_to_dict_is_json_safe(self):
         registry = Registry()
         registry.histogram("fwd.hop_histogram")
-        with registry.span("run"):
+        tracer = Tracer()
+        with tracer.span("run", registry):
             registry.histogram("fwd.hop_histogram").observe(2)
-        entry = registry.spans.to_list()[0]
+        entry = tracer.to_list()[0]
         assert entry["name"] == "run"
         assert entry["depth"] == 0
         assert entry["metrics"] == {"fwd.hop_histogram": {"2": 1}}
-
-    def test_find_missing_raises(self):
-        with pytest.raises(KeyError):
-            SpanLog().find("nope")
+        assert json.loads(json.dumps(entry)) == entry
 
 
 class TestSpanExceptionSafety:
-    """PR 4 regression tests: spans must unwind cleanly through errors."""
+    """Spans must unwind cleanly through errors."""
 
     def test_error_summary_recorded_and_exception_propagates(self):
-        registry = Registry()
+        tracer = Tracer()
         with pytest.raises(ValueError, match="bad cell"):
-            with registry.span("doomed"):
+            with tracer.span("doomed") as record:
                 raise ValueError("bad cell")
-        record = registry.spans.find("doomed")
         assert record.error == "ValueError: bad cell"
-        assert "error" in record.to_dict()
+        assert record.to_dict()["error"] == "ValueError: bad cell"
 
     def test_messageless_exception_keeps_type_name(self):
-        registry = Registry()
+        tracer = Tracer()
         with pytest.raises(KeyError):
-            with registry.span("doomed"):
+            with tracer.span("doomed") as record:
                 raise KeyError
-        assert registry.spans.find("doomed").error == "KeyError"
+        assert record.error == "KeyError"
 
     def test_clean_exit_has_no_error(self):
-        registry = Registry()
-        with registry.span("fine"):
+        tracer = Tracer()
+        with tracer.span("fine") as record:
             pass
-        record = registry.spans.find("fine")
         assert record.error is None
         assert "error" not in record.to_dict()
 
     def test_nested_spans_unwind_through_exception(self):
-        """Depth bookkeeping survives an exception crossing both levels."""
+        """Stack bookkeeping survives an exception crossing both levels."""
         registry = Registry()
+        tracer = Tracer()
         with pytest.raises(RuntimeError):
-            with registry.span("outer"):
-                with registry.span("inner"):
+            with tracer.span("outer", registry) as outer:
+                with tracer.span("inner", registry) as inner:
                     registry.counter("runs.captured").inc()
                     raise RuntimeError("boom")
-        log = registry.spans
-        assert log._depth == 0, "depth counter must rewind to top level"
-        assert [r.name for r in log.records] == ["inner", "outer"]
-        assert log.find("inner").depth == 1
-        assert log.find("outer").depth == 0
-        assert log.find("inner").error == "RuntimeError: boom"
-        assert log.find("outer").error == "RuntimeError: boom"
-        assert log.find("inner").metrics == {"runs.captured": 1}
-        # The log is reusable afterwards: a fresh span starts at depth 0.
-        with registry.span("after"):
+        assert tracer._stack == [(None, 0)], "stack must rewind to the root"
+        assert [r.name for r in tracer.records] == ["inner", "outer"]
+        assert (inner.depth, outer.depth) == (1, 0)
+        assert inner.parent_id == outer.span_id
+        assert inner.error == outer.error == "RuntimeError: boom"
+        # A failed region still accounts for the work done inside it.
+        assert inner.metrics == outer.metrics == {"runs.captured": 1}
+        # The tracer is reusable afterwards: a fresh span is top level.
+        with tracer.span("after") as after:
             pass
-        assert log.find("after").depth == 0
+        assert after.depth == 0
+        assert after.parent_id is None
 
     def test_record_appended_even_if_metric_diff_raises(self):
         class ExplodingRegistry(Registry):
@@ -117,10 +118,9 @@ class TestSpanExceptionSafety:
                     raise RuntimeError("diff failed")
                 return super().snapshot()
 
-        registry = ExplodingRegistry()
-        log = SpanLog()
+        tracer = Tracer()
         with pytest.raises(RuntimeError, match="diff failed"):
-            with span("fragile", registry=registry, log=log):
+            with tracer.span("fragile", ExplodingRegistry()):
                 pass
-        assert log._depth == 0
-        assert [r.name for r in log.records] == ["fragile"]
+        assert tracer._stack == [(None, 0)]
+        assert [r.name for r in tracer.records] == ["fragile"]

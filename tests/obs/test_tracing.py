@@ -1,15 +1,15 @@
-"""Unit tests for request-scoped tracing (repro.obs.tracing)."""
+"""Unit tests for spans and causal tracing (repro.obs.tracing)."""
 
 import pickle
 
 import pytest
 
 from repro.obs.registry import Registry
-from repro.obs.span import SpanRecord
 from repro.obs.tracing import (
     SPAN_ID_HEX,
     TRACE_ID_HEX,
     SpanContext,
+    SpanRecord,
     Tracer,
     new_id,
     span_tree,
@@ -146,6 +146,10 @@ class TestTracer:
         assert [r["depth"] for r in tracer.records] == [2, 3]
         tracer.absorb(None)  # no-op
         assert len(tracer.records) == 2
+        # By default the records rebase under the innermost open span.
+        with tracer.span("prime"):
+            tracer.absorb([{"name": "worker.execute", "wall_seconds": 0.1}])
+        assert tracer.records[-2]["depth"] == 1
 
     def test_to_list_mixes_local_and_foreign(self):
         tracer = Tracer()

@@ -183,16 +183,16 @@ class TestBackpressure:
         import repro.serve.workers as workers_mod
 
         release = threading.Event()
-        real_run_batch_group = workers_mod.run_batch_group
+        real_execute_group = workers_mod.execute_group
 
-        # The service runs batch mode by default, so its worker executes
-        # cells through run_batch_group; blocking there holds the first
-        # job until the third POST has been answered.
+        # The worker pool runs every popped group through execute_group;
+        # blocking there holds the first job until the third POST has
+        # been answered.
         def _blocked(*args, **kwargs):
             release.wait(30.0)
-            return real_run_batch_group(*args, **kwargs)
+            return real_execute_group(*args, **kwargs)
 
-        monkeypatch.setattr(workers_mod, "run_batch_group", _blocked)
+        monkeypatch.setattr(workers_mod, "execute_group", _blocked)
 
         async def scenario(port, service):
             try:
@@ -273,11 +273,11 @@ class TestStreaming:
         # Pace the cell so windows drain to subscribers while it is
         # still running: the acceptance bar is >= 2 window events
         # observed strictly before the job's terminal state event.  The
-        # service runs batch mode by default, so its worker executes
-        # cells through run_batch_group; its window hook is paced.
+        # worker pool runs every popped group through execute_group;
+        # its window hook is paced.
         import repro.serve.workers as workers_mod
 
-        real_run_batch_group = workers_mod.run_batch_group
+        real_execute_group = workers_mod.execute_group
 
         def _paced(*args, on_window=None, **kwargs):
             paced = None
@@ -285,9 +285,9 @@ class TestStreaming:
                 def paced(task, window, _push=on_window):
                     _push(task, window)
                     time.sleep(0.02)
-            return real_run_batch_group(*args, on_window=paced, **kwargs)
+            return real_execute_group(*args, on_window=paced, **kwargs)
 
-        monkeypatch.setattr(workers_mod, "run_batch_group", _paced)
+        monkeypatch.setattr(workers_mod, "execute_group", _paced)
 
         async def scenario(port, service):
             status, body, _ = await _request(

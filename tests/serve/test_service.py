@@ -1,11 +1,14 @@
 """SimulationService end to end (thread-mode workers, real simulations)."""
 
 import asyncio
+import io
+import logging
 import time
 
 import pytest
 
 from repro.obs import validate_manifest
+from repro.obs.logging import AtomicLineHandler, configure_logging, iter_log_lines
 from repro.serve import (
     DONE,
     FAILED,
@@ -13,7 +16,7 @@ from repro.serve import (
     ServiceClosed,
     SimulationService,
 )
-from repro.trace import run_task
+from repro.trace import ArtifactStore, run_task
 
 SCALE = 0.05
 
@@ -276,6 +279,41 @@ class TestObservability:
                 await service.drain(timeout=10.0)
 
         asyncio.run(scenario())
+
+    def test_worker_log_lines_carry_the_job_trace_id(self, tmp_path):
+        # A corrupted trace is discarded (and recaptured) inside the
+        # worker; the warning names the job's trace.
+        store = ArtifactStore(tmp_path / "store")
+        key = JobSpec.from_payload(_payload()).task().key()
+        store.trace_path(key).write_bytes(b"not a trace")
+        stream = io.StringIO()
+        logger = configure_logging("INFO", stream=stream, force=True)
+
+        async def scenario():
+            service = _service(tmp_path)
+            await service.start()
+            try:
+                job, _ = await _submit_and_wait(service, _payload())
+                assert job.state == DONE
+                return job
+            finally:
+                await service.drain(timeout=10.0)
+
+        try:
+            job = asyncio.run(scenario())
+        finally:
+            for handler in [
+                h for h in logger.handlers if isinstance(h, AtomicLineHandler)
+            ]:
+                logger.removeHandler(handler)
+            logger.setLevel(logging.NOTSET)
+        discarded = [
+            line
+            for line in iter_log_lines(stream.getvalue())
+            if line["msg"].startswith("discarding unreadable trace")
+        ]
+        assert len(discarded) == 1, stream.getvalue()
+        assert discarded[0]["trace_id"] == job.trace_id
 
 
 class TestBatchFold:

@@ -146,6 +146,36 @@ class TestRunBatchGroup:
         assert [o.how for o in outcomes] == ["captured", "replayed"]
 
 
+class TestExecuteGroup:
+    def test_cold_key_captures_under_the_lock_and_returns_its_hash(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.trace.batch as batch_mod
+
+        store = ArtifactStore(tmp_path)
+        tasks = [SweepTask("health", "N", size, SCALE, 1) for size in (32, 64)]
+        key = tasks[0].key()
+        held = []
+        real_capture = batch_mod.capture_trace
+
+        def spy(*args, **kwargs):
+            held.append(store.lock_path(key).exists())
+            return real_capture(*args, **kwargs)
+
+        monkeypatch.setattr(batch_mod, "capture_trace", spy)
+        content_hash, rows = batch_mod.execute_group(tasks, store)
+        assert held == [True]
+        assert not store.lock_path(key).exists()
+        assert content_hash == store.load_trace(key).content_hash
+        assert [(row[0], row[2]) for row in rows] == [
+            (tasks[0], "captured"),
+            (tasks[1], "replayed"),
+        ]
+        # A warm key captures nothing and still names its trace.
+        assert batch_mod.execute_group(tasks, store)[0] == content_hash
+        assert held == [True]
+
+
 class _Exploder:
     """Stand-in task whose config() raises (mirrors test_sweep's)."""
 
