@@ -15,11 +15,18 @@ Addresses are byte addresses.  The word size is fixed at 8 bytes, matching
 the paper's 64-bit target architecture.  Sub-word (1/2/4-byte) accesses are
 supported and little-endian, mirroring the MIPS configuration used in the
 paper's simulator.
+
+Fresh memory is demand-zero.  Section 3.3 has the operating system hand an
+application only words whose data and forwarding bits are both zero; the
+host's anonymous pages give exactly that guarantee, page by page, on first
+touch.  So the words and the tags live in two private anonymous mappings,
+and a machine pays for the pages its program touches, not for the whole
+simulated memory up front.
 """
 
 from __future__ import annotations
 
-from array import array
+import mmap
 
 from repro.core.errors import AlignmentError, MemoryAccessError
 
@@ -65,14 +72,20 @@ class TaggedMemory:
         nwords = (size + WORD_SIZE - 1) >> WORD_SHIFT
         self._nwords = nwords
         self.size = nwords << WORD_SHIFT
-        # array('Q') rather than a list: a multi-megabyte list of int
-        # pointers is scanned by every young-generation GC pass while it
-        # ages (a measurable fraction of sweep runtime at 42 machines per
-        # run), whereas an array holds raw 64-bit slots the collector
-        # never visits, and zero-fill construction is a memset.  Every
-        # writer masks values into [0, 2**64), matching the 'Q' range.
-        self._words = array("Q", bytes(8 * nwords))
-        self._fbits = bytearray(nwords)
+        # Views over private anonymous mappings: the operating system
+        # zeroes a page when the program first touches it, so a machine
+        # pays nothing for memory its program never uses (an eagerly
+        # zero-filled array of the default 48 MiB costs a 48 MiB copy per
+        # machine), and the garbage collector never scans either view.
+        # The mappings are private, not mmap's default MAP_SHARED: a
+        # shared mapping lets a process forked while a machine is live
+        # write into the parent's memory, and charges shared memory for
+        # every page that is only read.  Every writer masks values into
+        # [0, 2**64), the 'Q' range.
+        self._words = memoryview(
+            mmap.mmap(-1, 8 * nwords, flags=mmap.MAP_PRIVATE)
+        ).cast("Q")
+        self._fbits = memoryview(mmap.mmap(-1, nwords, flags=mmap.MAP_PRIVATE))
 
     # ------------------------------------------------------------------
     # Bounds / alignment checks

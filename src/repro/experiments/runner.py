@@ -23,7 +23,6 @@ span`.
 from __future__ import annotations
 
 import logging
-import tempfile
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -148,8 +147,7 @@ class ExperimentRunner:
         still applies within the process).
     use_cache:
         When False, ignore and do not populate ``trace_dir`` -- every
-        invocation starts cold.  Parallel priming then shards through a
-        throwaway temporary store instead.
+        invocation starts cold, and nothing persists, pooled or not.
 
     Every cell runs through the one cell executor
     (:func:`repro.trace.batch.run_batch_group`): cells group by trace
@@ -207,7 +205,6 @@ class ExperimentRunner:
         self.store = (
             ArtifactStore(trace_dir) if (trace_dir and use_cache) else None
         )
-        self._scratch: tempfile.TemporaryDirectory | None = None
         self._cache: dict[RunSpec, AppResult] = {}
         self._traces: dict = {}
         #: Content hash of every trace a sweep of this runner used, by
@@ -317,12 +314,11 @@ class ExperimentRunner:
         if not todo:
             return
         by_task = {spec.task(): spec for spec in todo}
-        pooled = self.jobs > 1 and len(todo) > 1
         engines: dict = {}
         with trace_context(self.tracer.trace_id), self.tracer.span("prime"):
             outcomes = execute_sweep(
                 list(by_task),
-                self._sweep_store() if pooled else self.store,
+                self.store,
                 jobs=self.jobs,
                 verbose=self.verbose,
                 engines=engines,
@@ -334,14 +330,6 @@ class ExperimentRunner:
                 result, how = outcomes[task]
                 self._cache[spec] = result
                 self._record(spec, result, how, engines.get(task))
-
-    def _sweep_store(self) -> ArtifactStore:
-        """The persistent store, or a lazily created throwaway one."""
-        if self.store is not None:
-            return self.store
-        if self._scratch is None:
-            self._scratch = tempfile.TemporaryDirectory(prefix="repro-sweep-")
-        return ArtifactStore(self._scratch.name)
 
     # ------------------------------------------------------------------
     def span(self, name: str):

@@ -45,9 +45,14 @@ _TERMINAL = (DONE, FAILED)
 STREAM_QUEUE_LIMIT = 256
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
-    """One scheduled simulation and everything observers can ask about it."""
+    """One scheduled simulation and everything observers can ask about it.
+
+    A finished job sits in the table's history until evicted, so it
+    keeps only what its manifest JSON does not already hold: completion
+    drops the tracer, the root span and the done event.
+    """
 
     id: str
     spec: JobSpec
@@ -68,9 +73,10 @@ class Job:
     attempts: int = 0
     #: Request trace id (set by the service when tracing the job).
     trace_id: str | None = None
-    #: The service-side Tracer assembling this job's span tree.
+    #: The service-side Tracer assembling this job's span tree (None
+    #: once terminal: the manifest carries its spans).
     tracer: Any = field(default=None, repr=False)
-    #: The open ``serve.request`` root span (closed at completion).
+    #: The open ``serve.request`` root span (None once terminal).
     root_span: Any = field(default=None, repr=False)
     #: Wall-clock submission stamp (``time.time()``; ``submitted_at``
     #: is monotonic and useless for cross-process span layout).
@@ -79,7 +85,8 @@ class Job:
     #: subscriber queues.
     stream_events: int = 0
     stream_dropped: int = 0
-    _done: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
+    #: Set, then dropped, at completion; waiters hold their own reference.
+    _done: asyncio.Event | None = field(default_factory=asyncio.Event, repr=False)
     _watchers: list = field(default_factory=list, repr=False)
 
     # ------------------------------------------------------------------
@@ -120,19 +127,22 @@ class Job:
         self.state = DONE
         self.how = how
         self.manifest_json = json.dumps(manifest)
-        self.finished_at = time.monotonic()
-        self.publish({"event": "state", "state": DONE, "how": how})
-        self._close_stream()
-        self._done.set()
+        self._finish({"event": "state", "state": DONE, "how": how})
 
     def fail(self, error: str, manifest: dict[str, Any] | None = None) -> None:
         self.state = FAILED
         self.error = error
         self.manifest_json = None if manifest is None else json.dumps(manifest)
+        self._finish({"event": "state", "state": FAILED, "error": error})
+
+    def _finish(self, event: dict[str, Any]) -> None:
+        """Publish the terminal state, wake every waiter, and let go of
+        what the manifest JSON already holds."""
         self.finished_at = time.monotonic()
-        self.publish({"event": "state", "state": FAILED, "error": error})
+        self.publish(event)
         self._close_stream()
         self._done.set()
+        self.tracer = self.root_span = self._done = None
 
     # -- live streaming ------------------------------------------------
     def subscribe(self, maxsize: int = STREAM_QUEUE_LIMIT) -> asyncio.Queue:

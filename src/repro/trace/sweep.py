@@ -14,14 +14,15 @@ free.  A single cell is a group of one (:func:`run_task`).
 With ``jobs > 1`` the process pool shards by *group*, not by cell: the
 decoded stream is the expensive thing worth keeping local to one
 worker, so a worker owns a trace key end to end (capture if needed,
-then all of its replays).  Workers coordinate purely through the
-(atomic-write) artifact store and its capture locks, so there is no
-shared mutable state.  With ``jobs <= 1`` everything runs in-process,
-which is also the path :class:`~repro.experiments.runner.
-ExperimentRunner` uses for its lazy per-call API.  Either way each
-group runs through :func:`repro.trace.batch.execute_group`, the entry
-point serve's worker pool calls too, and hands back the same rows: each
-cell's result and spans, and the group's trace content hash.
+then all of its replays).  Workers share at most the (atomic-write)
+artifact store and its capture locks, and with no store they share
+nothing, so there is no shared mutable state.  With ``jobs <= 1``
+everything runs in-process, which is also the path
+:class:`~repro.experiments.runner.ExperimentRunner` uses for its lazy
+per-call API.  Either way each group runs through
+:func:`repro.trace.batch.execute_group`, the entry point serve's worker
+pool calls too, and hands back the same rows: each cell's result and
+spans, and the group's trace content hash.
 """
 
 from __future__ import annotations
@@ -205,8 +206,10 @@ def execute_sweep(
     against ``store``, which may be ``None`` (nothing persists), and
     ``traces``, an optional in-process trace cache shared across calls.
     Otherwise the process pool shards by *group* (the decoded stream is
-    the thing worth keeping local to a worker), not by cell, and
-    ``store`` is required: workers coordinate through it.  ``engines``,
+    the thing worth keeping local to a worker), not by cell.  ``store``
+    may be ``None`` there too, since a worker owns each of its groups'
+    trace keys end to end; given a store, workers share it, and its
+    capture locks keep them from capturing one key twice.  ``engines``,
     when given, is filled with ``{task: engine_label}`` (see
     :mod:`repro.trace.batch`; cached cells have none) for manifest
     annotation, and ``hashes`` with ``{trace key: content hash}`` for

@@ -28,26 +28,41 @@ def no_gc():
 
 
 def _run_watching_memory(app_name, variant, config):
-    """Run one cell; returns a weak reference to its machine's memory."""
+    """Run one cell; returns weak references to its machine's memory.
+
+    Both views and the two mappings under them are watched, so the
+    mappings themselves must be unmapped with the run, not only their
+    views dropped.
+    """
     app = get_application(app_name, scale=0.02, seed=APP_SEEDS[app_name])
     watched = []
     execute = app.execute
 
     def watching_execute(machine, run_variant):
-        watched.append(weakref.ref(machine.memory._words))
+        memory = machine.memory
+        watched.extend(
+            weakref.ref(obj)
+            for obj in (
+                memory._words,
+                memory._fbits,
+                memory._words.obj,
+                memory._fbits.obj,
+            )
+        )
         return execute(machine, run_variant)
 
     app.execute = watching_execute
     app.run(variant, config)
-    return watched[0]
+    return watched
 
 
 @pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "general"])
 def test_finished_runs_leave_no_live_memory(no_gc, fast_path):
     config = replace(experiment_config(32), fast_path=fast_path)
     memories = [
-        _run_watching_memory(app_name, variant, config)
+        memory
         for app_name in FIGURE5_APPS[:3]
         for variant in (Variant.N, Variant.L)
+        for memory in _run_watching_memory(app_name, variant, config)
     ]
     assert [memory() for memory in memories] == [None] * len(memories)

@@ -37,6 +37,8 @@ class TestWordAccess:
     def test_write_read_roundtrip(self, mem):
         mem.write_word(64, 0xDEADBEEF)
         assert mem.read_word(64) == 0xDEADBEEF
+        mem.write_word(72, 2**64 - 1)
+        assert mem.read_word(72) == 2**64 - 1
 
     def test_write_masks_to_64_bits(self, mem):
         mem.write_word(0, 1 << 70 | 5)
@@ -53,6 +55,15 @@ class TestWordAccess:
             mem.read_word(mem.size)
         with pytest.raises(MemoryAccessError):
             mem.read_word(-8)
+        for address in (mem.size, -8):
+            with pytest.raises(MemoryAccessError):
+                mem.write_word(address, 1)
+            with pytest.raises(MemoryAccessError):
+                mem.read_fbit(address)
+            with pytest.raises(MemoryAccessError):
+                mem.write_word_tagged(address, 1, 1)
+        with pytest.raises(MemoryAccessError):
+            mem.read_data(mem.size + 4, 4)
 
     def test_plain_write_preserves_fbit(self, mem):
         mem.write_word_tagged(8, 100, 1)
@@ -102,6 +113,13 @@ class TestSubWordAccess:
         mem.write_word(0, 0xFFFFFFFFFFFFFFFF)
         mem.write_data(2, 0, 2)
         assert mem.read_word(0) == 0xFFFFFFFF0000FFFF
+
+    def test_subword_write_reaches_the_top_byte(self, mem):
+        mem.write_data(7, 0xFF, 1)
+        assert mem.read_word(0) == 0xFF << 56
+        mem.write_data(4, 0xFFFFFFFF, 4)
+        assert mem.read_word(0) == 0xFFFFFFFF << 32
+        assert mem.read_data(0, 4) == 0
 
     def test_unaligned_subword_rejected(self, mem):
         with pytest.raises(AlignmentError):

@@ -136,6 +136,28 @@ class TestRunTrace:
             pooled["spans"][-1]["trace_id"]
         }
 
+    def test_pooled_no_cache_prime_writes_no_store(self, tmp_path):
+        specs = [
+            spec
+            for spec in specs_for_artifacts(["figure5"], 0.05)
+            if spec.app in ("health", "mst")
+        ]
+        trace_dir = tmp_path / "trace-cache"
+        manifests = []
+        for jobs in (1, 2):
+            runner = ExperimentRunner(
+                scale=0.05, jobs=jobs, trace_dir=str(trace_dir), use_cache=False
+            )
+            runner.prime(specs)
+            manifests.append(runner.manifest("probe"))
+        serial, pooled = manifests
+        assert not trace_dir.exists()
+        names = Counter(s["name"] for s in pooled["spans"])
+        assert not [name for name in names if name.startswith("store.")]
+        assert names == Counter(s["name"] for s in serial["spans"])
+        assert pooled["metrics"] == serial["metrics"]
+        assert pooled["trace_hashes"] == serial["trace_hashes"]
+
 
 class _InlinePool:
     """A process-pool stand-in that runs each submission at once."""
