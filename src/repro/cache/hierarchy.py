@@ -83,7 +83,9 @@ class HierarchyConfig:
     policy: str = "lru"
     #: L1 miss-path mechanism (:data:`repro.cache.misspath.MECHANISMS`).
     #: ``"none"`` keeps the exact baseline hierarchy -- no stage objects
-    #: exist and the fused fast-path kernels stay eligible.
+    #: exist.  Every mechanism, ``"none"`` included, runs the generated
+    #: kernel, which calls the stages where :meth:`MemoryHierarchy.access`
+    #: does.
     mechanism: str = "none"
     #: Victim-cache entries (``victim_cache``/``combined``).
     vc_entries: int = 8

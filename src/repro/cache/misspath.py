@@ -415,8 +415,9 @@ def build_misspath(config) -> MissPath | None:
 
     ``None`` (rather than a no-op object) is the zero-cost contract: the
     hierarchy tests ``misspath is None`` once and runs the exact
-    baseline code, and the config stays inside the generated kernel's
-    feature matrix (:func:`repro.core.kernel.specializable`).
+    baseline code, and :mod:`repro.core.kernel` generates its miss-path
+    calls only for a hierarchy that holds a ``MissPath``, so a baseline
+    kernel carries none of them.
     """
     if config.mechanism == "none":
         return None

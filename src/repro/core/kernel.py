@@ -36,7 +36,30 @@ Constants baked in:
   latency sums) are promoted to loop locals and written back to the
   component objects only at the end of the chunk and around the rare
   entry kinds (forwarded references, software prefetches) that run
-  against the layered components.
+  against the layered components, which share one spill and reload.
+
+The loop has one arm per reference *class*: the reads (LOAD and the
+word-granular ACCESS_R) share one probe arm and the writes (STORE and
+ACCESS_W) the other, with ``kind == LOAD`` / ``kind == STORE`` gating
+the latency statistics and speculation checks only a counted reference
+pays.  Every L1 hit and every MSHR merge completes inside its arm and
+``continue``s; a full miss of either class falls out of the dispatch
+chain into the one full-miss arm (the L2 probe and fill, the inclusion
+drops, the L1 fill and its victim's route, the MSHR allocation), which
+ends in one completion per class.  Emitting that arm once instead of
+once per entry kind halves the generated source and with it the time
+and memory :func:`compile` takes.
+
+With an L1 miss-path mechanism configured, the full-miss arm calls the
+hierarchy's :class:`~repro.cache.misspath.MissPath` object at exactly
+the points ``MemoryHierarchy.access`` and ``_fill_from_below`` call it:
+``probe`` before the L2 (a stage hit fills L1, allocates no MSHR, moves
+no fill bytes and is ready ``l1_hit + misspath_hit`` after its start),
+``accept_victim`` for every L1 victim (only a dirty spill is written
+back to L2), ``on_demand_fill`` after each fill from below, and
+``invalidate`` for each L1 line of an L2 victim.  No stage logic is
+inlined and no hot local is added, so a mechanism costs the loop one
+method call per miss-path event and nothing per hit.
 
 On top of the literal-folding, the generated loop applies a set of
 transformations that are *provably* state-equivalent to the layered
@@ -55,12 +78,12 @@ path (each argued in comments/docstrings below):
   of references under LRU -- with a single compare and no occupancy
   fetch, and scans the remaining ways to the constant associativity
   bound (vacant slots can never match).
-* **Hit-arm completion inlining.**  The dominant way-0 load hit
-  completes in place instead of falling through the shared staging/tail:
-  and when the config's hit latency sits inside the OoO window with half
-  a cycle of margin, the residual check is dropped entirely.  That is
-  exact only while every reference starts below ``2**49`` (see
-  :func:`_elides_residual`); both callers guard it.
+* **Hit-arm completion inlining.**  The dominant way-0 read hit with no
+  fill in flight completes with no ``start``/``ready`` staging, under
+  every speculation mode: when the config's hit latency sits inside the
+  OoO window with half a cycle of margin, the residual check is dropped
+  entirely.  That is exact only while every reference starts below
+  ``2**49`` (see :func:`_elides_residual`); both callers guard it.
 * **Speculation counter derivation.**  ``loads_checked`` increments in
   lockstep with ``ref.load.count`` (and ``stores_tracked`` with
   ``ref.store.count``) on every path through the kernel, so the
@@ -76,11 +99,11 @@ path (each argued in comments/docstrings below):
   cannot know that in advance and always uses :data:`SPEC_FULL`.
 
 Supported-feature matrix (see DESIGN.md Section 5g): a config is
-:func:`specializable` iff it uses no timeline sampling, no event log,
-no L1 miss-path mechanism and no adaptive relocation.  Everything else
--- all replacement policies, speculation on or off, any geometry,
-latency or cost values -- is covered.  Other configs stay on the
-layered path.
+:func:`specializable` iff it uses no timeline sampling, no event log and
+no adaptive relocation.  Everything else -- every L1 miss-path
+mechanism, all replacement policies, speculation on or off, any
+geometry, latency or cost values -- is covered.  Other configs stay on
+the layered path.
 """
 
 from __future__ import annotations
@@ -133,15 +156,15 @@ def specializable(config: MachineConfig) -> bool:
     The exclusions are exactly the features whose accounting lives
     outside the fused reference pipeline: timeline sampling (per
     reference tick hooks), the discrete event log (it reports L2
-    inclusion victims the kernel inlines away), the L1 miss-path
-    mechanisms (their stage pipeline is not templated), and adaptive
-    relocation (which implies a timeline).  Such configs run the
-    layered path, on a live machine and in replay alike.
+    inclusion victims the kernel inlines away) and adaptive relocation
+    (which implies a timeline).  Such configs run the layered path, on a
+    live machine and in replay alike.  Every L1 miss-path mechanism is
+    covered: the kernel calls the hierarchy's ``MissPath`` object where
+    the layered path does.
     """
     return (
         config.timeline_interval == 0
         and config.events_capacity == 0
-        and config.hierarchy.mechanism == "none"
         and config.adapt is None
     )
 
@@ -155,46 +178,6 @@ def _emit(lines: list[str], level: int, block: str) -> None:
     pad = "    " * level
     for line in block.strip("\n").split("\n"):
         lines.append(pad + line if line else "")
-
-
-def _load_tail(c: dict, counted: bool, arm: str) -> str:
-    """The load-completion accounting for one hit/merge arm.
-
-    ``arm`` picks what is statically known about ``ready``:
-
-    * ``"hit"`` -- ``ready`` is ``start + hit_latency`` with ``start ==
-      cycle`` untouched so far.  When :func:`_elides_residual` holds for
-      the config, the OoO-window check is dropped (the residual is
-      provably negative, see there) and ``start``/``ready`` are never
-      bound to locals; the latency sum still performs the identical
-      ``(cycle + hit) - cycle`` float operations the general path does.
-    * ``"merge"`` -- ``start`` and ``ready`` are already bound (``ready``
-      came from an in-flight fill): the full residual check plus latency
-      accounting, exactly the general path's shared tail.
-    """
-    if arm == "hit":
-        if _elides_residual(c):
-            if not counted:
-                return "pass"
-            return "load_ord += (cycle + $L1_HIT_LATENCY) - cycle"
-        # The residual can stall here (hit latency ~ window), so stage
-        # start before cycle mutates, exactly like the general path.
-        body = """\
-start = cycle
-ready = start + $L1_HIT_LATENCY
-residual = ready - start - $OOO_WINDOW
-if residual > 0.0:
-    load_stall += residual
-    cycle += residual"""
-    else:
-        body = """\
-residual = ready - start - $OOO_WINDOW
-if residual > 0.0:
-    load_stall += residual
-    cycle += residual"""
-    if counted:
-        body += "\nload_ord += ready - start"
-    return body
 
 
 def _elides_residual(c: dict) -> bool:
@@ -213,139 +196,190 @@ def _elides_residual(c: dict) -> bool:
     return c["L1_HIT_LATENCY"] + 0.5 <= c["OOO_WINDOW"]
 
 
-def _ref_body(c: dict, spec: int, store: bool, counted: bool) -> str:
-    """Generate one reference body (the layered load/store, fused).
+#: DependenceSpeculator.on_load + misspeculation_flush, inlined for an
+#: unforwarded load (initial == final); loads_checked is derived at
+#: spill time.
+_ON_LOAD = """\
+if by_final:
+    word = address & ~7
+    store_initial = by_final_get(word)
+    if store_initial is not None and store_initial != word:
+        spec_stats.misspeculations += 1
+        timing.misspeculations += 1
+        inst_stall += $MISSPECULATION_PENALTY
+        cycle += $MISSPECULATION_PENALTY"""
 
-    ``store`` picks the store variant (dirty fills, store-buffer
-    retirement, on_store bookkeeping); ``counted`` distinguishes a full
-    data reference (LOAD/STORE) from the word-granular ACCESS_R/ACCESS_W
-    kinds, which charge the same hierarchy walk and stall attribution
-    but no latency statistics and no dependence speculation.
+#: DependenceSpeculator.on_store, inlined (final == initial);
+#: stores_tracked is derived at spill time.
+_ON_STORE = """\
+word = address & ~7
+queue_append((word, word))
+by_final[word] = word
+counts[word] = counts_get(word, 0) + 1
+if len(queue) > $SPEC_WINDOW:
+    old_final, _old_initial = queue_popleft()
+    remaining = counts[old_final] - 1
+    if remaining:
+        counts[old_final] = remaining
+    else:
+        del counts[old_final]
+        del by_final[old_final]"""
+
+
+def _load_done(c: dict, spec: int, arm: str) -> str:
+    """A read's completion: ``TimingModel.load_completes``, then a LOAD's
+    latency statistics and speculation check.
+
+    ``arm`` picks what is statically known about ``ready``:
+
+    * ``"hit"`` -- ``ready`` is ``start + hit_latency`` with ``start ==
+      cycle`` untouched so far.  When :func:`_elides_residual` holds for
+      the config, the OoO-window check is dropped (the residual is
+      provably negative, see there) and ``start``/``ready`` are never
+      bound to locals; the latency sum still performs the identical
+      ``(cycle + hit) - cycle`` float operations the general path does.
+    * ``"bound"`` -- ``start`` and ``ready`` are already bound: the full
+      residual check.
+
+    ``kind == LOAD`` gates the statistics and the check: an ACCESS_R
+    charges the same walk and stall, but no latency statistics and no
+    dependence speculation.
     """
     out: list[str] = []
     e = lambda level, block: _emit(out, level, block)  # noqa: E731
-    hits = "l1_sh" if store else "l1_lh"
-    misses = "l1_sm" if store else "l1_lm"
-    partial = "mc_sp" if store else "mc_lp"
-    full = "mc_sf" if store else "mc_lf"
-    fill_dirty = "1" if store else "0"
+    latency = "ready - start"
+    if arm == "hit" and _elides_residual(c):
+        latency = "(cycle + $L1_HIT_LATENCY) - cycle"
+    else:
+        if arm == "hit":
+            e(0, "start = cycle\nready = start + $L1_HIT_LATENCY")
+        e(0, """\
+residual = ready - start - $OOO_WINDOW
+if residual > 0.0:
+    load_stall += residual
+    cycle += residual""")
+    e(0, f"""\
+if kind == {LOAD}:
+    load_count += 1
+    load_ord += {latency}""")
+    if spec == SPEC_FULL:
+        e(1, _ON_LOAD)
+    return "\n".join(out)
 
+
+def _store_done(spec: int) -> str:
+    """A write's completion: ``TimingModel.store_completes`` (the buffer
+    length tracked in a local, updated on every append/remove/drain),
+    then a STORE's latency statistics and ``on_store``."""
+    out: list[str] = []
+    _emit(out, 0, f"""\
+if blen and sb_floor <= cycle:
+    buffer[:] = [t for t in buffer if t > cycle]
+    blen = len(buffer)
+    sb_floor = min(buffer) if blen else INF
+if blen >= $STORE_BUFFER_DEPTH:
+    earliest = min(buffer)
+    stall = earliest - cycle
+    if stall > 0.0:
+        store_stall += stall
+        cycle += stall
+    buffer_remove(earliest)
+    blen -= 1
+if ready > cycle:
+    buffer_append(ready)
+    blen += 1
+    if ready < sb_floor:
+        sb_floor = ready
+if kind == {STORE}:
+    store_count += 1
+    store_ord += ready - start""")
+    if spec == SPEC_FULL:
+        _emit(out, 1, _ON_STORE)
+    return "\n".join(out)
+
+
+def _probe_arm(c: dict, spec: int, store: bool) -> str:
+    """One reference class's arm: the L1 probe, hits and MSHR merges.
+
+    The reads (LOAD, ACCESS_R) share one arm and the writes (STORE,
+    ACCESS_W) the other.  Every hit and every merge completes in place
+    and ``continue``s; a full miss falls out of the arm, with ``line``,
+    ``base``, ``start`` and ``is_write`` bound, into :func:`_miss_arm`.
+    """
+    out: list[str] = []
+    e = lambda level, block: _emit(out, level, block)  # noqa: E731
+    hits, misses, partial, full = (
+        ("l1_sh", "l1_sm", "mc_sp", "mc_sf") if store
+        else ("l1_lh", "l1_lm", "mc_lp", "mc_lf")
+    )
     # TimingModel.execute(1), inlined.  The two cycle adds fold into one
     # left-associated expression -- same operations, same order, same
     # rounding -- and 1 * ipc == ipc exactly, so the multiply is gone.
     # The way-0 probe leans on the Cache tag-sentinel invariant (vacant
     # slots hold -1, which no line address equals), so the occupancy
-    # count is only fetched on the slower arms.
+    # count is only fetched on a miss.
     e(0, """\
+address = ops[idx]
 instructions += 1
 cycle = cycle + $IPC + $INST_OVERHEAD
 inst_stall += $INST_OVERHEAD
 line = address >> $LINE_SHIFT
 base = (line & $SET_MASK) * $ASSOC
 if tags[base] == line:""")
-    # Way-0 hit, the dominant case: the LRU promote is a no-op there, so
-    # the whole reference reduces to the hit counter plus the MSHR
-    # combine check -- no ``hit`` flag, no staging variable.  The MSHR
-    # probe itself is elided when every in-flight fill has provably
-    # completed: ``mshr_max`` is a sound upper bound on the latest ready
-    # time, and expired entries then linger until the next allocate-path
-    # floor scan, which runs before any len()/min() observation (an
-    # expired entry pins the floor at or below ``start``).
     if store:
         e(1, "dirty[base] = 1")
     e(1, f"{hits} += 1")
-    # Stores thread ``ready`` into the store-buffer retirement below, and
-    # full-bookkeeping speculation threads every counted load through the
-    # shared on_load probe, so those variants keep the shared
-    # staging/tail structure.  Everything else completes in place: each
-    # arm carries its own tail, and the no-pending arms skip the staging
-    # the shared tail would recompute (same float ops, same order -- see
-    # _load_tail).
-    inline_tails = not store and not (spec == SPEC_FULL and counted)
-    # When a probe finds its entry expired, deleting it may empty the
-    # MSHR entirely; dropping ``mshr_max`` to 0.0 then lets every
-    # subsequent hit skip the probe until the next allocate raises it
-    # again.  Exact: with no in-flight entry, a probe cannot find
-    # anything, so skipping it is the same observable behaviour.
-    if not inline_tails:
-        e(1, """\
-start = cycle
-if mshr_max > start:
-    pending = inflight_get(line << $LINE_SHIFT)
-    if pending is not None and pending > start:
-        ready = pending
-        ms_comb += 1
-        PARTIAL += 1
-    else:
-        if pending is not None:
-            del inflight[line << $LINE_SHIFT]
-            if not inflight:
-                mshr_max = 0.0
-        ready = start + $L1_HIT_LATENCY
-else:
-    ready = start + $L1_HIT_LATENCY""".replace("PARTIAL", partial))
-    else:
-        if counted:
-            e(1, "load_count += 1")
-        e(1, """\
-if mshr_max > cycle:
-    start = cycle
-    pending = inflight_get(line << $LINE_SHIFT)
-    if pending is not None and pending > start:
-        ready = pending
-        ms_comb += 1
-        PARTIAL += 1""".replace("PARTIAL", partial))
-        e(3, _load_tail(c, counted, "merge"))
-        e(2, """\
-else:
-    if pending is not None:
-        del inflight[line << $LINE_SHIFT]
-        if not inflight:
-            mshr_max = 0.0""")
-        e(3, _load_tail(c, counted, "hit"))
-        e(1, "else:")
-        e(2, _load_tail(c, counted, "hit"))
+    if not store:
+        # The way-0 read hit, the dominant reference: the LRU promote is
+        # a no-op there, and the MSHR probe is elided when every
+        # in-flight fill has provably completed.  ``mshr_max`` is a sound
+        # upper bound on the latest ready time; expired entries then
+        # linger until the next allocate's floor scan, which runs before
+        # any len()/min() observation (an expired entry pins the floor at
+        # or below ``start``).
+        e(1, "if mshr_max <= cycle:")
+        e(2, _load_done(c, spec, "hit"))
+        e(2, "continue")
+    e(1, "hit = base")
     e(0, "else:")
-    e(1, "start = cycle")
-    e(1, "set_index = line & $SET_MASK")
     # Deeper ways: the sentinel makes a constant-bound scan safe (vacant
-    # slots never match), so the occupancy count is not consulted here
-    # either.  The way-1 probe is unrolled; deeper ways only exist for
-    # associativity > 2.
+    # slots never match).  The way-1 probe is unrolled; deeper ways only
+    # exist for associativity > 2.
     e(1, "hit = -1")
     if c["ASSOC"] > 1:
-        probe = ["""\
+        e(1, """\
 if tags[base + 1] == line:
-    hit = base + 1"""]
+    hit = base + 1""")
         if c["ASSOC"] > 2:
-            probe.append("""\
+            e(1, """\
 else:
     for slot in range(base + 2, base + $ASSOC):
         if tags[slot] == line:
             hit = slot
             break""")
-        probe.append("""\
-if hit >= 0:""")
-        e(1, "\n".join(probe))
-        # Deeper hit: hit > base is guaranteed here, so the promote runs
-        # unconditionally for LRU (exactly the original's hit != base
-        # arm).
+        e(1, "if hit >= 0:")
         if c["L1_MODE"] == _LRU:
-            e(2, """\
-d = dirty[hit]
+            # hit > base here, so the promote runs unconditionally; a
+            # write leaves the promoted line dirty whatever it was.
+            if not store:
+                e(2, "d = dirty[hit]")
+            e(2, f"""\
 slot = hit
 while slot > base:
     tags[slot] = tags[slot - 1]
     dirty[slot] = dirty[slot - 1]
     slot -= 1
 tags[base] = line
-dirty[base] = d""")
-            if store:
-                e(2, "hit = base")
-        if store:
+dirty[base] = {"1" if store else "d"}""")
+        elif store:
             e(2, "dirty[hit] = 1")
         e(2, f"{hits} += 1")
-    e(1, """\
+    # When a probe finds its entry expired, deleting it may empty the
+    # MSHR entirely; dropping ``mshr_max`` to 0.0 then lets every later
+    # hit skip the probe until the next allocate raises it again.  Exact:
+    # with no in-flight entry a probe cannot find anything.
+    e(0, f"""\
+start = cycle
 pending = None
 if mshr_max > start:
     line_addr = line << $LINE_SHIFT
@@ -355,21 +389,50 @@ if mshr_max > start:
         if not inflight:
             mshr_max = 0.0
         pending = None
-if pending is not None:
-    ready = pending
-    ms_comb += 1
-    if hit < 0:
-        MISSES += 1
-    PARTIAL += 1
-elif hit >= 0:
-    ready = start + $L1_HIT_LATENCY
+if pending is None and hit < 0:
+    {misses} += 1
+    {full} += 1
+    is_write = {int(store)}
 else:
-    line_addr = line << $LINE_SHIFT""".replace(
-        "MISSES", misses).replace("PARTIAL", partial))
-    e(2, f"{misses} += 1")
-    e(2, f"{full} += 1")
+    if pending is None:
+        ready = start + $L1_HIT_LATENCY
+    else:
+        ready = pending
+        ms_comb += 1
+        if hit < 0:
+            {misses} += 1
+        {partial} += 1""")
+    e(1, _store_done(spec) if store else _load_done(c, spec, "bound"))
+    e(1, "continue")
+    return "\n".join(out)
+
+
+def _miss_arm(c: dict, spec: int) -> str:
+    """The one full-miss arm, shared by both reference classes.
+
+    ``MemoryHierarchy.access`` from its full-miss classification on,
+    fused: the miss-path probe, ``_fill_from_below`` with a single L2
+    probe and the inclusion drops, the L1 fill and its victim's route to
+    L2, ``MSHRFile.allocate``, then one completion per class.  With a
+    mechanism configured the hierarchy's ``MissPath`` object is called
+    at exactly the points the layered path calls it; none of its stage
+    logic is inlined.
+    """
+    out: list[str] = []
+    e = lambda level, block: _emit(out, level, block)  # noqa: E731
+    mp = c["MISSPATH"]
+    # With a miss path, the from-below halves run only when no stage
+    # supplies the line.
+    low = 1 if mp else 0
+    e(0, """\
+line_addr = line << $LINE_SHIFT
+set_index = line & $SET_MASK""")
+    if mp:
+        e(0, """\
+stage_dirty = misspath_probe(line_addr)
+if stage_dirty is None:""")
     # MemoryHierarchy._fill_from_below: single L2 probe.
-    e(2, """\
+    e(low, """\
 l2_line = line_addr >> $L2_SHIFT
 l2_set = l2_line & $L2_SET_MASK
 l2_base = l2_set * $L2_ASSOC
@@ -388,7 +451,7 @@ if n2:
                     break
 if l2_hit >= 0:""")
     if c["L2_MODE"] == _LRU:
-        e(3, """\
+        e(low + 1, """\
 if l2_hit != l2_base:
     d = l2_dirty[l2_hit]
     slot = l2_hit
@@ -399,17 +462,16 @@ if l2_hit != l2_base:
     l2_tags[l2_base] = l2_line
     l2_dirty[l2_base] = d""")
     # Fills probe the L2 as reads regardless of demand access type.
-    e(3, """\
-l2_stats.load_hits += 1
-latency = $L2_FILL_LATENCY""")
-    e(2, """\
+    e(low, """\
+    l2_stats.load_hits += 1
+    latency = $L2_FILL_LATENCY
 else:
     l2_stats.load_misses += 1
     latency = $FULL_MISS_LATENCY
     t2mf += $L2_LINE_SIZE
     if n2 >= $L2_ASSOC:""")
     if c["L2_MODE"] == _RANDOM:
-        e(4, """\
+        e(low + 2, """\
 state = l2._rng_state
 state ^= (state << 13) & 0xFFFFFFFF
 state ^= state >> 17
@@ -417,51 +479,57 @@ state ^= (state << 5) & 0xFFFFFFFF
 l2._rng_state = state
 victim = l2_base + state % n2""")
     else:
-        e(4, "victim = l2_base + n2 - 1")
-    e(4, """\
+        e(low + 2, "victim = l2_base + n2 - 1")
+    # Inclusion: the L2 victim's L1 lines leave every miss-path stage and
+    # then L1.  Both only touch L1-side state, so they may run before the
+    # L2 set shifts.
+    e(low + 2, """\
 victim_dirty = l2_dirty[victim]
 l2_stats.evictions += 1
 if victim_dirty:
     l2_stats.dirty_evictions += 1
+    t2mw += $L2_LINE_SIZE
 ev_first = l2_tags[victim] << $L2_SHIFT >> $LINE_SHIFT
-slot = victim
-while slot > l2_base:
-    l2_tags[slot] = l2_tags[slot - 1]
-    l2_dirty[slot] = l2_dirty[slot - 1]
-    slot -= 1
-l2_tags[l2_base] = l2_line
-l2_dirty[l2_base] = 0
-for inv_line in range(ev_first, ev_first + $INCLUSION_COUNT):
-    inv_set = inv_line & $SET_MASK
-    inv_base = inv_set * $ASSOC
-    inv_n = set_len[inv_set]
-    for slot in range(inv_base, inv_base + inv_n):
-        if tags[slot] == inv_line:
-            end = inv_base + inv_n - 1
-            while slot < end:
-                tags[slot] = tags[slot + 1]
-                dirty[slot] = dirty[slot + 1]
-                slot += 1
-            tags[end] = -1
-            set_len[inv_set] = inv_n - 1
-            break
-if victim_dirty:
-    t2mw += $L2_LINE_SIZE""")
-    e(2, """\
+for inv_line in range(ev_first, ev_first + $INCLUSION_COUNT):""")
+    if mp:
+        e(low + 3, "misspath_invalidate(inv_line << $LINE_SHIFT)")
+    e(low + 3, """\
+inv_set = inv_line & $SET_MASK
+inv_base = inv_set * $ASSOC
+inv_n = set_len[inv_set]
+for slot in range(inv_base, inv_base + inv_n):
+    if tags[slot] == inv_line:
+        end = inv_base + inv_n - 1
+        while slot < end:
+            tags[slot] = tags[slot + 1]
+            dirty[slot] = dirty[slot + 1]
+            slot += 1
+        tags[end] = -1
+        set_len[inv_set] = inv_n - 1
+        break""")
+    e(low, """\
+        slot = victim
     else:
-        slot = l2_base + n2
-        while slot > l2_base:
-            l2_tags[slot] = l2_tags[slot - 1]
-            l2_dirty[slot] = l2_dirty[slot - 1]
-            slot -= 1
         l2_set_len[l2_set] = n2 + 1
-        l2_tags[l2_base] = l2_line
-        l2_dirty[l2_base] = 0
-t12f += $LINE_SIZE
+        slot = l2_base + n2
+    while slot > l2_base:
+        l2_tags[slot] = l2_tags[slot - 1]
+        l2_dirty[slot] = l2_dirty[slot - 1]
+        slot -= 1
+    l2_tags[l2_base] = l2_line
+    l2_dirty[l2_base] = 0
+t12f += $LINE_SIZE""")
+    if mp:
+        # A stage hit fills L1 dirty if the stage copy or the access is.
+        e(0, """\
+    fill_dirty = is_write
+else:
+    fill_dirty = stage_dirty | is_write""")
+    e(0, """\
 n = set_len[set_index]
 if n >= $ASSOC:""")
     if c["L1_MODE"] == _RANDOM:
-        e(3, """\
+        e(1, """\
 state = l1._rng_state
 state ^= (state << 13) & 0xFFFFFFFF
 state ^= state >> 17
@@ -469,35 +537,41 @@ state ^= (state << 5) & 0xFFFFFFFF
 l1._rng_state = state
 victim = base + state % n""")
     else:
-        e(3, "victim = base + n - 1")
-    e(3, f"""\
+        e(1, "victim = base + n - 1")
+    # The victim's route to L2 touches only L2 and the stages, so it may
+    # run before the L1 set shifts.
+    e(1, """\
 victim_dirty = dirty[victim]
 l1_ev += 1
 if victim_dirty:
-    l1_dev += 1
-ev_addr = tags[victim] << $LINE_SHIFT
-slot = victim
+    l1_dev += 1""")
+    if mp:
+        e(1, """\
+spilled = misspath_accept(tags[victim] << $LINE_SHIFT, victim_dirty)
+if spilled is not None and spilled[1]:
+    t12w += $LINE_SIZE
+    l2_fill(spilled[0], True)""")
+    else:
+        e(2, """\
+t12w += $LINE_SIZE
+l2_fill(tags[victim] << $LINE_SHIFT, True)""")
+    e(0, f"""\
+    slot = victim
+else:
+    set_len[set_index] = n + 1
+    slot = base + n
 while slot > base:
     tags[slot] = tags[slot - 1]
     dirty[slot] = dirty[slot - 1]
     slot -= 1
 tags[base] = line
-dirty[base] = {fill_dirty}
-if victim_dirty:
-    t12w += $LINE_SIZE
-    l2_fill(ev_addr, True)""")
-    e(2, f"""\
-else:
-    slot = base + n
-    while slot > base:
-        tags[slot] = tags[slot - 1]
-        dirty[slot] = dirty[slot - 1]
-        slot -= 1
-    set_len[set_index] = n + 1
-    tags[base] = line
-    dirty[base] = {fill_dirty}""")
+dirty[base] = {"fill_dirty" if mp else "is_write"}""")
+    if mp:
+        e(0, """\
+if stage_dirty is None:
+    misspath_fill(line_addr)""")
     # MSHRFile.allocate, inlined (floor bound skips the expiry scan).
-    e(2, """\
+    e(low, """\
 if inflight and mshr_floor <= start:
     for key in [k for k, r in inflight.items() if r <= start]:
         del inflight[key]
@@ -524,78 +598,15 @@ if ready < mshr_floor:
 if ready > mshr_max:
     mshr_max = ready
 ms_alloc += 1""")
-    if store:
-        # TimingModel.store_completes, inlined, with the buffer length
-        # tracked in a local (updated on every append/remove/drain).
+    if mp:
+        # A stage hit allocates no MSHR and moves no fill bytes.
         e(0, """\
-if blen and sb_floor <= cycle:
-    buffer[:] = [t for t in buffer if t > cycle]
-    blen = len(buffer)
-    sb_floor = min(buffer) if blen else INF
-if blen >= $STORE_BUFFER_DEPTH:
-    earliest = min(buffer)
-    stall = earliest - cycle
-    if stall > 0.0:
-        store_stall += stall
-        cycle += stall
-    buffer_remove(earliest)
-    blen -= 1
-if ready > cycle:
-    buffer_append(ready)
-    blen += 1
-    if ready < sb_floor:
-        sb_floor = ready""")
-        if counted:
-            e(0, """\
-store_count += 1
-store_ord += ready - start""")
-            if spec == SPEC_FULL:
-                # DependenceSpeculator.on_store, inlined (final ==
-                # initial); stores_tracked is derived at spill time.
-                e(0, """\
-word = address & ~7
-queue_append((word, word))
-by_final[word] = word
-counts[word] = counts_get(word, 0) + 1
-if len(queue) > $SPEC_WINDOW:
-    old_final, _old_initial = queue_popleft()
-    remaining = counts[old_final] - 1
-    if remaining:
-        counts[old_final] = remaining
-    else:
-        del counts[old_final]
-        del by_final[old_final]""")
-    elif inline_tails:
-        # The hot arms completed in place above; only the deep-way /
-        # miss arm still needs its completion accounting, emitted inside
-        # that arm (``start``/``ready`` are bound on every path there).
-        if counted:
-            e(1, "load_count += 1")
-        e(1, _load_tail(c, counted, "merge"))
-    else:
-        # TimingModel.load_completes, inlined (shared tail: SPEC_FULL
-        # counted loads all fall through here so on_load can follow).
-        e(0, """\
-residual = ready - start - $OOO_WINDOW
-if residual > 0.0:
-    load_stall += residual
-    cycle += residual""")
-        if counted:
-            e(0, """\
-load_count += 1
-load_ord += ready - start""")
-            if spec == SPEC_FULL:
-                # on_load + misspeculation_flush, inlined;
-                # loads_checked is derived at spill time.
-                e(0, """\
-if by_final:
-    word = address & ~7
-    store_initial = by_final_get(word)
-    if store_initial is not None and store_initial != word:
-        spec_stats.misspeculations += 1
-        timing.misspeculations += 1
-        inst_stall += $MISSPECULATION_PENALTY
-        cycle += $MISSPECULATION_PENALTY""")
+else:
+    ready = start + $L1_HIT_LATENCY + $MISSPATH_HIT_LATENCY""")
+    e(0, "if is_write:")
+    e(1, _store_done(spec))
+    e(0, "else:")
+    e(1, _load_done(c, spec, "bound"))
     return "\n".join(out)
 
 
@@ -661,14 +672,15 @@ def _reload(spec: int) -> str:
 
 
 def _exec_inline(count_expr: str) -> str:
-    """TimingModel.execute, inlined against the loop locals."""
+    """TimingModel.execute, inlined against the loop locals: one arm."""
     return f"""\
 count = {count_expr}
 instructions += count
 cycle += count * $IPC
 overhead = count * $INST_OVERHEAD
 inst_stall += overhead
-cycle += overhead"""
+cycle += overhead
+continue"""
 
 
 def kernel_source(config: MachineConfig, spec_mode: int | None = None) -> str:
@@ -683,7 +695,7 @@ def kernel_source(config: MachineConfig, spec_mode: int | None = None) -> str:
     if not specializable(config):
         raise SpecializationError(
             "config uses features outside the specializer's matrix "
-            "(timeline sampling, event log, or a miss-path mechanism)"
+            "(timeline sampling, event log, or adaptive relocation)"
         )
     if spec_mode is None:
         spec_mode = SPEC_FULL if config.speculation_window > 0 else SPEC_OFF
@@ -720,6 +732,13 @@ def _replay(kinds, ops, extras, n, hierarchy, timing, speculator,
     forwarding_trap_cost = timing.forwarding_trap_cost
     forwarding_trap = timing.forwarding_trap
     prefetch_block = prefetcher.prefetch_block""")
+    if c["MISSPATH"]:
+        e(1, """\
+misspath = hierarchy.misspath
+misspath_probe = misspath.probe
+misspath_accept = misspath.accept_victim
+misspath_fill = misspath.on_demand_fill
+misspath_invalidate = misspath.invalidate""")
     if spec_mode:
         e(1, """\
 spec_stats = speculator.stats
@@ -739,75 +758,68 @@ counts_get = counts.get""")
     e(2, "kind = kinds[idx]")
     # Dispatch arms ordered by measured frequency across the Figure-5
     # traces (loads ~61%, exec ~15%, word accesses ~8% each, stores ~7%)
-    # so the common kinds fall out of the chain early.
-    e(2, f"if kind == {LOAD}:")
-    e(3, "address = ops[idx]")
-    e(3, _ref_body(c, spec_mode, store=False, counted=True))
+    # so the common kinds fall out of the chain early.  Every arm but a
+    # full miss ends in ``continue``; a full miss of either class falls
+    # out of the chain into the one miss arm after it.
+    e(2, f"if kind == {LOAD} or kind == {ACCESS_R}:")
+    e(3, _probe_arm(c, spec_mode, store=False))
     e(2, f"elif kind == {EXEC}:")
     e(3, _exec_inline("ops[idx]"))
-    e(2, f"elif kind == {ACCESS_R}:")
-    e(3, "address = ops[idx]")
-    e(3, _ref_body(c, spec_mode, store=False, counted=False))
-    e(2, f"elif kind == {ACCESS_W}:")
-    e(3, "address = ops[idx]")
-    e(3, _ref_body(c, spec_mode, store=True, counted=False))
-    e(2, f"elif kind == {STORE}:")
-    e(3, "address = ops[idx]")
-    e(3, _ref_body(c, spec_mode, store=True, counted=True))
+    e(2, f"elif kind == {STORE} or kind == {ACCESS_W}:")
+    e(3, _probe_arm(c, spec_mode, store=True))
     e(2, f"elif kind == {MALLOC}:")
     e(3, _exec_inline("$MALLOC_BASE + (ops[idx] >> 6)"))
     e(2, f"elif kind == {FREE}:")
     e(3, _exec_inline("$FREE_BASE + 2 * ops[idx]"))
     e(2, f"elif kind == {TRAP}:")
-    e(3, "trap_installed = ops[idx] != 0")
-    e(2, f"elif kind == {PREFETCH}:")
-    # Software prefetch: rare; run against the layered components with
-    # the hot locals spilled around the call.
-    e(3, _flush(spec_mode))
-    e(3, """\
-execute(1)
-prefetch_block(ops[idx], extras[idx], timing.cycle)""")
-    e(3, _reload(spec_mode))
+    e(3, "trap_installed = ops[idx] != 0\ncontinue")
     e(2, "else:")
-    # Forwarded load/store (LOAD_FWD/STORE_FWD; replay only -- the
-    # Machine costs forwarded references on its general path): the
-    # layered sequence of the forwarded handler of
-    # repro.core.machine.layered_costs.  Only this arm reads
-    # ``trap_installed``.
+    # Software prefetches and forwarded references are rare; both run
+    # against the layered components with the hot locals spilled around
+    # them.  A forwarded LOAD_FWD/STORE_FWD (replay only -- the Machine
+    # costs forwarded references on its general path) takes the layered
+    # sequence of the forwarded handler of
+    # repro.core.machine.layered_costs; only it reads ``trap_installed``.
     e(3, _flush(spec_mode))
     e(3, f"""\
-address = ops[idx]
-final, hops = extras[idx]
-is_store = kind == {STORE_FWD}
-execute(1)
-hop_cycles = 0.0
-for word in hops:
-    hstart = timing.cycle
-    result = access(word, False, hstart)
-    load_completes(result.ready, True)
-    hop_cycles += result.ready - hstart
-fstart = timing.cycle
-result = access(final, is_store, fstart)
-latency_stats = store_latency if is_store else load_latency
-if is_store:
-    store_completes(result.ready, True)
+if kind == {PREFETCH}:
+    execute(1)
+    prefetch_block(ops[idx], extras[idx], timing.cycle)
 else:
-    load_completes(result.ready, True)
-latency_stats.count += 1
-latency_stats.ordinary_cycles += result.ready - fstart
-latency_stats.forwarded += 1
-nhops = len(hops)
-latency_stats.forwarding_cycles += hop_cycles + forwarding_trap_cost(nhops)
-forwarding_trap(nhops)
-if trap_installed:
-    timing.stall($USER_TRAP_CYCLES, "inst")""")
+    address = ops[idx]
+    final, hops = extras[idx]
+    is_store = kind == {STORE_FWD}
+    execute(1)
+    hop_cycles = 0.0
+    for word in hops:
+        hstart = timing.cycle
+        result = access(word, False, hstart)
+        load_completes(result.ready, True)
+        hop_cycles += result.ready - hstart
+    fstart = timing.cycle
+    result = access(final, is_store, fstart)
+    latency_stats = store_latency if is_store else load_latency
+    if is_store:
+        store_completes(result.ready, True)
+    else:
+        load_completes(result.ready, True)
+    latency_stats.count += 1
+    latency_stats.ordinary_cycles += result.ready - fstart
+    latency_stats.forwarded += 1
+    nhops = len(hops)
+    latency_stats.forwarding_cycles += hop_cycles + forwarding_trap_cost(nhops)
+    forwarding_trap(nhops)
+    if trap_installed:
+        timing.stall($USER_TRAP_CYCLES, "inst")""")
     if spec_mode:
-        e(3, """\
+        e(4, """\
 if is_store:
     on_store(address, final)
 elif on_load(address, final):
     timing.misspeculation_flush()""")
     e(3, _reload(spec_mode))
+    e(3, "continue")
+    e(2, _miss_arm(c, spec_mode))
     e(1, _flush(spec_mode))
     e(1, "return trap_installed")
     source = "\n".join(out) + "\n"
@@ -823,7 +835,9 @@ def _constants(config: MachineConfig) -> dict:
 
     Geometry-derived values (shifts, masks, modes) come from a throwaway
     hierarchy/timing instance, guaranteeing they match what the general
-    path would compute for the same config.
+    path would compute for the same config.  ``MISSPATH`` is a flag, not
+    the mechanism: the kernel calls whatever ``MissPath`` the hierarchy
+    holds, so every mechanism of one shape shares one kernel.
     """
     hierarchy = MemoryHierarchy(config.hierarchy)
     timing = TimingModel(config.timing)
@@ -856,6 +870,8 @@ def _constants(config: MachineConfig) -> dict:
         "MALLOC_BASE": config.malloc_base_cost,
         "FREE_BASE": config.free_base_cost,
         "USER_TRAP_CYCLES": config.user_trap_cycles,
+        "MISSPATH": 0 if hierarchy.misspath is None else 1,
+        "MISSPATH_HIT_LATENCY": cfg.misspath_hit_latency,
     }
 
 

@@ -384,9 +384,10 @@ class Machine:
             cfg, self._hierarchy, self._timing, self._speculator,
             self._prefetcher, self._load_latency, self._store_latency,
         )
-        # Timeline sampling, the event log, miss-path mechanisms and
-        # adaptive relocation all live outside the generated kernel's
-        # feature matrix; those configs run the general path throughout.
+        # Timeline sampling, the event log and adaptive relocation live
+        # outside the generated kernel's feature matrix; those configs run
+        # the general path throughout.  Every miss-path mechanism is
+        # inside it, so mechanism runs (and captures) take the fast path.
         self._fast_enabled = cfg.fast_path and specializable(cfg)
         # The pending chunk, in the layout replay decodes to.  The kernel
         # is compiled at the first drain.

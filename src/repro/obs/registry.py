@@ -35,6 +35,7 @@ later one, which is how spans attribute work to a region of execution.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Callable, Iterator, Mapping
 
 #: Instrument kinds.  Counters and histograms accumulate and merge by
@@ -105,6 +106,20 @@ class Histogram:
 def _check_name(name: str) -> None:
     if not name or name.startswith(".") or name.endswith(".") or ".." in name:
         raise MetricError(f"invalid metric name {name!r}")
+
+
+#: Each dotted metric name :meth:`Snapshot.tree` has seen, split once
+#: into ``(interior keys, leaf key)`` of interned strings, so trees
+#: share their key objects instead of re-splitting every name per
+#: build.  Metric names come from the program, never from its input, so
+#: the table stays as small as the metric catalogue.
+_TREE_KEYS: dict[str, tuple[tuple[str, ...], str]] = {}
+
+
+def _tree_keys(name: str) -> tuple[tuple[str, ...], str]:
+    parts = [sys.intern(part) for part in name.split(".")]
+    keys = _TREE_KEYS[name] = (tuple(parts[:-1]), parts[-1])
+    return keys
 
 
 class Snapshot(Mapping[str, Any]):
@@ -237,15 +252,16 @@ class Snapshot(Mapping[str, Any]):
         Histogram keys become strings so the result is valid JSON.
         """
         root: dict[str, Any] = {}
+        known = _TREE_KEYS.get
         for name in sorted(self._values):
-            parts = name.split(".")
+            interior, leaf = known(name) or _tree_keys(name)
             node = root
-            for part in parts[:-1]:
+            for part in interior:
                 node = node.setdefault(part, {})
             value = self._values[name]
             if self._kinds[name] == HISTOGRAM:
                 value = {str(key): count for key, count in sorted(value.items())}
-            node[parts[-1]] = value
+            node[leaf] = value
         return root
 
     def flat(self) -> dict[str, Any]:

@@ -1,18 +1,25 @@
 """Miss-path mechanisms across execution modes (DESIGN.md §5f).
 
-Three guarantees pinned here:
+Four guarantees pinned here:
 
 1. **Zero-cost disablement.**  With ``mechanism="none"`` a run's stats
    -- metric tree, dump, checksum -- are bit-identical to a machine
-   that predates the miss path entirely (the config default), and the
-   fast path's generated kernel stays engaged.
+   that predates the miss path entirely (the config default).
 2. **Replay parity.**  With any mechanism enabled, replaying a captured
-   trace through the mechanism config reproduces the direct run's stats
+   trace through the mechanism config -- through the layered costs and
+   through the specialized kernel -- reproduces the direct run's stats
    (including the ``cache.misspath.*`` counters) bit-exactly.
 3. **Mode parity.**  Forcing the general interpreter path
    (``fast_path=False``) produces the same stats as the default config,
-   and mechanisms never change application results -- only their cost.
+   whose fast path costs through the generated kernel, and mechanisms
+   never change application results -- only their cost.
+4. **Kernel parity.**  The generated kernel calls the hierarchy's miss
+   path where the layered path does, under every replacement policy and
+   speculation mode, on a hierarchy small enough that every stage hits
+   and L2 evictions drop lines from the stages.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +28,14 @@ from repro.apps.base import Variant
 from repro.cache.misspath import MECHANISMS
 from repro.cache.hierarchy import HierarchyConfig
 from repro.core.machine import MachineConfig
-from repro.experiments.config import APP_SEEDS
+from repro.experiments.config import APP_SEEDS, experiment_config
+from repro.trace.kernels import (
+    SPEC_COUNTERS,
+    SPEC_FULL,
+    SPEC_OFF,
+    _spec_mode,
+    replay_specialized,
+)
 from repro.trace.recorder import capture_trace
 from repro.trace.replay import replay_trace
 
@@ -80,9 +94,10 @@ class TestReplayParity:
         trace, direct = capture_trace(
             app_name, variant, config, SCALE, APP_SEEDS[app_name]
         )
-        replayed = replay_trace(trace, config)
-        assert replayed.stats.dump() == direct.stats.dump()
-        assert replayed.stats.misspath == direct.stats.misspath
+        for replay in (replay_trace, replay_specialized):
+            replayed = replay(trace, config)
+            assert replayed.stats.dump() == direct.stats.dump()
+            assert replayed.stats.misspath == direct.stats.misspath
 
     def test_mechanism_counters_travel_through_replay(self):
         config = _config(32, mechanism="victim_cache")
@@ -111,13 +126,18 @@ class TestReplayParity:
 
 
 class TestModeParity:
-    @pytest.mark.parametrize("mechanism", ["victim_cache", "combined"])
-    def test_general_path_matches_kernel_path(self, mechanism):
-        fast = _run_direct("health", Variant.L, _config(32, mechanism=mechanism))
+    @pytest.mark.parametrize("app_name,variant,line_size", CASES)
+    @pytest.mark.parametrize("mechanism", MECHANISMS[1:])
+    def test_general_path_matches_kernel_path(
+        self, mechanism, app_name, variant, line_size
+    ):
+        fast = _run_direct(
+            app_name, variant, _config(line_size, mechanism=mechanism)
+        )
         slow = _run_direct(
-            "health",
-            Variant.L,
-            _config(32, mechanism=mechanism, fast_path=False),
+            app_name,
+            variant,
+            _config(line_size, mechanism=mechanism, fast_path=False),
         )
         assert slow.checksum == fast.checksum
         assert slow.stats.dump() == fast.stats.dump()
@@ -131,3 +151,48 @@ class TestModeParity:
         # untouched; only the memory-system cost moves.
         assert mech.stats.instructions == baseline.stats.instructions
         assert mech.stats.loads.count == baseline.stats.loads.count
+
+
+#: A hierarchy small enough that, on these short traces, every stage
+#: hits and L2 evictions drop lines from the stages (inclusion).
+_CRAMPED = dict(l1_size=512, l2_size=2048, l2_assoc=2)
+
+_TRACES: dict = {}
+
+
+def _kernel_trace(forwarded):
+    """health L at scale 0.1 carries forwarded references; health N at
+    scale 0.05 carries none."""
+    if forwarded not in _TRACES:
+        variant, scale = (Variant.L, 0.1) if forwarded else (Variant.N, 0.05)
+        _TRACES[forwarded], _ = capture_trace(
+            "health", variant, experiment_config(32), scale, APP_SEEDS["health"]
+        )
+    return _TRACES[forwarded]
+
+
+class TestKernelParity:
+    @pytest.mark.parametrize(
+        "spec_mode",
+        [SPEC_FULL, SPEC_COUNTERS, SPEC_OFF],
+        ids=["spec_full", "spec_counters", "spec_off"],
+    )
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+    @pytest.mark.parametrize("mechanism", MECHANISMS[1:])
+    def test_kernel_matches_layered_replay(self, mechanism, policy, spec_mode):
+        trace = _kernel_trace(forwarded=spec_mode == SPEC_FULL)
+        config = experiment_config(32)
+        config = replace(
+            config,
+            hierarchy=replace(
+                config.hierarchy, mechanism=mechanism, policy=policy, **_CRAMPED
+            ),
+        )
+        if spec_mode == SPEC_OFF:
+            config = replace(config, speculation_window=0)
+        assert _spec_mode(trace, config) == spec_mode
+        reference = replay_trace(trace, config)
+        result = replay_specialized(trace, config)
+        assert result.stats.dump() == reference.stats.dump()
+        counters = reference.stats.misspath
+        assert counters["hits"] > 0 and counters["inclusion_drops"] > 0

@@ -165,6 +165,40 @@ class TestSnapshotComposition:
             "fwd": {"hop_histogram": {"1": 2}},
         }
 
+    def test_tree_of_a_cell_snapshot_matches_splitting_each_name(self):
+        from repro.apps import get_application
+        from repro.apps.base import Variant
+        from repro.experiments.config import experiment_config
+
+        result = get_application("health", scale=0.05, seed=1).run(
+            Variant.L, experiment_config(32)
+        )
+        snap = result.stats.to_snapshot()
+        expected: dict = {}
+        for name in sorted(snap):
+            *interior, leaf = name.split(".")
+            node = expected
+            for part in interior:
+                node = node.setdefault(part, {})
+            value = snap[name]
+            if snap.kind(name) == HISTOGRAM:
+                value = {str(key): count for key, count in sorted(value.items())}
+            node[leaf] = value
+        assert snap.tree() == expected
+
+    def test_trees_share_their_key_objects(self):
+        first = Snapshot({"cache.l1.hits": 3, "slots.busy": 1}).tree()
+        second = Snapshot({"cache.l1.hits": 5, "slots.busy": 2}).tree()
+        assert first != second
+        for a, b in zip(first, second):
+            assert a is b
+        (l1_a,) = first["cache"]
+        (l1_b,) = second["cache"]
+        assert l1_a is l1_b
+        (hits_a,) = first["cache"]["l1"]
+        (hits_b,) = second["cache"]["l1"]
+        assert hits_a is hits_b
+
     def test_empty_is_merge_identity(self):
         snap = Snapshot({"a": 1, "g": 2}, {"g": GAUGE})
         assert EMPTY.merge(snap) == snap

@@ -1,14 +1,14 @@
 """Property-based parity of the batch replay engine.
 
 Random *config sets* -- mixed line sizes, replacement policies, OoO
-windows, speculation on/off, and miss-path mechanisms -- replayed
-through one decode, the way a batch group drives them, must produce
-per-cell stats and aggregate metric trees bit-identical to driving
-``replay_trace`` one cell at a time.  This is the hypothesis-shaped
-version of the contract the integration suite pins app by app: here the
-*machine space* is the random variable, on a fixed pair of small traces
-(one without forwarded references, one with, so both speculation modes
-of the specializer are exercised).
+windows, speculation on/off, miss-path mechanisms and timeline sampling
+-- replayed through one decode, the way a batch group drives them, must
+produce per-cell stats and aggregate metric trees bit-identical to
+driving ``replay_trace`` one cell at a time.  This is the
+hypothesis-shaped version of the contract the integration suite pins app
+by app: here the *machine space* is the random variable, on a fixed pair
+of small traces (one without forwarded references, one with, so both
+speculation modes of the specializer are exercised).
 """
 
 from dataclasses import replace
@@ -16,9 +16,10 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.base import Variant
+from repro.cache.misspath import MECHANISMS
 from repro.experiments.config import experiment_config
 from repro.trace import capture_trace, drive_sessions, replay_trace
-from repro.trace.batch import GENERAL, session_for
+from repro.trace.batch import GENERAL, SPECIALIZED, session_for
 from repro.trace.sweep import aggregate_metrics
 
 SCALE = 0.03
@@ -36,18 +37,17 @@ def _trace(app, variant):
     return _TRACES[key]
 
 
-#: One random machine-config cell.  ``mechanism`` is weighted toward
-#: "none" (the specialized path); mechanism cells exercise the general
-#: fallback inside the same batch.
+#: One random machine-config cell.  Every miss-path mechanism runs the
+#: specialized kernel; a sampled timeline (weighted toward off) is the
+#: general fallback that shares each decode with them.
 CELLS = st.fixed_dictionaries(
     {
         "line_size": st.sampled_from([32, 64, 128]),
         "policy": st.sampled_from(["lru", "fifo", "random"]),
-        "mechanism": st.sampled_from(
-            ["none", "none", "none", "victim_cache", "stream_buffers"]
-        ),
+        "mechanism": st.sampled_from(MECHANISMS),
         "ooo_window": st.sampled_from([1.0, 8.0]),
         "speculate": st.booleans(),
+        "timeline_interval": st.sampled_from([0, 0, 0, 500]),
     }
 )
 
@@ -72,6 +72,7 @@ def _config(cell):
             mechanism=cell["mechanism"],
         ),
         timing=replace(config.timing, ooo_window=cell["ooo_window"]),
+        timeline_interval=cell["timeline_interval"],
     )
     if not cell["speculate"]:
         config = replace(config, speculation_window=0)
@@ -89,8 +90,9 @@ class TestRandomConfigSets:
         for cell, (result, engine) in zip(
             cells, _drive_together(trace, configs)
         ):
-            if cell["mechanism"] != "none":
-                assert engine == GENERAL
+            assert engine == (
+                GENERAL if cell["timeline_interval"] else SPECIALIZED
+            )
             batched.append(result)
         for reference, result in zip(sequential, batched):
             assert result.stats.dump() == reference.stats.dump()

@@ -1,13 +1,23 @@
 """The exec-specialized replay kernels: codegen, caching, exactness."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.adapt.config import AdaptConfig
 from repro.apps.base import Variant
 from repro.cache.cache import Cache
+from repro.cache.misspath import MECHANISMS
+from repro.core.machine import Machine
 from repro.experiments.config import experiment_config
 from repro.trace import capture_trace, replay_trace
+from repro.trace.batch import SPECIALIZED, session_for
 from repro.trace.kernels import (
     SPEC_COUNTERS,
     SPEC_FULL,
@@ -31,6 +41,12 @@ def _trace(app="health", variant=Variant.N, seed=1):
     return trace
 
 
+def _with_mechanism(config, mechanism):
+    return replace(
+        config, hierarchy=replace(config.hierarchy, mechanism=mechanism)
+    )
+
+
 class TestFeatureMatrix:
     def test_plain_config_is_specializable(self):
         assert specializable(experiment_config(64))
@@ -40,6 +56,7 @@ class TestFeatureMatrix:
         [
             {"timeline_interval": 500},
             {"events_capacity": 128},
+            {"adapt": AdaptConfig()},
         ],
     )
     def test_uncovered_config_features(self, patch):
@@ -48,15 +65,16 @@ class TestFeatureMatrix:
         with pytest.raises(SpecializationError):
             kernel_source(config)
 
-    def test_miss_path_mechanism_is_uncovered(self):
-        config = experiment_config(64)
-        config = replace(
-            config,
-            hierarchy=replace(config.hierarchy, mechanism="victim_cache"),
-        )
-        assert not specializable(config)
-        with pytest.raises(SpecializationError):
-            kernel_source(config)
+    def test_miss_path_mechanisms_are_covered(self):
+        """Every mechanism runs the kernel: on the Machine fast path (so
+        in every capture) and in replay."""
+        trace = _trace()
+        for mechanism in MECHANISMS:
+            config = _with_mechanism(experiment_config(64), mechanism)
+            assert specializable(config)
+            compile(kernel_source(config), "<test-kernel>", "exec")
+            assert Machine(config)._fast_enabled
+            assert session_for(trace, config)[1] == SPECIALIZED
 
 
 class TestCodegen:
@@ -92,6 +110,56 @@ class TestCodegen:
         assert "_rng_state" in source
         lru = kernel_source(experiment_config(64), SPEC_COUNTERS)
         assert "_rng_state" not in lru
+
+    @pytest.mark.parametrize("mechanism", ["none", "combined"])
+    def test_one_full_miss_arm_in_a_small_source(self, mechanism):
+        """Both reference classes share one full-miss arm: one L2 probe
+        in the whole loop, which keeps the source (and so its compile)
+        small."""
+        source = kernel_source(
+            _with_mechanism(experiment_config(64), mechanism)
+        )
+        assert source.count("l2_line = line_addr >>") == 1
+        assert len(source.splitlines()) <= 650
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs VmHWM"
+    )
+    @pytest.mark.parametrize("mechanism", ["none", "combined"])
+    def test_compile_raises_peak_rss_by_under_1_5_mib(self, mechanism):
+        """Every fresh interpreter that costs references pays one compile
+        per machine shape, and its transient lands in peak RSS."""
+        script = textwrap.dedent(f"""\
+            from dataclasses import replace
+            from repro.core.kernel import compiled_kernel, kernel_source
+            from repro.experiments.config import experiment_config
+
+            def hwm_kib():
+                with open("/proc/self/status") as status:
+                    for line in status:
+                        if line.startswith("VmHWM:"):
+                            return int(line.split()[1])
+
+            config = experiment_config(64)
+            config = replace(
+                config,
+                hierarchy=replace(config.hierarchy, mechanism={mechanism!r}),
+            )
+            kernel_source(config)
+            before = hwm_kib()
+            compiled_kernel(config)
+            print(hwm_kib() - before)
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert int(proc.stdout) < 1.5 * 1024
 
     def test_kernel_cache_reuses_compilations(self):
         first = compiled_kernel(experiment_config(64))
