@@ -10,7 +10,7 @@ against one config's constants, that costs a whole *chunk* of entries
 in one frame.  A chunk is three parallel containers: ``kinds[i]`` (one
 of the entry kinds below), ``ops[i]`` (its integer operand) and a sparse
 ``extras`` dict (prefetch line counts, forwarded references'
-resolutions).  Two callers feed it:
+resolutions).  Two callers feed it, both through :func:`run_stream`:
 
 * the Machine fast path, which appends each cheap operation's kind and
   address to a pending chunk and drains it through the kernel (DESIGN.md
@@ -61,42 +61,64 @@ back to L2), ``on_demand_fill`` after each fill from below, and
 inlined and no hot local is added, so a mechanism costs the loop one
 method call per miss-path event and nothing per hit.
 
-On top of the literal-folding, the generated loop applies a set of
-transformations that are *provably* state-equivalent to the layered
-path (each argued in comments/docstrings below):
+On top of the literal-folding, the loop applies transformations that
+are *provably* state-equivalent to the layered path.  **Sentinel tag
+probes**: :class:`repro.cache.cache.Cache` keeps ``-1`` in every vacant
+tag slot, so way 0 is probed with one compare and the other ways are
+scanned to the constant associativity.  **MSHR probe elision**:
+``mshr_max``, a sound upper bound on every fill's ready time, skips the
+MSHR probe once every fill has completed.  **Residual elision**: when
+the hit latency sits inside the OoO window with half a cycle to spare,
+a read hit's stall check is dropped, which is exact while every
+reference starts below ``2**49`` (see :func:`_elides_residual`; both
+callers guard it).  And the loop pays per reference only for what the
+reference changes, by six rewrites, each with a boundary stream in
+``tests/integration/test_kernel_boundaries.py`` that a wrong version
+fails:
 
-* **MSHR probe elision.**  A local upper bound on the latest in-flight
-  fill completion skips the per-reference MSHR dictionary probe whenever
-  every entry has provably expired.  Expired entries are then deleted a
-  little later than the general path deletes them -- but always before
-  any observation: the allocate-path floor scan (which runs whenever an
-  expired entry exists, because the floor is below it) removes every
-  expired entry before ``len``/``min`` are consulted.
-* **Sentinel tag probes.**  :class:`repro.cache.cache.Cache` keeps the
-  ``-1`` sentinel in every vacant tag slot (see its docstring), so the
-  kernel probes way 0 -- the hit position for the overwhelming majority
-  of references under LRU -- with a single compare and no occupancy
-  fetch, and scans the remaining ways to the constant associativity
-  bound (vacant slots can never match).
-* **Hit-arm completion inlining.**  The dominant way-0 read hit with no
-  fill in flight completes with no ``start``/``ready`` staging, under
-  every speculation mode: when the config's hit latency sits inside the
-  OoO window with half a cycle of margin, the residual check is dropped
-  entirely.  That is exact only while every reference starts below
-  ``2**49`` (see :func:`_elides_residual`); both callers guard it.
-* **Speculation counter derivation.**  ``loads_checked`` increments in
-  lockstep with ``ref.load.count`` (and ``stores_tracked`` with
-  ``ref.store.count``) on every path through the kernel, so the
-  per-reference speculator counter increments are dropped and the totals
-  are recovered from the latency counts at spill time.
-* **Counters-only speculation.**  When a stream contains no forwarded
-  reference at all (replay knows this at decode time), a misspeculation
-  is impossible: every store queue entry has initial == final, so the
-  collision test ``store_initial != load_word`` can never pass, and the
-  queue/map/count structures are observable only through that test and
-  the stats.  :data:`SPEC_COUNTERS` kernels then skip the store-queue
-  bookkeeping and the per-load map probe entirely.  A live machine
-  cannot know that in advance and always uses :data:`SPEC_FULL`.
+1. **Speculation by stretch.**  A load misspeculates only if
+   ``_by_final`` maps its final word to another initial word, so while
+   every entry maps a word to itself (``DependenceSpeculator.clean``) no
+   unforwarded load can, and unforwarded stores keep it so.
+   :func:`run_stream` runs :data:`SPEC_COUNTERS` -- no store queue, no
+   map probe -- over each stretch that starts clean and ends before the
+   next LOAD_FWD/STORE_FWD, then refills the window from the
+   stretch's last W STOREs: after W pushes no older entry remains, so
+   that is the window ``on_store`` would have left, and the LOAD_FWD
+   opening the next stretch checks against it.  From a forwarded store,
+   or an unclean window, :data:`SPEC_FULL` runs until W counted stores
+   later, when every entry the window held has left it.  The Machine
+   never pends a forwarded reference, so a live machine pays full
+   bookkeeping only for the W stores after each forwarded store.
+2. **Counters from the chunk.**  Every LOAD/STORE/ACCESS_R/ACCESS_W
+   graduates one instruction and counts one L1 hit or miss, every
+   LOAD/STORE one latency sample: ``instructions``, the latency counts
+   and the L1 hit counters are added once per stretch from
+   ``kinds.count``, and a miss takes its hit back.  Integer sums
+   commute, and the layered call-outs only add to these counters.
+   ``loads_checked``/``stores_tracked`` move in lockstep with the
+   latency counts, so they are derived at spill time.
+3. **No index.**  The loop is ``for kind, address in zip(kinds, ops)``;
+   extras come from ``next_extra`` in entry order, the order the
+   Machine appends them in and the only one ``Chunk.unpack`` accepts.
+4. **MSHR expiry only when the file is full.**  An expired entry is
+   invisible: a probe merges only with a fill in flight, and the layered
+   allocate expires such entries before reading the file's length or
+   minimum.  So they linger, and the expiry scan runs only when
+   ``len(inflight) >= MSHR_CAPACITY`` (and the floor says something
+   expired), before the full-stall check, which then sees the layered
+   path's live entries in its order.  The allocating line's own expired
+   entry is deleted first: assigning over it would keep its old position,
+   which the full-stall tie-break (first entry with the earliest ready
+   time) reads.  ``mshr_max`` only tightens at a scan, so it stays sound.
+5. **One completion for every read hit.**  A read hit whose MSHR probe
+   finds no fill of its own completes like the way-0 hit: ``ready`` is
+   ``start + hit_latency`` either way, so it takes the same residual
+   elision and ``(start + hit) - start`` latency sum.
+6. **A sorted store buffer.**  Only the multiset of ready times is
+   observable, so ``TimingModel.store_completes`` and the kernel keep it
+   sorted: expiry is ``bisect_right`` and a slice delete, the earliest
+   entry is ``buffer[0]``, inserts use ``insort``; no floor, no scan.
 
 Supported-feature matrix (see DESIGN.md Section 5g): a config is
 :func:`specializable` iff it uses no timeline sampling, no event log and
@@ -108,6 +130,7 @@ the layered path.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from string import Template
 from typing import TYPE_CHECKING, Callable
 
@@ -228,22 +251,23 @@ if len(queue) > $SPEC_WINDOW:
 
 def _load_done(c: dict, spec: int, arm: str) -> str:
     """A read's completion: ``TimingModel.load_completes``, then a LOAD's
-    latency statistics and speculation check.
+    latency sum and speculation check.
 
     ``arm`` picks what is statically known about ``ready``:
 
-    * ``"hit"`` -- ``ready`` is ``start + hit_latency`` with ``start ==
-      cycle`` untouched so far.  When :func:`_elides_residual` holds for
-      the config, the OoO-window check is dropped (the residual is
-      provably negative, see there) and ``start``/``ready`` are never
-      bound to locals; the latency sum still performs the identical
-      ``(cycle + hit) - cycle`` float operations the general path does.
+    * ``"hit"`` -- an L1 hit with no fill of its own in flight: ``ready``
+      is ``start + hit_latency`` with ``start == cycle`` untouched so
+      far.  When :func:`_elides_residual` holds for the config, the
+      OoO-window check is dropped (the residual is provably negative,
+      see there) and ``start``/``ready`` are never bound to locals; the
+      latency sum still performs the identical ``(cycle + hit) - cycle``
+      float operations the general path does.
     * ``"bound"`` -- ``start`` and ``ready`` are already bound: the full
       residual check.
 
-    ``kind == LOAD`` gates the statistics and the check: an ACCESS_R
+    ``kind == LOAD`` gates the latency sum and the check: an ACCESS_R
     charges the same walk and stall, but no latency statistics and no
-    dependence speculation.
+    dependence speculation.  The count itself comes from the chunk.
     """
     out: list[str] = []
     e = lambda level, block: _emit(out, level, block)  # noqa: E731
@@ -260,7 +284,6 @@ if residual > 0.0:
     cycle += residual""")
     e(0, f"""\
 if kind == {LOAD}:
-    load_count += 1
     load_ord += {latency}""")
     if spec == SPEC_FULL:
         e(1, _ON_LOAD)
@@ -268,30 +291,25 @@ if kind == {LOAD}:
 
 
 def _store_done(spec: int) -> str:
-    """A write's completion: ``TimingModel.store_completes`` (the buffer
-    length tracked in a local, updated on every append/remove/drain),
-    then a STORE's latency statistics and ``on_store``."""
+    """A write's completion: ``TimingModel.store_completes`` over the
+    sorted buffer (its length tracked in a local), then a STORE's
+    latency sum and ``on_store``."""
     out: list[str] = []
     _emit(out, 0, f"""\
-if blen and sb_floor <= cycle:
-    buffer[:] = [t for t in buffer if t > cycle]
+if blen and buffer[0] <= cycle:
+    del buffer[:bisect_right(buffer, cycle)]
     blen = len(buffer)
-    sb_floor = min(buffer) if blen else INF
 if blen >= $STORE_BUFFER_DEPTH:
-    earliest = min(buffer)
-    stall = earliest - cycle
+    stall = buffer[0] - cycle
     if stall > 0.0:
         store_stall += stall
         cycle += stall
-    buffer_remove(earliest)
+    del buffer[0]
     blen -= 1
 if ready > cycle:
-    buffer_append(ready)
+    insort(buffer, ready)
     blen += 1
-    if ready < sb_floor:
-        sb_floor = ready
 if kind == {STORE}:
-    store_count += 1
     store_ord += ready - start""")
     if spec == SPEC_FULL:
         _emit(out, 1, _ON_STORE)
@@ -302,9 +320,11 @@ def _probe_arm(c: dict, spec: int, store: bool) -> str:
     """One reference class's arm: the L1 probe, hits and MSHR merges.
 
     The reads (LOAD, ACCESS_R) share one arm and the writes (STORE,
-    ACCESS_W) the other.  Every hit and every merge completes in place
-    and ``continue``s; a full miss falls out of the arm, with ``line``,
-    ``base``, ``start`` and ``is_write`` bound, into :func:`_miss_arm`.
+    ACCESS_W) the other.  The chunk has already counted every reference
+    of the class as an L1 hit; a miss takes its hit back.  Every hit and
+    every merge completes in place and ``continue``s; a full miss falls
+    out of the arm, with ``line``, ``base``, ``start`` and ``is_write``
+    bound, into :func:`_miss_arm`.
     """
     out: list[str] = []
     e = lambda level, block: _emit(out, level, block)  # noqa: E731
@@ -319,8 +339,6 @@ def _probe_arm(c: dict, spec: int, store: bool) -> str:
     # slots hold -1, which no line address equals), so the occupancy
     # count is only fetched on a miss.
     e(0, """\
-address = ops[idx]
-instructions += 1
 cycle = cycle + $IPC + $INST_OVERHEAD
 inst_stall += $INST_OVERHEAD
 line = address >> $LINE_SHIFT
@@ -328,15 +346,11 @@ base = (line & $SET_MASK) * $ASSOC
 if tags[base] == line:""")
     if store:
         e(1, "dirty[base] = 1")
-    e(1, f"{hits} += 1")
-    if not store:
+    else:
         # The way-0 read hit, the dominant reference: the LRU promote is
         # a no-op there, and the MSHR probe is elided when every
-        # in-flight fill has provably completed.  ``mshr_max`` is a sound
-        # upper bound on the latest ready time; expired entries then
-        # linger until the next allocate's floor scan, which runs before
-        # any len()/min() observation (an expired entry pins the floor at
-        # or below ``start``).
+        # in-flight fill has provably completed (``mshr_max`` is a sound
+        # upper bound on the latest ready time).
         e(1, "if mshr_max <= cycle:")
         e(2, _load_done(c, spec, "hit"))
         e(2, "continue")
@@ -357,10 +371,10 @@ else:
         if tags[slot] == line:
             hit = slot
             break""")
-        e(1, "if hit >= 0:")
         if c["L1_MODE"] == _LRU:
             # hit > base here, so the promote runs unconditionally; a
             # write leaves the promoted line dirty whatever it was.
+            e(1, "if hit >= 0:")
             if not store:
                 e(2, "d = dirty[hit]")
             e(2, f"""\
@@ -372,27 +386,26 @@ while slot > base:
 tags[base] = line
 dirty[base] = {"1" if store else "d"}""")
         elif store:
-            e(2, "dirty[hit] = 1")
-        e(2, f"{hits} += 1")
-    # When a probe finds its entry expired, deleting it may empty the
-    # MSHR entirely; dropping ``mshr_max`` to 0.0 then lets every later
-    # hit skip the probe until the next allocate raises it again.  Exact:
-    # with no in-flight entry a probe cannot find anything.
-    e(0, f"""\
+            e(1, """\
+if hit >= 0:
+    dirty[hit] = 1""")
+    # The MSHR probe runs only while some fill may still be in flight.
+    # A probe that finds its line's entry expired leaves it in place:
+    # expired entries are invisible to every probe, and an allocation
+    # deletes its line's own entry before inserting (see _miss_arm).
+    if store:
+        e(0, f"""\
 start = cycle
 pending = None
 if mshr_max > start:
-    line_addr = line << $LINE_SHIFT
-    pending = inflight_get(line_addr)
+    pending = inflight_get(line << $LINE_SHIFT)
     if pending is not None and pending <= start:
-        del inflight[line_addr]
-        if not inflight:
-            mshr_max = 0.0
         pending = None
 if pending is None and hit < 0:
+    {hits} -= 1
     {misses} += 1
     {full} += 1
-    is_write = {int(store)}
+    is_write = 1
 else:
     if pending is None:
         ready = start + $L1_HIT_LATENCY
@@ -400,10 +413,36 @@ else:
         ready = pending
         ms_comb += 1
         if hit < 0:
+            {hits} -= 1
             {misses} += 1
         {partial} += 1""")
-    e(1, _store_done(spec) if store else _load_done(c, spec, "bound"))
+        e(1, _store_done(spec))
+        e(1, "continue")
+        return "\n".join(out)
+    # A read merges with a fill still in flight; a read hit that finds
+    # no fill of its own completes like the way-0 hit.
+    e(0, f"""\
+if mshr_max > cycle:
+    pending = inflight_get(line << $LINE_SHIFT)
+    if pending is not None and pending > cycle:
+        start = cycle
+        ready = pending
+        ms_comb += 1
+        if hit < 0:
+            {hits} -= 1
+            {misses} += 1
+        {partial} += 1""")
+    e(2, _load_done(c, spec, "bound"))
+    e(2, "continue")
+    e(0, "if hit >= 0:")
+    e(1, _load_done(c, spec, "hit"))
     e(1, "continue")
+    e(0, f"""\
+{hits} -= 1
+{misses} += 1
+{full} += 1
+is_write = 0
+start = cycle""")
     return "\n".join(out)
 
 
@@ -570,28 +609,36 @@ dirty[base] = {"fill_dirty" if mp else "is_write"}""")
         e(0, """\
 if stage_dirty is None:
     misspath_fill(line_addr)""")
-    # MSHRFile.allocate, inlined (floor bound skips the expiry scan).
+    # MSHRFile.allocate, inlined.  Expired entries linger until the file
+    # fills; only then does the expiry scan run (and only if the floor
+    # says an entry has expired).  The line's own entry, if any, has
+    # expired (a live one would have merged) and is deleted first, so
+    # the insertion order the full-stall tie-break reads is the layered
+    # path's, where the probe deleted it.
     e(low, """\
-if inflight and mshr_floor <= start:
-    for key in [k for k, r in inflight.items() if r <= start]:
-        del inflight[key]
-    if inflight:
-        mshr_floor = min(inflight.values())
-        mshr_max = max(inflight.values())
-    else:
-        mshr_floor = INF
-        mshr_max = 0.0
+if line_addr in inflight:
+    del inflight[line_addr]
+begin = start
 if len(inflight) >= $MSHR_CAPACITY:
-    earliest = min(inflight.values())
-    ms_fs += 1
-    ms_fsc += earliest - start
-    for key, r in list(inflight.items()):
-        if r == earliest:
-            del inflight[key]
-            break
-    ready = earliest + latency
-else:
-    ready = start + latency
+    if mshr_floor <= start:
+        for key, r in list(inflight.items()):
+            if r <= start:
+                del inflight[key]
+        if inflight:
+            mshr_floor = min(inflight.values())
+            mshr_max = max(inflight.values())
+        else:
+            mshr_floor = INF
+            mshr_max = 0.0
+    if len(inflight) >= $MSHR_CAPACITY:
+        begin = min(inflight.values())
+        ms_fs += 1
+        ms_fsc += begin - start
+        for key, r in list(inflight.items()):
+            if r == begin:
+                del inflight[key]
+                break
+ready = begin + latency
 inflight[line_addr] = ready
 if ready < mshr_floor:
     mshr_floor = ready
@@ -617,7 +664,6 @@ _STATE = [
     ("inst_stall", "timing.inst_stall_cycles"),
     ("load_stall", "timing.load_stall_cycles"),
     ("store_stall", "timing.store_stall_cycles"),
-    ("sb_floor", "timing._store_buffer_floor"),
     ("mshr_floor", "mshr._floor"),
     ("load_count", "load_latency.count"),
     ("load_ord", "load_latency.ordinary_cycles"),
@@ -703,7 +749,7 @@ def kernel_source(config: MachineConfig, spec_mode: int | None = None) -> str:
     out: list[str] = []
     e = lambda level, block: _emit(out, level, block)  # noqa: E731
     e(0, """\
-def _replay(kinds, ops, extras, n, hierarchy, timing, speculator,
+def _replay(kinds, ops, next_extra, hierarchy, timing, speculator,
             prefetcher, load_latency, store_latency, trap_installed):
     l1 = hierarchy.l1
     l2 = hierarchy.l2
@@ -723,8 +769,6 @@ def _replay(kinds, ops, extras, n, hierarchy, timing, speculator,
     miss_classes = hierarchy.miss_classes
     traffic = hierarchy.traffic
     buffer = timing._store_buffer
-    buffer_append = buffer.append
-    buffer_remove = buffer.remove
     access = hierarchy.access
     execute = timing.execute
     load_completes = timing.load_completes
@@ -754,8 +798,24 @@ queue_popleft = queue.popleft
 counts = speculator._counts
 counts_get = counts.get""")
     e(1, _reload(spec_mode))
-    e(1, "for idx in range(n):")
-    e(2, "kind = kinds[idx]")
+    # Every LOAD/STORE/ACCESS_R/ACCESS_W graduates one instruction and
+    # counts one L1 hit or miss, and every LOAD/STORE one latency
+    # sample: the chunk counts them all up front as hits, and a miss
+    # takes its hit back.  Integer sums commute, and nothing the loop
+    # calls reads these counters (the layered call-outs only add).
+    e(1, f"""\
+loads = kinds.count({LOAD})
+stores = kinds.count({STORE})
+reads = loads + kinds.count({ACCESS_R})
+writes = stores + kinds.count({ACCESS_W})
+instructions += reads + writes
+load_count += loads
+store_count += stores
+l1_lh += reads
+l1_sh += writes""")
+    # ``address`` is each entry's operand: an address, or the count of
+    # an EXEC/MALLOC/FREE, or the handler flag of a TRAP.
+    e(1, "for kind, address in zip(kinds, ops):")
     # Dispatch arms ordered by measured frequency across the Figure-5
     # traces (loads ~61%, exec ~15%, word accesses ~8% each, stores ~7%)
     # so the common kinds fall out of the chain early.  Every arm but a
@@ -764,30 +824,30 @@ counts_get = counts.get""")
     e(2, f"if kind == {LOAD} or kind == {ACCESS_R}:")
     e(3, _probe_arm(c, spec_mode, store=False))
     e(2, f"elif kind == {EXEC}:")
-    e(3, _exec_inline("ops[idx]"))
+    e(3, _exec_inline("address"))
     e(2, f"elif kind == {STORE} or kind == {ACCESS_W}:")
     e(3, _probe_arm(c, spec_mode, store=True))
     e(2, f"elif kind == {MALLOC}:")
-    e(3, _exec_inline("$MALLOC_BASE + (ops[idx] >> 6)"))
+    e(3, _exec_inline("$MALLOC_BASE + (address >> 6)"))
     e(2, f"elif kind == {FREE}:")
-    e(3, _exec_inline("$FREE_BASE + 2 * ops[idx]"))
+    e(3, _exec_inline("$FREE_BASE + 2 * address"))
     e(2, f"elif kind == {TRAP}:")
-    e(3, "trap_installed = ops[idx] != 0\ncontinue")
+    e(3, "trap_installed = address != 0\ncontinue")
     e(2, "else:")
     # Software prefetches and forwarded references are rare; both run
     # against the layered components with the hot locals spilled around
-    # them.  A forwarded LOAD_FWD/STORE_FWD (replay only -- the Machine
-    # costs forwarded references on its general path) takes the layered
-    # sequence of the forwarded handler of
-    # repro.core.machine.layered_costs; only it reads ``trap_installed``.
+    # them, and take their extras in entry order.  A forwarded
+    # LOAD_FWD/STORE_FWD (replay only -- the Machine costs forwarded
+    # references on its general path) takes the layered sequence of the
+    # forwarded handler of repro.core.machine.layered_costs; only it
+    # reads ``trap_installed``.
     e(3, _flush(spec_mode))
     e(3, f"""\
 if kind == {PREFETCH}:
     execute(1)
-    prefetch_block(ops[idx], extras[idx], timing.cycle)
+    prefetch_block(address, next_extra(), timing.cycle)
 else:
-    address = ops[idx]
-    final, hops = extras[idx]
+    final, hops = next_extra()
     is_store = kind == {STORE_FWD}
     execute(1)
     hop_cycles = 0.0
@@ -883,10 +943,12 @@ _KERNEL_CACHE: dict[tuple, Callable] = {}
 def compiled_kernel(config: MachineConfig, spec_mode: int | None = None) -> Callable:
     """Return (compiling on first use) the chunk loop for ``config``.
 
-    The loop is called as ``kernel(kinds, ops, extras, n, hierarchy,
+    The loop is called as ``kernel(kinds, ops, next_extra, hierarchy,
     timing, speculator, prefetcher, load_latency, store_latency,
-    trap_installed)``, costs the first ``n`` entries against those
-    components, and returns the trap flag as the chunk leaves it.
+    trap_installed)``, costs every entry of ``kinds``/``ops`` against
+    those components, taking each prefetch's or forwarded reference's
+    extra from ``next_extra()`` in entry order, and returns the trap
+    flag as the entries leave it.  :func:`run_stream` is its one caller.
     """
     if spec_mode is None:
         spec_mode = SPEC_FULL if config.speculation_window > 0 else SPEC_OFF
@@ -894,8 +956,84 @@ def compiled_kernel(config: MachineConfig, spec_mode: int | None = None) -> Call
     kernel = _KERNEL_CACHE.get(key)
     if kernel is None:
         source = kernel_source(config, spec_mode)
-        namespace = {"INF": float("inf")}
+        namespace = {
+            "INF": float("inf"), "bisect_right": bisect_right, "insort": insort,
+        }
         exec(compile(source, "<fused-reference-kernel>", "exec"), namespace)
         kernel = namespace["_replay"]
         _KERNEL_CACHE[key] = kernel
     return kernel
+
+
+def _next_forwarded(kinds, start: int) -> int:
+    """Index of the first LOAD_FWD/STORE_FWD from ``start`` on, else the end."""
+    end = len(kinds)
+    for kind in (LOAD_FWD, STORE_FWD):
+        found = kinds.find(kind, start, end)
+        if found >= 0:
+            end = found
+    return end
+
+
+def _after_stores(kinds, start: int, count: int) -> int:
+    """Index past the ``count``-th STORE/STORE_FWD from ``start`` on, else the end."""
+    for index in range(start, len(kinds)):
+        if kinds[index] == STORE or kinds[index] == STORE_FWD:
+            count -= 1
+            if not count:
+                return index + 1
+    return len(kinds)
+
+
+def _last_stores(kinds, ops, count: int) -> list:
+    """The operands of the last ``count`` STORE entries, oldest first."""
+    found = []
+    index = len(kinds)
+    while len(found) < count:
+        index = kinds.rfind(STORE, 0, index)
+        if index < 0:
+            break
+        found.append(ops[index])
+    found.reverse()
+    return found
+
+
+def run_stream(kernels: dict, config: MachineConfig, kinds, ops, extras: dict,
+               hierarchy, timing, speculator, prefetcher, load_latency,
+               store_latency, trap_installed: bool) -> bool:
+    """Cost one chunk of entries; returns the trap flag as it leaves it.
+
+    The kernel's one entry point (``Machine._drain`` and
+    ``SpecializedSession.run_chunk`` call it).  ``kernels`` is the
+    caller's table of the loops it has used, by speculation mode, each
+    compiled the first time a stretch needs it; ``extras`` holds its
+    rows in entry order.  With a speculator the chunk runs stretch by stretch (rewrite
+    1 above): :data:`SPEC_COUNTERS` from a clean window up to the next
+    forwarded reference, then a refill; :data:`SPEC_FULL` from a
+    forwarded store, or an unclean window, until ``window`` counted
+    stores later.
+    """
+    next_extra = iter(extras.values()).__next__
+    components = hierarchy, timing, speculator, prefetcher, load_latency, store_latency
+    n = len(kinds)
+    pos = 0
+    while pos < n:
+        if speculator is None:
+            mode, end = SPEC_OFF, n
+        elif kinds[pos] != STORE_FWD and speculator.clean():
+            mode, end = SPEC_COUNTERS, _next_forwarded(kinds, pos + 1)
+        else:
+            mode, end = SPEC_FULL, _after_stores(kinds, pos + 1, speculator.window)
+        part_kinds, part_ops = (
+            (kinds[pos:end], ops[pos:end]) if pos or end < n else (kinds, ops)
+        )
+        kernel = kernels.get(mode)
+        if kernel is None:
+            kernel = kernels[mode] = compiled_kernel(config, mode)
+        trap_installed = kernel(
+            part_kinds, part_ops, next_extra, *components, trap_installed
+        )
+        if mode == SPEC_COUNTERS:
+            speculator.refill(_last_stores(part_kinds, part_ops, speculator.window))
+        pos = end
+    return trap_installed

@@ -38,7 +38,7 @@ from repro.core.kernel import (
     STORE,
     STORE_FWD,
     TRAP,
-    compiled_kernel,
+    run_stream,
     specializable,
 )
 from repro.core.memory import TaggedMemory, WORD_MASK, WORD_SIZE
@@ -338,7 +338,7 @@ class Machine:
         "_kinds",
         "_ops",
         "_extras",
-        "_kernel",
+        "_kernels",
         "_words",
         "_fbits",
         "_nwords",
@@ -389,12 +389,12 @@ class Machine:
         # the general path throughout.  Every miss-path mechanism is
         # inside it, so mechanism runs (and captures) take the fast path.
         self._fast_enabled = cfg.fast_path and specializable(cfg)
-        # The pending chunk, in the layout replay decodes to.  The kernel
-        # is compiled at the first drain.
+        # The pending chunk, in the layout replay decodes to, and the
+        # kernels its drains have used, by speculation mode.
         self._kinds = bytearray()
         self._ops: list = []
         self._extras: dict = {}
-        self._kernel = None
+        self._kernels: dict = {}
         self._words = self.memory._words
         self._fbits = self.memory._fbits
         self._nwords = self.memory._nwords
@@ -455,16 +455,10 @@ class Machine:
         store_latency = self._store_latency
         counted = load_latency.count + store_latency.count
         if timing.cycle < DRAIN_GUARD:
-            kernel = self._kernel
-            if kernel is None:
-                # SPEC_FULL (the default) whenever a speculator exists:
-                # unlike replay, a live machine cannot know in advance
-                # that no reference will be forwarded.
-                kernel = self._kernel = compiled_kernel(self.config)
             # Forwarded references and TRAP entries are never pended, so
             # the kernel's trap flag is never read.
-            kernel(
-                kinds, self._ops, self._extras, len(kinds),
+            run_stream(
+                self._kernels, self.config, kinds, self._ops, self._extras,
                 self._hierarchy, timing, self._speculator, self._prefetcher,
                 load_latency, store_latency, False,
             )

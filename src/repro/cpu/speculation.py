@@ -69,9 +69,10 @@ class DependenceSpeculator:
 
     def on_store(self, initial: int, final: int) -> None:
         """Record a retiring store's initial and final word addresses."""
-        initial_word = initial & ~7
-        final_word = final & ~7
         self.stats.stores_tracked += 1
+        self._push(final & ~7, initial & ~7)
+
+    def _push(self, final_word: int, initial_word: int) -> None:
         queue = self._queue
         counts = self._counts
         queue.append((final_word, initial_word))
@@ -85,6 +86,22 @@ class DependenceSpeculator:
             else:
                 del counts[old_final]
                 del self._by_final[old_final]
+
+    def clean(self) -> bool:
+        """True iff every ``_by_final`` entry maps a word to itself: no
+        forwarded store is visible, so no unforwarded load can
+        misspeculate, and unforwarded stores keep it so.  The fused
+        kernel then runs on counters alone (``core.kernel.run_stream``)."""
+        by_final = self._by_final
+        return list(by_final) == list(by_final.values())
+
+    def refill(self, addresses) -> None:
+        """Push unforwarded stores, oldest first, as :meth:`on_store`
+        would, but uncounted: the kernel passes a counters-only stretch's
+        last ``window`` stores, having counted them all already."""
+        for address in addresses:
+            word = address & ~7
+            self._push(word, word)
 
     def on_load(self, initial: int, final: int) -> bool:
         """Check a load against recent stores; True means misspeculation.

@@ -25,6 +25,7 @@ rest on:
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 
@@ -77,7 +78,6 @@ class TimingModel:
         "forwarding_cycles",
         "misspeculations",
         "_store_buffer",
-        "_store_buffer_floor",
         "_ipc",
     )
 
@@ -93,10 +93,8 @@ class TimingModel:
         #: reported separately in Figure 10(d).
         self.forwarding_cycles: float = 0.0
         self.misspeculations: int = 0
+        #: Ready times of the stores in the buffer, kept sorted.
         self._store_buffer: list[float] = []
-        # Sound lower bound on min(_store_buffer): lets store_completes
-        # skip the drain scan when no entry can have completed yet.
-        self._store_buffer_floor = float("inf")
         self._ipc = 1.0 / self.config.width
 
     # ------------------------------------------------------------------
@@ -126,30 +124,26 @@ class TimingModel:
         """Account for a store retiring into the store buffer.
 
         The buffer absorbs outstanding store misses; when full, graduation
-        stalls until the oldest entry drains.
+        stalls until the oldest entry drains.  The buffer is kept sorted,
+        so the stores that have completed by now are a prefix (one
+        ``bisect_right`` and a slice delete) and the earliest entry is
+        ``buffer[0]``.  Only the multiset of ready times is observable,
+        so the layout is free.
         """
         buffer = self._store_buffer
         now = self.cycle
-        if buffer and self._store_buffer_floor <= now:
-            # Drain entries that have completed by now.  The floor bound
-            # makes this a provable no-op most of the time: entries only
-            # leave the buffer (raising the true minimum), so the floor
-            # stays sound until a drain recomputes it exactly.
-            buffer[:] = [t for t in buffer if t > now]
-            self._store_buffer_floor = min(buffer) if buffer else float("inf")
+        if buffer and buffer[0] <= now:
+            del buffer[:bisect_right(buffer, now)]
         if len(buffer) >= self.config.store_buffer_depth:
-            earliest = min(buffer)
-            stall = earliest - now
+            stall = buffer[0] - now
             if stall > 0.0:
                 self.store_stall_cycles += stall
                 self.cycle += stall
                 if forwarding:
                     self.forwarding_cycles += stall
-            buffer.remove(earliest)
+            del buffer[0]
         if ready > self.cycle:
-            buffer.append(ready)
-            if ready < self._store_buffer_floor:
-                self._store_buffer_floor = ready
+            insort(buffer, ready)
 
     def forwarding_trap_cost(self, hops: int) -> float:
         """Exception-path overhead (cycles) of a reference with ``hops`` hops."""

@@ -207,10 +207,10 @@ class Chunk:
         """Inflate, verify and unpack: ``(kinds, ops, extras)``.
 
         ``extras`` maps an entry index to its line count (prefetch) or
-        ``(final, hops)`` (forwarded reference) -- the layout the replay
-        sessions and the generated kernel index directly.  Anything the
-        layout forbids fails with :class:`TraceFormatError` naming the
-        chunk and column.
+        ``(final, hops)`` (forwarded reference), in entry order -- the
+        order the generated kernel consumes them in.  Anything the layout
+        forbids, rows out of entry order included, fails with
+        :class:`TraceFormatError` naming the chunk and column.
         """
         kinds, ops_raw, extras_raw = self.columns(index, path)
         n = len(kinds)
@@ -237,19 +237,25 @@ class Chunk:
         extras: dict = {}
         end = len(rows)
         pos = 0
+        last = -1
         while pos < end:
             i = rows[pos]
-            if not 0 <= i < n or i in extras:
-                bad = f"row for entry {i} out of range or repeated"
+            if not 0 <= i < n:
+                bad = f"row for entry {i} out of range"
+            elif i <= last:
+                # The kernel takes extras in entry order.
+                bad = f"row for entry {i} repeated or out of order after {last}"
             elif kinds[i] == PREFETCH and pos + 2 <= end:
                 extras[i] = rows[pos + 1]
                 pos += 2
+                last = i
                 continue
             elif (kinds[i] == LOAD_FWD or kinds[i] == STORE_FWD) and pos + 3 <= end:
                 stop = pos + 3 + rows[pos + 2]
                 if pos + 3 < stop <= end:
                     extras[i] = (rows[pos + 1], tuple(rows[pos + 3 : stop]))
                     pos = stop
+                    last = i
                     continue
                 bad = f"forwarded row for entry {i} has a bad hop count"
             else:

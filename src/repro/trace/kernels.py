@@ -12,9 +12,11 @@ and so shares no code with the kernel; ``tests/integration/
 test_batch_parity.py`` and ``tests/property/test_batch_properties.py``
 enforce that contract.
 
-A trace's footer records whether its stream has any forwarded
-reference, so an unforwarded stream gets the counters-only speculation
-mode (:data:`~repro.core.kernel.SPEC_COUNTERS`).
+Each chunk goes through :func:`~repro.core.kernel.run_stream`, which
+the Machine's drains call too: stretches with no forwarded store
+in the speculation window run the counters-only kernel
+(:data:`~repro.core.kernel.SPEC_COUNTERS`), so a session over an
+unforwarded trace compiles only that one.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.core.kernel import (
     _elides_residual,
     compiled_kernel,
     kernel_source,
+    run_stream,
     specializable,
 )
 from repro.core.machine import MachineConfig
@@ -55,12 +58,6 @@ __all__ = [
 ]
 
 
-def _spec_mode(trace: Trace, config: MachineConfig) -> int:
-    if config.speculation_window <= 0:
-        return SPEC_OFF
-    return SPEC_FULL if trace.has_forwarded else SPEC_COUNTERS
-
-
 class SpecializedSession:
     """One config's specialized-kernel state, consuming resolved chunks.
 
@@ -77,13 +74,14 @@ class SpecializedSession:
         check_line_size(trace, config)
         self.trace = trace
         self.config = config
-        self._kernel = compiled_kernel(config, _spec_mode(trace, config))
+        #: The kernels this session's chunks have used, by speculation mode.
+        self._kernels: dict = {}
         build_components(self, config)
         self._trap = False
 
     def run_chunk(self, chunk) -> None:
-        self._trap = self._kernel(
-            chunk.kinds, chunk.ops, chunk.extras, chunk.n,
+        self._trap = run_stream(
+            self._kernels, self.config, chunk.kinds, chunk.ops, chunk.extras,
             self.hierarchy, self.timing, self.speculator, self.prefetcher,
             self.load_latency, self.store_latency, self._trap,
         )

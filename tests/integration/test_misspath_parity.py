@@ -33,11 +33,11 @@ from repro.trace.kernels import (
     SPEC_COUNTERS,
     SPEC_FULL,
     SPEC_OFF,
-    _spec_mode,
+    SpecializedSession,
     replay_specialized,
 )
 from repro.trace.recorder import capture_trace
-from repro.trace.replay import replay_trace
+from repro.trace.replay import drive_sessions, replay_trace
 
 SCALE = 0.05
 
@@ -161,8 +161,8 @@ _TRACES: dict = {}
 
 
 def _kernel_trace(forwarded):
-    """health L at scale 0.1 carries forwarded references; health N at
-    scale 0.05 carries none."""
+    """health L at scale 0.1 carries forwarded loads and stores; health
+    N at scale 0.05 carries none."""
     if forwarded not in _TRACES:
         variant, scale = (Variant.L, 0.1) if forwarded else (Variant.N, 0.05)
         _TRACES[forwarded], _ = capture_trace(
@@ -190,9 +190,15 @@ class TestKernelParity:
         )
         if spec_mode == SPEC_OFF:
             config = replace(config, speculation_window=0)
-        assert _spec_mode(trace, config) == spec_mode
         reference = replay_trace(trace, config)
-        result = replay_specialized(trace, config)
+        session = SpecializedSession(trace, config)
+        drive_sessions(trace, [session])
+        result = session.finish()
+        # A forwarded store dirties the window: the full kernel runs from
+        # it, the counters-only kernel everywhere else.
+        assert set(session._kernels) == (
+            {SPEC_FULL, SPEC_COUNTERS} if spec_mode == SPEC_FULL else {spec_mode}
+        )
         assert result.stats.dump() == reference.stats.dump()
         counters = reference.stats.misspath
         assert counters["hits"] > 0 and counters["inclusion_drops"] > 0

@@ -588,6 +588,30 @@ class TestValidation:
         assert problem in str(excinfo.value)
 
 
+    def test_extras_rows_out_of_entry_order(self):
+        """The kernel takes extras in entry order: a chunk with two
+        forwarded entries whose rows are swapped -- resealed, so every
+        hash is valid -- is rejected, not decoded."""
+        trace = _run([
+            ("unforwarded_write", WORDS[0], WORDS[1], 1),
+            ("load", WORDS[0], 8),
+            ("store", WORDS[0], 5, 8),
+        ])
+        chunk = trace.chunks[0]
+        kinds, ops_raw, extras_raw = chunk.columns(0)
+        assert list(kinds) == [ACCESS_W, LOAD_FWD, STORE_FWD]
+        assert chunk.unpack(0)[2] == {
+            1: (WORDS[1], (WORDS[0],)), 2: (WORDS[1], (WORDS[0],)),
+        }
+        rows = array("q", extras_raw)
+        row = len(rows) // 2  # two rows of (i, final, 1, hop)
+        swapped = rows[row:] + rows[:row]
+        forged = _seal((kinds, ops_raw, swapped.tobytes()), chunk.event_count)
+        with pytest.raises(TraceFormatError, match="column 'extras'") as excinfo:
+            list(iter_resolved_chunks(_with_chunk(forged)))
+        assert "out of order" in str(excinfo.value)
+
+
 def _decode_or_error(data):
     """``Trace.from_bytes`` + a full drain: entries, or the format error."""
     try:

@@ -13,7 +13,9 @@ import repro
 from repro.adapt.config import AdaptConfig
 from repro.apps.base import Variant
 from repro.cache.cache import Cache
+from repro.apps import get_application
 from repro.cache.misspath import MECHANISMS
+from repro.core.kernel import STORE_FWD
 from repro.core.machine import Machine
 from repro.experiments.config import experiment_config
 from repro.trace import capture_trace, replay_trace
@@ -23,13 +25,14 @@ from repro.trace.kernels import (
     SPEC_FULL,
     SPEC_OFF,
     SpecializationError,
+    SpecializedSession,
     _elides_residual,
-    _spec_mode,
     compiled_kernel,
     kernel_source,
     replay_specialized,
     specializable,
 )
+from repro.trace.replay import drive_sessions, iter_resolved_chunks
 
 SCALE = 0.05
 
@@ -45,6 +48,13 @@ def _with_mechanism(config, mechanism):
     return replace(
         config, hierarchy=replace(config.hierarchy, mechanism=mechanism)
     )
+
+
+def _compiled_modes(trace, config):
+    """The speculation modes a specialized replay of ``trace`` compiled."""
+    session = SpecializedSession(trace, config)
+    drive_sessions(trace, [session])
+    return set(session._kernels)
 
 
 class TestFeatureMatrix:
@@ -168,21 +178,55 @@ class TestCodegen:
         other = compiled_kernel(experiment_config(128))
         assert other is not first
 
+    @pytest.mark.parametrize("mode", [SPEC_COUNTERS, SPEC_FULL])
+    @pytest.mark.parametrize("mechanism", ["none", "combined"])
+    def test_loop_pays_per_reference_only_for_what_it_changes(
+        self, mechanism, mode
+    ):
+        """The chunk counts its references, instructions and L1 hits
+        once; the loop walks ``zip(kinds, ops)`` with no index; and the
+        store completion runs on a sorted buffer, with no scan."""
+        source = kernel_source(
+            _with_mechanism(experiment_config(64), mechanism), mode
+        )
+        loop = source[source.index("for kind, address in zip(kinds, ops):"):]
+        for counter in (
+            "instructions", "load_count", "store_count", "l1_lh", "l1_sh",
+        ):
+            assert f"{counter} += 1" not in loop
+        assert "[idx]" not in source
+        store_arm = loop[loop.index("elif kind == 1 or kind == 4:"):]
+        store_arm = store_arm[: store_arm.index("elif kind == 8:")]
+        assert " for " not in store_arm
+        assert "insort(buffer, ready)" in store_arm
+        assert "bisect_right(buffer, cycle)" in store_arm
+        assert "min(buffer)" not in source
+
 
 class TestSpecMode:
     def test_no_speculation_window(self):
         config = replace(experiment_config(64), speculation_window=0)
-        assert _spec_mode(_trace(), config) == SPEC_OFF
+        assert _compiled_modes(_trace(), config) == {SPEC_OFF}
 
     def test_unforwarded_trace_uses_counters_mode(self):
-        assert _spec_mode(_trace(), experiment_config(64)) == SPEC_COUNTERS
+        assert _compiled_modes(_trace(), experiment_config(64)) == {SPEC_COUNTERS}
 
     def test_forwarded_trace_needs_full_bookkeeping(self):
+        """Only a forwarded store dirties the window: a trace compiles
+        the full kernel iff it has one."""
         trace = _trace("health", Variant.L)
-        mode = _spec_mode(trace, experiment_config(64))
-        assert mode in (SPEC_COUNTERS, SPEC_FULL)
-        if trace.has_forwarded:
-            assert mode == SPEC_FULL
+        stores = sum(
+            chunk.kinds.count(STORE_FWD) for chunk in iter_resolved_chunks(trace)
+        )
+        modes = _compiled_modes(trace, experiment_config(64))
+        assert modes == ({SPEC_COUNTERS, SPEC_FULL} if stores else {SPEC_COUNTERS})
+
+    def test_unforwarded_direct_run_compiles_no_full_kernel(self):
+        app = get_application("health", scale=SCALE, seed=1)
+        machine = Machine(experiment_config(64))
+        app.execute(machine, Variant.N)
+        machine.stats()
+        assert set(machine._kernels) == {SPEC_COUNTERS}
 
 
 class TestExactness:
@@ -212,15 +256,16 @@ class TestExactness:
 
     def test_cycle_guard_falls_back_to_general_path(self, monkeypatch):
         """Past the 2**49 elision bound the kernel run is discarded."""
+        import repro.core.kernel as core_kernel
         import repro.trace.kernels as kernels
 
         def absurd_kernel(config, spec_mode=None):
-            def _replay(kinds, ops, extras, n, hierarchy, timing, *rest):
+            def _replay(kinds, ops, next_extra, hierarchy, timing, *rest):
                 timing.cycle = 2.0 ** 50
                 return rest[-1]  # thread trap_installed through unchanged
             return _replay
 
-        monkeypatch.setattr(kernels, "compiled_kernel", absurd_kernel)
+        monkeypatch.setattr(core_kernel, "compiled_kernel", absurd_kernel)
         trace = _trace()
         config = experiment_config(64)
         result = kernels.replay_specialized(trace, config)

@@ -157,6 +157,9 @@ class TestConcurrency:
             "health", Variant.N, config, 0.05, seed=1
         )
         fingerprint = config_fingerprint(config)
+        # One save before the writers start: a read that ran before any
+        # writer's first replace would find no file at all.
+        store.save_result(trace.content_hash, fingerprint, result)
         stop = threading.Event()
         errors: list[Exception] = []
 
