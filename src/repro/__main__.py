@@ -72,16 +72,18 @@ Trace-corpus management (DESIGN.md §5h)::
     python -m repro corpus gc --budget BYTES [--dry-run] [--trace-dir DIR]
 
 ``ls`` lists every stored trace (LRU order -- the top rows are next to
-be evicted); ``stat`` summarizes corpus size, dedup savings, and format
-versions; ``gc`` evicts least-recently-used traces until the corpus
-fits the byte budget (suffixes K/M/G accepted; evicted traces recapture
-transparently on next use).
+be evicted); ``stat`` summarizes the corpus's size and the format
+versions of its files; ``gc`` evicts least-recently-used traces until
+the corpus fits the byte budget (suffixes K/M/G accepted; evicted traces
+recapture transparently on next use).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 
@@ -343,7 +345,7 @@ def _corpus_main(argv: list[str]) -> int:
     add_common(ls_parser)
 
     stat_parser = sub.add_parser(
-        "stat", help="summarize corpus size, dedup savings, format versions"
+        "stat", help="summarize corpus size and format versions"
     )
     add_common(stat_parser)
     stat_parser.add_argument(
@@ -397,20 +399,15 @@ def _corpus_main(argv: list[str]) -> int:
 
     if args.command == "stat":
         rows = store.corpus_status()
-        inode_size = {row["inode"]: row["bytes"] for row in rows}
-        apparent = sum(row["bytes"] for row in rows)
-        unique = sum(inode_size.values())
         versions: dict[str, int] = {}
         for row in rows:
-            label = str(row.get("format", "unknown"))
+            label = "unknown" if row["format"] is None else str(row["format"])
             versions[label] = versions.get(label, 0) + 1
         summary = {
             "root": str(store.root),
             "traces": len(rows),
             "events": sum(row.get("event_count", 0) for row in rows),
-            "apparent_bytes": apparent,
-            "unique_bytes": unique,
-            "dedup_saved_bytes": apparent - unique,
+            "bytes": sum(row["bytes"] for row in rows),
             "format_versions": versions,
         }
         if args.json:
@@ -423,7 +420,7 @@ def _corpus_main(argv: list[str]) -> int:
                     "stream_digest": row.get("stream_sha256"),
                     "bytes": row["bytes"],
                     "events": row.get("event_count", 0),
-                    "format": row.get("format"),
+                    "format": row["format"],
                 }
                 for row in rows
             ]
@@ -433,10 +430,7 @@ def _corpus_main(argv: list[str]) -> int:
             print(f"corpus at {summary['root']}")
             print(f"  traces:       {summary['traces']}")
             print(f"  events:       {summary['events']}")
-            print(f"  on disk:      {_human_bytes(unique)}")
-            print(
-                f"  dedup saved:  {_human_bytes(summary['dedup_saved_bytes'])}"
-            )
+            print(f"  on disk:      {_human_bytes(summary['bytes'])}")
             print(f"  formats:      {summary['format_versions']}")
         return 0
 
@@ -468,14 +462,26 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if argv and argv[0] == "timeline":
-            return _timeline_main(argv[1:])
-        if argv and argv[0] == "serve":
+            code = _timeline_main(argv[1:])
+        elif argv and argv[0] == "serve":
             from repro.serve import serve_main
 
-            return serve_main(argv[1:])
-        if argv and argv[0] == "corpus":
-            return _corpus_main(argv[1:])
-        return _artifacts_main(argv)
+            code = serve_main(argv[1:])
+        elif argv and argv[0] == "corpus":
+            code = _corpus_main(argv[1:])
+        else:
+            code = _artifacts_main(argv)
+        # A piped stdout holds its output until this flush, so a reader
+        # that went away fails here rather than at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Whoever read stdout is gone (``| head``): nothing is left to
+        # report to.  Point the descriptor at devnull so the final flush
+        # of whatever is still buffered cannot raise again.
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

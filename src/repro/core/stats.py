@@ -262,69 +262,12 @@ class MachineStats:
             {"heap.high_water": GAUGE, "fwd.chain_length": HISTOGRAM},
         )
 
-    @classmethod
-    def from_snapshot(cls, snapshot: Snapshot) -> "MachineStats":
-        """Inverse of :meth:`to_snapshot` (missing names default to 0)."""
-        get = snapshot.get
-        return cls(
-            cycles=get("time.cycles", 0.0),
-            instructions=int(get("core.instructions", 0)),
-            slots=SlotBreakdown(
-                busy=get("slots.busy", 0.0),
-                load_stall=get("slots.load_stall", 0.0),
-                store_stall=get("slots.store_stall", 0.0),
-                inst_stall=get("slots.inst_stall", 0.0),
-            ),
-            loads=ReferenceLatencyStats(
-                count=int(get("ref.load.count", 0)),
-                forwarded=int(get("ref.load.forwarded", 0)),
-                ordinary_cycles=get("ref.load.ordinary_cycles", 0.0),
-                forwarding_cycles=get("ref.load.forwarding_cycles", 0.0),
-            ),
-            stores=ReferenceLatencyStats(
-                count=int(get("ref.store.count", 0)),
-                forwarded=int(get("ref.store.forwarded", 0)),
-                ordinary_cycles=get("ref.store.ordinary_cycles", 0.0),
-                forwarding_cycles=get("ref.store.forwarding_cycles", 0.0),
-            ),
-            l1_load_misses_full=int(get("cache.l1.miss.load_full", 0)),
-            l1_load_misses_partial=int(get("cache.l1.miss.load_partial", 0)),
-            l1_store_misses_full=int(get("cache.l1.miss.store_full", 0)),
-            l1_store_misses_partial=int(get("cache.l1.miss.store_partial", 0)),
-            l2_misses=int(get("cache.l2.miss.total", 0)),
-            l1_l2_bytes=int(get("bw.l1_l2.bytes", 0)),
-            l2_mem_bytes=int(get("bw.l2_mem.bytes", 0)),
-            forwarding_hops=int(get("fwd.hops", 0)),
-            cycle_checks=int(get("fwd.cycle_checks", 0)),
-            forwarding_chain_hist={
-                int(hops): int(count)
-                for hops, count in (get("fwd.chain_length", None) or {}).items()
-            },
-            speculation_loads_checked=int(get("spec.loads_checked", 0)),
-            misspeculations=int(get("spec.misspeculations", 0)),
-            prefetch_instructions=int(get("prefetch.instructions", 0)),
-            prefetch_fills=int(get("prefetch.fills", 0)),
-            relocation=RelocationStats(
-                relocations=int(get("reloc.count", 0)),
-                words_relocated=int(get("reloc.words", 0)),
-                optimizer_invocations=int(get("reloc.optimizer_invocations", 0)),
-                pool_bytes=int(get("reloc.pool_bytes", 0)),
-            ),
-            heap_high_water=int(get("heap.high_water", 0)),
-            misspath={
-                name[len("cache.misspath."):]: int(value)
-                for name, value in snapshot.items()
-                if name.startswith("cache.misspath.")
-            },
-        )
-
     def dump(self) -> dict[str, Any]:
         """Lossless nested-dict form (JSON-safe, exact float round trip).
 
-        Unlike :meth:`to_dict` (a flattened report view), this preserves
-        the full structure so :meth:`parse` reconstructs an *equal*
-        snapshot -- the contract the ``repro.trace`` result cache relies
-        on.
+        This preserves the full structure so :meth:`parse` reconstructs
+        an *equal* snapshot -- the contract the ``repro.trace`` result
+        cache relies on.
         """
         payload: dict[str, Any] = {
             "cycles": self.cycles,
@@ -386,34 +329,3 @@ class MachineStats:
             for key, count in payload.get("misspath", {}).items()
         }
         return cls(**payload)
-
-    def to_dict(self) -> dict[str, Any]:
-        """Flatten to primitives for reports and JSON dumps."""
-        return {
-            "cycles": self.cycles,
-            "instructions": self.instructions,
-            "busy_slots": self.slots.busy,
-            "load_stall_slots": self.slots.load_stall,
-            "store_stall_slots": self.slots.store_stall,
-            "inst_stall_slots": self.slots.inst_stall,
-            "loads": self.loads.count,
-            "stores": self.stores.count,
-            "forwarded_loads": self.loads.forwarded,
-            "forwarded_stores": self.stores.forwarded,
-            "load_misses_full": self.l1_load_misses_full,
-            "load_misses_partial": self.l1_load_misses_partial,
-            "store_misses_full": self.l1_store_misses_full,
-            "store_misses_partial": self.l1_store_misses_partial,
-            "l2_misses": self.l2_misses,
-            "l1_l2_bytes": self.l1_l2_bytes,
-            "l2_mem_bytes": self.l2_mem_bytes,
-            "forwarding_hops": self.forwarding_hops,
-            "misspeculations": self.misspeculations,
-            "prefetch_instructions": self.prefetch_instructions,
-            "prefetch_fills": self.prefetch_fills,
-            "relocations": self.relocation.relocations,
-            "words_relocated": self.relocation.words_relocated,
-            "optimizer_invocations": self.relocation.optimizer_invocations,
-            "pool_bytes": self.relocation.pool_bytes,
-            "heap_high_water": self.heap_high_water,
-        }

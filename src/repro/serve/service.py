@@ -263,11 +263,10 @@ class SimulationService:
     def _warm_probe(self, spec: JobSpec):
         """Serve a fully cached cell without touching the worker tier.
 
-        Runs in a thread (manifest rows and result JSON come off disk).
-        The trace's content hash comes from the persistent corpus
-        manifest via :meth:`~repro.trace.store.ArtifactStore.
-        content_hash_for` -- an O(1) row lookup, falling back to a
-        two-seek footer read -- so the probe never decodes chunk data.
+        Runs in a thread (trace footers and result JSON come off disk).
+        The trace's content hash comes from the trace file's header and
+        footer via :meth:`~repro.trace.store.ArtifactStore.
+        content_hash_for`, so the probe never decodes chunk data.
         Returns the cached :class:`~repro.apps.base.AppResult` or None
         on any miss.
         """

@@ -18,16 +18,17 @@ This package exploits that invariance end to end:
 * :mod:`repro.trace.format` -- a chunked columnar binary trace format
   that stores that resolved stream (fixed-entry-count chunks of kind,
   int64 operand and extras columns, each zlib-compressed and hashed, a
-  footer index for random access, content-hashed) with save/load
+  footer index read without the chunks, content-hashed) with save/load
   round-trip and streaming unpack; files of any other version are cache
   misses;
 * :mod:`repro.trace.replay` -- drive any :class:`MachineConfig` from a
   trace, chunk by chunk, reproducing a direct run's
   :class:`MachineStats` *exactly*;
 * :mod:`repro.trace.store` -- a content-hash-keyed on-disk artifact cache
-  of traces and replayed results with a persistent corpus manifest,
-  LRU/size-budget eviction, and cross-seed dedup, so repeated sweeps
-  skip both capture and replay when nothing changed;
+  of traces and replayed results, with LRU/size-budget eviction, so
+  repeated sweeps skip both capture and replay when nothing changed;
+  the store is its files, each trace answering for itself from its
+  header and footer;
 * :mod:`repro.trace.kernels` -- exec-specialized per-config replay
   kernels: the replay loop compiled with the machine shape baked in as
   literals, bit-identical to the general path by contract;

@@ -4,7 +4,7 @@ Forwarding resolution does not depend on the machine a stream is
 replayed against: a reference's final address and hop chain are fixed
 by the relocations before it, never by the simulated cache.  So the
 recorder resolves every reference while it captures
-(:mod:`repro.trace.recorder`), and format **v4** stores exactly the
+(:mod:`repro.trace.recorder`), and format **v5** stores exactly the
 *entries* replay consumes -- the ``(kind, op[, extra])`` stream of
 :mod:`repro.core.kernel`'s entry kinds -- split into fixed-entry-count
 *chunks*, each stored column-wise::
@@ -27,22 +27,25 @@ returns them again, checking everything the layout promises (entry
 counts, kind range, one well-formed extras row per entry that needs
 one).
 
-The footer is a random-access index: per chunk it records the offset
+The footer is ``{"event_count", "stream_sha256", "chunks"}``: the
+stream shape, and a chunk directory recording per chunk the offset
 into the chunk region, the entry count, and each column's compressed
 length, raw length, and SHA-256 (of the *raw* bytes, so integrity is
 independent of the compressor).  A fixed-size trailer (footer length +
-footer magic) lets a reader load header and footer with two reads and no
-chunk data at all -- see :func:`load_index` -- and replay streams chunks
-one at a time without ever materialising the whole trace.
+footer magic) lets a reader load header and footer without touching
+chunk data -- see :func:`load_index` -- and replay streams chunks one
+at a time without ever materialising the whole trace.
 
 The header carries the trace's identity (app, variant, scale, seed,
 capturing line size, line-size sensitivity) and the run's semantic
-outputs; the footer carries the stream shape (entry count, whether any
-reference is forwarded, the stream digest).  Corruption anywhere is
-detected at load time and named precisely: a flipped byte in a column
-fails with the chunk index and column name.  A file of any other
-version is a cache miss, not a second decoder: it fails with
-:class:`TraceFormatError` naming the version, and the store recaptures.
+outputs.  One parser reads the container -- magic, version, header,
+trailer, footer -- for :meth:`Trace.from_bytes` and :func:`load_index`
+alike, so both reject the same files with the same messages.
+Corruption anywhere is detected at load time and named precisely: a
+flipped byte in a column fails with the chunk index and column name.
+A file of any other version is a cache miss, not a second decoder: it
+fails with :class:`TraceFormatError` naming the version, and the store
+recaptures.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ MAGIC = b"RTRC"
 FOOTER_MAGIC = b"RTRF"
 #: Bump on any incompatible change to the header, footer, or column
 #: encoding -- or to the captured-stats contract (version 3 was the
-#: chunked raw-event layout; version 4 stores the resolved stream).
-FORMAT_VERSION = 4
+#: chunked raw-event layout; version 4 stored the resolved stream plus
+#: an unread any-forwarded-reference footer flag, which version 5 drops).
+FORMAT_VERSION = 5
 
 #: Entries per sealed chunk.  Small enough that one chunk's arrays stay
 #: well under a megabyte, large enough that the per-chunk overhead (zlib
@@ -84,9 +88,9 @@ class TraceFormatError(Exception):
     """A trace file or byte string could not be decoded.
 
     ``path`` (when the failure came through :meth:`Trace.load` or
-    :func:`load_index`) and ``version`` (when a version byte was read
-    before the failure) identify the offending file precisely -- the CLI
-    maps this error to its one-line-stderr + exit-2 contract.
+    :func:`load_index`) and ``version`` (when the file's version byte is
+    not :data:`FORMAT_VERSION`) identify the offending file precisely --
+    the CLI maps this error to its one-line-stderr + exit-2 contract.
     """
 
     def __init__(
@@ -341,10 +345,6 @@ class Trace:
     event_count: int = 0
     #: The sealed chunks, in stream order.
     chunks: tuple[Chunk, ...] = ()
-    #: Whether any data reference in the stream is forwarded.  Known at
-    #: capture time and carried in the footer, so the specialized
-    #: kernels can pick their speculation mode without decoding anything.
-    has_forwarded: bool = False
 
     # ------------------------------------------------------------------
     def header_dict(self) -> dict[str, Any]:
@@ -371,18 +371,11 @@ class Trace:
     def content_hash(self) -> str:
         """SHA-256 over the canonical identity (header + stream digest).
 
-        This is the identity the artifact store keys replayed results by
-        -- and dedups trace files by: it changes whenever the stream, the
-        workload identity, or the format version changes.
+        This is the identity the artifact store keys replayed results
+        by: it changes whenever the stream, the workload identity, or
+        the format version changes.
         """
-        digest = hashlib.sha256()
-        digest.update(MAGIC)
-        digest.update(bytes([FORMAT_VERSION]))
-        digest.update(
-            json.dumps(self.header_dict(), sort_keys=True).encode("utf-8")
-        )
-        digest.update(self.stream_sha256.encode("ascii"))
-        return digest.hexdigest()
+        return _content_digest(self.header_dict(), self.stream_sha256)
 
     def footer_dict(self) -> dict[str, Any]:
         """The index footer (chunk directory + stream shape)."""
@@ -399,7 +392,6 @@ class Trace:
             offset += sum(len(blob) for blob in chunk.data)
         return {
             "event_count": self.event_count,
-            "has_forwarded": self.has_forwarded,
             "stream_sha256": self.stream_sha256,
             "chunks": index,
         }
@@ -422,36 +414,32 @@ class Trace:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Trace":
-        _check_version(data[: len(MAGIC) + 1])
-        header, chunk_start = _parse_header(data)
-        footer, footer_start = _parse_footer(data, chunk_start)
+        read = lambda offset, n: data[offset : offset + n]  # noqa: E731
+        header, footer, chunk_start, footer_start = _read_container(
+            read, len(data)
+        )
         try:
-            chunks = _parse_chunks(data, chunk_start, footer_start, footer)
-            event_count = footer["event_count"]
-            has_forwarded = footer["has_forwarded"]
-            stream_sha = footer["stream_sha256"]
+            chunks = _load_chunks(
+                read, chunk_start, footer_start, footer["chunks"]
+            )
         except TraceFormatError:
             raise
         except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise TraceFormatError(
                 f"corrupt trace footer: {type(exc).__name__}: {exc}"
             ) from exc
-        if header["event_count"] != event_count:
-            raise TraceFormatError(
-                f"event count mismatch: header says {header['event_count']}, "
-                f"footer says {event_count}"
-            )
         # Full verification pass: decompress every column once, checking
         # the per-column digests (corruption names chunk + column).
         for index, chunk in enumerate(chunks):
             chunk.columns(index)
+        event_count = footer["event_count"]
         indexed = sum(chunk.event_count for chunk in chunks)
         if indexed != event_count:
             raise TraceFormatError(
                 f"event count mismatch: chunks carry {indexed}, "
                 f"footer says {event_count}"
             )
-        if stream_digest(chunks) != stream_sha:
+        if stream_digest(chunks) != footer["stream_sha256"]:
             raise TraceFormatError(
                 "trace stream hash mismatch (corrupt or tampered)"
             )
@@ -467,7 +455,6 @@ class Trace:
             captured_stats=header["captured_stats"],
             event_count=event_count,
             chunks=chunks,
-            has_forwarded=bool(has_forwarded),
         )
 
     def save(self, path) -> None:
@@ -486,145 +473,154 @@ class Trace:
             raise
 
 
+def _content_digest(header: dict[str, Any], stream_sha256: str) -> str:
+    """SHA-256 over the format version, the header and the stream digest."""
+    digest = hashlib.sha256()
+    digest.update(MAGIC)
+    digest.update(bytes([FORMAT_VERSION]))
+    digest.update(json.dumps(header, sort_keys=True).encode("utf-8"))
+    digest.update(stream_sha256.encode("utf-8"))
+    return digest.hexdigest()
+
+
 # ----------------------------------------------------------------------
-# Parsing helpers
+# The container parser
 # ----------------------------------------------------------------------
-_REQUIRED_HEADER = (
-    "app", "variant", "scale", "seed", "line_size",
-    "line_size_sensitive", "checksum", "extras", "captured_stats",
-    "event_count",
+#: Each part's required fields and their JSON types.  The footer's are
+#: checked because :class:`TraceIndex` answers from them unverified.
+_HEADER_FIELDS = dict.fromkeys(
+    (
+        "app", "variant", "scale", "seed", "line_size",
+        "line_size_sensitive", "checksum", "extras", "captured_stats",
+        "event_count",
+    ),
+    object,
 )
-_REQUIRED_FOOTER = ("event_count", "has_forwarded", "stream_sha256", "chunks")
+_FOOTER_FIELDS = {"event_count": int, "stream_sha256": str, "chunks": list}
+#: The longest header-length varint: ten bytes encode any 64-bit length.
+_MAX_VARINT = 10
 
 
-def _check_version(head: bytes, path: Any = None) -> None:
-    """Reject anything but a current-version trace, naming the version."""
-    if len(head) < len(MAGIC) + 1 or head[: len(MAGIC)] != MAGIC:
-        raise TraceFormatError("not a trace: bad magic", path=path)
+def _read_container(read, size: int) -> tuple[dict, dict, int, int]:
+    """Parse a trace container through ``read(offset, n) -> bytes``.
+
+    ``size`` is the container's length.  Checks the magic and version,
+    then reads the header-length varint, the header JSON, the trailer and
+    the footer JSON, and returns ``(header, footer, chunk_start,
+    footer_start)``.  :meth:`Trace.from_bytes` reads over bytes and
+    :func:`load_index` over a file, so both reject the same containers
+    with the same :class:`TraceFormatError`.
+    """
+    head = read(0, len(MAGIC) + 1 + _MAX_VARINT)
+    if len(head) <= len(MAGIC) or head[: len(MAGIC)] != MAGIC:
+        raise TraceFormatError("not a trace: bad magic")
     version = head[len(MAGIC)]
     if version != FORMAT_VERSION:
         raise TraceFormatError(
             f"unsupported trace format version {version} (this build reads "
             f"only {FORMAT_VERSION}; recapture)",
-            path=path,
             version=version,
         )
-
-
-def _parse_header(data: bytes) -> tuple[dict, int]:
-    """Parse the header after magic/version; returns ``(header, body_offset)``."""
-    header_len, offset = read_uvarint(data, len(MAGIC) + 1)
-    if offset + header_len > len(data):
+    header_len, offset = read_uvarint(head, len(MAGIC) + 1)
+    chunk_start = offset + header_len
+    if chunk_start > size:
         raise TraceFormatError("truncated trace header")
-    try:
-        header = json.loads(data[offset : offset + header_len])
-    except ValueError as exc:
-        raise TraceFormatError(f"corrupt trace header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise TraceFormatError("corrupt trace header: not a JSON object")
-    missing = [key for key in _REQUIRED_HEADER if key not in header]
-    if missing:
-        raise TraceFormatError(f"trace header missing fields {missing}")
-    return header, offset + header_len
-
-
-def _parse_footer(data: bytes, chunk_start: int) -> tuple[dict, int]:
-    """Parse the trailer + footer; returns ``(footer, footer_offset)``."""
-    if len(data) < chunk_start + _TRAILER.size:
+    header = _json_object(read(offset, header_len), "header", _HEADER_FIELDS)
+    if size < chunk_start + _TRAILER.size:
         raise TraceFormatError("truncated trace: missing footer trailer")
-    footer_len, footer_magic = _TRAILER.unpack_from(
-        data, len(data) - _TRAILER.size
+    footer_len, footer_magic = _TRAILER.unpack(
+        read(size - _TRAILER.size, _TRAILER.size)
     )
     if footer_magic != FOOTER_MAGIC:
         raise TraceFormatError("corrupt trace: bad footer magic")
-    footer_start = len(data) - _TRAILER.size - footer_len
+    footer_start = size - _TRAILER.size - footer_len
     if footer_start < chunk_start:
         raise TraceFormatError("corrupt trace: footer overlaps chunk region")
-    try:
-        footer = json.loads(data[footer_start : footer_start + footer_len])
-    except ValueError as exc:
-        raise TraceFormatError(f"corrupt trace footer: {exc}") from exc
-    if not isinstance(footer, dict):
-        raise TraceFormatError("corrupt trace footer: not a JSON object")
-    missing = [key for key in _REQUIRED_FOOTER if key not in footer]
-    if missing:
-        raise TraceFormatError(f"trace footer missing fields {missing}")
-    return footer, footer_start
-
-
-def _chunk_from_index(
-    entry, blob_reader, chunk_region_len: int, index: int
-) -> Chunk:
-    """Build one :class:`Chunk` from its footer row.
-
-    ``blob_reader(region_offset, length)`` supplies compressed bytes;
-    bounds are validated against the chunk region's extent first so a
-    truncated file fails cleanly rather than slicing short.
-    """
-    offset, entries, columns = entry
-    if len(columns) != len(COLUMN_NAMES):
+    footer = _json_object(read(footer_start, footer_len), "footer", _FOOTER_FIELDS)
+    if header["event_count"] != footer["event_count"]:
         raise TraceFormatError(
-            f"chunk {index}: expected {len(COLUMN_NAMES)} columns, "
-            f"footer lists {len(columns)}"
+            f"event count mismatch: header says {header['event_count']}, "
+            f"footer says {footer['event_count']}"
         )
-    blobs = []
-    raw_lens = []
-    shas = []
-    cursor = int(offset)
-    for name, (comp_len, raw_len, sha) in zip(COLUMN_NAMES, columns):
-        comp_len = int(comp_len)
-        if cursor + comp_len > chunk_region_len:
-            raise TraceFormatError(
-                f"truncated chunk {index} column {name!r}: needs "
-                f"{comp_len} bytes at region offset {cursor}"
-            )
-        blobs.append(blob_reader(cursor, comp_len))
-        raw_lens.append(int(raw_len))
-        shas.append(sha)
-        cursor += comp_len
-    return Chunk(
-        event_count=int(entries),
-        data=tuple(blobs),
-        raw_lens=tuple(raw_lens),
-        shas=tuple(shas),
-    )
+    return header, footer, chunk_start, footer_start
 
 
-def _parse_chunks(
-    data: bytes, chunk_start: int, footer_start: int, footer: dict
+def _json_object(blob: bytes, part: str, fields: dict[str, type]) -> dict:
+    """Decode the header or footer JSON and check its required fields."""
+    try:
+        value = json.loads(blob)
+    except ValueError as exc:
+        raise TraceFormatError(f"corrupt trace {part}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise TraceFormatError(f"corrupt trace {part}: not a JSON object")
+    missing = [key for key in fields if key not in value]
+    if missing:
+        raise TraceFormatError(f"trace {part} missing fields {missing}")
+    mistyped = [key for key, kind in fields.items() if not isinstance(value[key], kind)]
+    if mistyped:
+        raise TraceFormatError(f"trace {part} fields of the wrong type {mistyped}")
+    return value
+
+
+def _load_chunks(
+    read, chunk_start: int, footer_start: int, directory
 ) -> tuple[Chunk, ...]:
+    """Build one :class:`Chunk` per row of the footer's chunk directory.
+
+    Each column's bounds are checked against the chunk region before it
+    is read, so a truncated file fails cleanly rather than slicing short.
+    """
     region_len = footer_start - chunk_start
-    reader = lambda off, n: data[chunk_start + off : chunk_start + off + n]  # noqa: E731
-    return tuple(
-        _chunk_from_index(entry, reader, region_len, i)
-        for i, entry in enumerate(footer["chunks"])
-    )
+    chunks = []
+    for index, (offset, entries, columns) in enumerate(directory):
+        if len(columns) != len(COLUMN_NAMES):
+            raise TraceFormatError(
+                f"chunk {index}: expected {len(COLUMN_NAMES)} columns, "
+                f"footer lists {len(columns)}"
+            )
+        blobs = []
+        raw_lens = []
+        shas = []
+        cursor = int(offset)
+        for name, (comp_len, raw_len, sha) in zip(COLUMN_NAMES, columns):
+            comp_len = int(comp_len)
+            if cursor + comp_len > region_len:
+                raise TraceFormatError(
+                    f"truncated chunk {index} column {name!r}: needs "
+                    f"{comp_len} bytes at region offset {cursor}"
+                )
+            blobs.append(read(chunk_start + cursor, comp_len))
+            raw_lens.append(int(raw_len))
+            shas.append(sha)
+            cursor += comp_len
+        chunks.append(
+            Chunk(
+                event_count=int(entries),
+                data=tuple(blobs),
+                raw_lens=tuple(raw_lens),
+                shas=tuple(shas),
+            )
+        )
+    return tuple(chunks)
 
 
 # ----------------------------------------------------------------------
-# Random access: header + footer without the chunk region
+# The index: header + footer without the chunk region
 # ----------------------------------------------------------------------
 @dataclass
 class TraceIndex:
-    """Header + footer of a trace file, loaded with two seeks.
+    """Header + footer of a trace file, read without its chunk region.
 
-    Enough to answer identity/shape questions (``corpus ls``/``stat``,
-    the serve tier's warm probes via the manifest fallback) without
-    reading a single chunk -- and to fetch individual chunks by index.
+    Enough to answer identity and shape questions (``corpus ls``/``stat``
+    and the serve tier's warm probes) without reading a single chunk.
     """
 
-    path: str
     header: dict
     footer: dict
-    chunk_region_offset: int
 
     @property
     def event_count(self) -> int:
         return self.footer["event_count"]
-
-    @property
-    def has_forwarded(self) -> bool:
-        return bool(self.footer["has_forwarded"])
 
     @property
     def stream_sha256(self) -> str:
@@ -636,108 +632,32 @@ class TraceIndex:
 
     @property
     def content_hash(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(MAGIC)
-        digest.update(bytes([FORMAT_VERSION]))
-        digest.update(json.dumps(self.header, sort_keys=True).encode("utf-8"))
-        digest.update(self.stream_sha256.encode("ascii"))
-        return digest.hexdigest()
-
-    def read_chunk(self, index: int) -> Chunk:
-        """Random-access read of one chunk (verified on decode)."""
-        try:
-            entry = self.footer["chunks"][index]
-        except IndexError:
-            raise TraceFormatError(
-                f"chunk {index} out of range (trace has {self.chunk_count})",
-                path=self.path,
-            ) from None
-        with open(self.path, "rb") as handle:
-            region_end = handle.seek(0, 2)
-
-            def reader(off: int, n: int) -> bytes:
-                handle.seek(self.chunk_region_offset + off)
-                return handle.read(n)
-
-            try:
-                return _chunk_from_index(
-                    entry, reader, region_end - self.chunk_region_offset, index
-                )
-            except (TypeError, ValueError, IndexError, OverflowError) as exc:
-                raise TraceFormatError(
-                    f"corrupt footer entry for chunk {index}: {exc}",
-                    path=self.path,
-                ) from exc
+        """Equal to :attr:`Trace.content_hash` of the file's trace."""
+        return _content_digest(self.header, self.stream_sha256)
 
 
 def load_index(path) -> TraceIndex:
     """Load a trace's header and footer without its chunks.
 
-    Raises :class:`TraceFormatError` (with ``path`` and, for version
-    mismatches, ``version`` attached) for unreadable files and for any
-    version other than :data:`FORMAT_VERSION`.
+    The container parser is :meth:`Trace.from_bytes`'s; only the bytes
+    it asks for are read from the file.  A missing file raises
+    :class:`FileNotFoundError`; an unreadable one, or one of any version
+    other than :data:`FORMAT_VERSION`, raises :class:`TraceFormatError`
+    with ``path`` (and, for a version mismatch, ``version``) attached.
     """
     try:
         with open(path, "rb") as handle:
-            _check_version(handle.read(len(MAGIC) + 1), path)
-            header_len = 0
-            shift = 0
-            while True:
-                byte = handle.read(1)
-                if not byte:
-                    raise TraceFormatError("truncated trace header", path=path)
-                header_len |= (byte[0] & 0x7F) << shift
-                if not byte[0] & 0x80:
-                    break
-                shift += 7
-            header_blob = handle.read(header_len)
-            if len(header_blob) < header_len:
-                raise TraceFormatError("truncated trace header", path=path)
-            chunk_region_offset = handle.tell()
-            file_size = handle.seek(0, 2)
-            if file_size < chunk_region_offset + _TRAILER.size:
-                raise TraceFormatError(
-                    "truncated trace: missing footer trailer", path=path
-                )
-            handle.seek(file_size - _TRAILER.size)
-            footer_len, footer_magic = _TRAILER.unpack(
-                handle.read(_TRAILER.size)
-            )
-            if footer_magic != FOOTER_MAGIC:
-                raise TraceFormatError(
-                    "corrupt trace: bad footer magic", path=path
-                )
-            footer_start = file_size - _TRAILER.size - footer_len
-            if footer_start < chunk_region_offset:
-                raise TraceFormatError(
-                    "corrupt trace: footer overlaps chunk region", path=path
-                )
-            handle.seek(footer_start)
-            footer_blob = handle.read(footer_len)
+
+            def read(offset: int, n: int) -> bytes:
+                handle.seek(offset)
+                return handle.read(n)
+
+            header, footer, _, _ = _read_container(read, handle.seek(0, 2))
+    except TraceFormatError as exc:
+        exc.path = str(path)
+        raise
+    except FileNotFoundError:
+        raise
     except OSError as exc:
-        if isinstance(exc, FileNotFoundError):
-            raise
         raise TraceFormatError(f"unreadable trace: {exc}", path=path) from exc
-    try:
-        header = json.loads(header_blob)
-        footer = json.loads(footer_blob)
-    except ValueError as exc:
-        raise TraceFormatError(
-            f"corrupt trace header/footer: {exc}", path=path
-        ) from exc
-    if not isinstance(header, dict) or not isinstance(footer, dict):
-        raise TraceFormatError(
-            "corrupt trace header/footer: not JSON objects", path=path
-        )
-    missing = [key for key in _REQUIRED_HEADER if key not in header]
-    missing += [key for key in _REQUIRED_FOOTER if key not in footer]
-    if missing:
-        raise TraceFormatError(
-            f"trace header/footer missing fields {missing}", path=path
-        )
-    return TraceIndex(
-        path=str(path),
-        header=header,
-        footer=footer,
-        chunk_region_offset=chunk_region_offset,
-    )
+    return TraceIndex(header=header, footer=footer)

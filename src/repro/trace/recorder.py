@@ -30,7 +30,6 @@ from array import array
 
 from repro.apps import get_application
 from repro.apps.base import AppResult, Variant
-from repro.core.kernel import LOAD_FWD, STORE_FWD
 from repro.core.machine import MachineConfig
 from repro.trace.format import CHUNK_EVENTS, Chunk, Trace, make_chunk
 
@@ -42,7 +41,6 @@ class TraceRecorder:
         if chunk_events < 1:
             raise ValueError("chunk_events must be >= 1")
         self.chunk_events = chunk_events
-        self.has_forwarded = False
         self._kinds = bytearray()
         self._ops = array("q")
         self._extras: dict = {}
@@ -69,8 +67,6 @@ class TraceRecorder:
         """Record one entry the machine costed on its general path."""
         if extra is not None:
             self._extras[len(self._kinds)] = extra
-            if kind == LOAD_FWD or kind == STORE_FWD:
-                self.has_forwarded = True
         self._kinds.append(kind)
         self._ops.append(op)
         if len(self._kinds) >= self.chunk_events:
@@ -125,6 +121,5 @@ def capture_trace(
         captured_stats=result.stats.dump(),
         event_count=recorder.event_count,
         chunks=chunks,
-        has_forwarded=recorder.has_forwarded,
     )
     return trace, result

@@ -4,7 +4,12 @@ Layout under the store root::
 
     traces/<trace-key>.trace      one captured stream per workload identity
     results/<trace-hash>-<config-hash>.json   one replayed result per cell
-    corpus.json                   the corpus manifest (see below)
+    locks/<trace-key>.lock        advisory capture locks, held while capturing
+
+The store is its files: there is no index beside them.  Every question
+about a trace -- its content hash, identity, size, format version --
+is answered from the trace file itself, its header and footer read
+through :func:`repro.trace.format.load_index` without any chunk data.
 
 *Trace keys* identify a workload -- ``(format version, app, variant,
 scale, seed[, line size for line-size-sensitive apps])`` -- and name the
@@ -33,26 +38,17 @@ stores:
 * :meth:`ArtifactStore.sweep_stale` -- removes orphaned ``.tmp`` files
   and stale locks; services run it at startup.
 
-**Capacity management** (the corpus layer).  ``corpus.json`` is a
-persistent manifest mapping every saved trace key to its identity row
-(content hash, stream digest, workload fields, event/chunk counts, byte
-size).  It is written under an advisory lock by :meth:`save_trace` --
-the only regular writer -- and *healed* lazily: a missing or stale row
-is reconstructed from the trace file's footer on demand, so the
-manifest can never serve wrong answers, only slow ones.  On top of it:
+**Capacity management** (the corpus layer), read off the files:
 
 * :meth:`ArtifactStore.content_hash_for` answers the serve tier's warm
-  probes (is this cell's result addressable?) from the manifest, with a
-  two-seek footer read (:func:`repro.trace.format.load_index`) as the
-  healing fallback -- no full trace load either way;
+  probes (is this cell's result addressable?) from the trace's footer,
+  with no chunk read;
+* :meth:`ArtifactStore.corpus_status` lists every trace file with its
+  size, LRU clock, format version and identity;
 * :meth:`ArtifactStore.gc` evicts least-recently-*used* traces until
-  the corpus fits a byte budget -- every
-  successful :meth:`load_trace` bumps the file's mtime, making mtime the
-  LRU clock, and hardlinked duplicates are charged once (inode-aware);
-  evicted traces recapture transparently on next use;
-* :meth:`save_trace` dedups across workloads: a new trace whose
-  *content hash* matches an existing entry shares that entry's file via
-  hardlink.
+  the corpus fits a byte budget -- every successful :meth:`load_trace`
+  bumps the file's mtime, making mtime the LRU clock; evicted traces
+  recapture transparently on next use.
 """
 
 from __future__ import annotations
@@ -83,13 +79,6 @@ _log = logging.getLogger(__name__)
 STALE_AFTER_SECONDS = 900.0
 
 _tmp_counter = itertools.count()
-
-
-#: Manifest schema version (the ``version`` field of ``corpus.json``).
-_MANIFEST_VERSION = 1
-
-#: Pseudo trace key naming the manifest's advisory write lock.
-_MANIFEST_LOCK = "corpus-manifest"
 
 
 class LockTimeout(TimeoutError):
@@ -197,8 +186,7 @@ class ArtifactStore:
             _log.warning("discarding unreadable trace %s: %s", path.name, exc)
             return None
         # mtime is the corpus LRU clock (see gc); touching on every load
-        # keeps hot traces out of eviction order without a manifest
-        # write on the read path.
+        # keeps hot traces out of eviction order.
         with contextlib.suppress(OSError):
             os.utime(path)
         return trace
@@ -206,148 +194,55 @@ class ArtifactStore:
     def save_trace(self, key: str, trace: Trace) -> Path:
         path = self.trace_path(key)
         _atomic_write(path, trace.to_bytes())
-        self._register_trace(key, trace, path)
         return path
 
-    def _register_trace(self, key: str, trace: Trace, path: Path) -> None:
-        """Record ``key`` in the manifest and dedup against the corpus.
-
-        A trace with the same **content hash** as an existing entry
-        (same workload identity *and* stream) has identical bytes, so
-        the new file is replaced with a hardlink to the existing one --
-        best-effort: on filesystems without link support the ``OSError``
-        is swallowed and the copies simply stay independent.
-        """
-        try:
-            size = path.stat().st_size
-        except OSError:
-            size = 0
-        entry = {
-            "content_hash": trace.content_hash,
-            "stream_sha256": trace.stream_sha256,
-            "app": trace.app,
-            "variant": trace.variant,
-            "scale": trace.scale,
-            "seed": trace.seed,
-            "line_size": trace.line_size,
-            "line_size_sensitive": trace.line_size_sensitive,
-            "event_count": trace.event_count,
-            "chunks": len(trace.chunks),
-            "bytes": size,
-            "format": FORMAT_VERSION,
-            "saved_at": time.time(),
-        }
-
-        def mutate(entries: dict) -> None:
-            for other_key, other in entries.items():
-                if other_key == key:
-                    continue
-                if other.get("content_hash") == entry["content_hash"]:
-                    self._try_link(self.trace_path(other_key), path)
-            entries[key] = entry
-
-        self._update_manifest(mutate)
-
-    def _try_link(self, src: Path, dst: Path) -> None:
-        """Replace ``dst`` with a hardlink to ``src``, best-effort."""
-        try:
-            src_stat = src.stat()
-        except OSError:
-            return
-        with contextlib.suppress(OSError):
-            if dst.exists() and dst.stat().st_ino == src_stat.st_ino:
-                return
-            tmp = dst.with_name(
-                f"{dst.name}.tmp{os.getpid()}-{next(_tmp_counter)}"
-            )
-            os.link(src, tmp)
-            os.replace(tmp, dst)
-            _log.info("deduplicated %s -> %s", dst.name, src.name)
-
-    # -- corpus manifest ------------------------------------------------
-    def manifest_path(self) -> Path:
-        return self.root / "corpus.json"
-
-    def read_manifest(self) -> dict:
-        """The manifest as a dict; an empty one if missing/corrupt."""
-        try:
-            data = json.loads(self.manifest_path().read_text())
-            if isinstance(data, dict) and isinstance(data.get("entries"), dict):
-                return data
-        except (OSError, ValueError):
-            pass
-        return {"version": _MANIFEST_VERSION, "entries": {}}
-
-    def _update_manifest(self, mutate) -> None:
-        """Read-modify-write the manifest under its advisory lock.
-
-        Best-effort: a wedged lock means this update is skipped (the
-        manifest heals lazily from trace footers), never that a capture
-        blocks on bookkeeping.
-        """
-        try:
-            with self.capture_lock(_MANIFEST_LOCK, timeout=10.0):
-                manifest = self.read_manifest()
-                manifest["version"] = _MANIFEST_VERSION
-                mutate(manifest["entries"])
-                _atomic_write(
-                    self.manifest_path(),
-                    json.dumps(manifest, sort_keys=True, indent=1).encode(
-                        "utf-8"
-                    ),
-                )
-        except LockTimeout:
-            _log.warning("corpus manifest lock busy; skipping update")
-
+    # -- corpus ---------------------------------------------------------
     def content_hash_for(self, key: str) -> str | None:
         """The content hash of the stored trace for ``key``, or None.
 
-        This is the serve tier's warm probe: manifest row first (O(1),
-        no trace I/O beyond an existence check), footer read second
-        (two seeks, no chunk data) -- healing the manifest row whenever
-        it had to go to disk.  An unreadable file, or one of another
-        format version, is a miss: the cell recaptures over it.
+        This is the serve tier's warm probe: it reads the file's header
+        and footer, never its chunks.  A missing or unreadable file, or
+        one of another format version, is a miss: the cell recaptures
+        over it.
         """
-        path = self.trace_path(key)
-        entry = self.read_manifest()["entries"].get(key)
-        if entry is not None and "content_hash" in entry:
-            if path.exists():
-                return entry["content_hash"]
-            return None  # evicted since the row was written
         try:
-            content_hash = load_index(path).content_hash
+            return load_index(self.trace_path(key)).content_hash
         except (FileNotFoundError, TraceFormatError):
             return None
-        self._update_manifest(
-            lambda entries: entries.setdefault(key, {}).update(
-                content_hash=content_hash
-            )
-        )
-        return content_hash
 
     def corpus_status(self) -> list[dict]:
-        """One row per trace on disk, manifest-enriched, LRU-ordered.
+        """One row per trace file, least recently used (next to evict) first.
 
-        Rows carry ``key``, ``bytes``, ``mtime``, ``inode``, ``links``
-        from the filesystem plus whatever identity fields the manifest
-        has.  Ordered oldest (next to evict) first.
+        Every row carries ``key``, ``bytes`` and ``mtime`` from the
+        filesystem and ``format``: :data:`FORMAT_VERSION` for a file that
+        loads, the version found for a file of another version, ``None``
+        for any other unreadable file.  A file that loads also carries
+        its identity and shape from :func:`load_index`: ``app``,
+        ``variant``, ``scale``, ``seed``, ``event_count``, ``chunks`` and
+        ``stream_sha256``.
         """
-        entries = self.read_manifest()["entries"]
         rows = []
-        for path in sorted(self.traces_dir.glob("*.trace")):
-            key = path.stem
+        for path in self.traces_dir.glob("*.trace"):
             try:
                 st = path.stat()
+                index = load_index(path)
             except OSError:
-                continue
-            row = {
-                "key": key,
-                "bytes": st.st_size,
-                "mtime": st.st_mtime,
-                "inode": st.st_ino,
-                "links": st.st_nlink,
-            }
-            row.update(entries.get(key, {}))
+                continue  # evicted since the listing
+            except TraceFormatError as exc:
+                row = {"format": exc.version}
+            else:
+                header = index.header
+                row = dict(
+                    format=FORMAT_VERSION,
+                    app=header["app"],
+                    variant=header["variant"],
+                    scale=header["scale"],
+                    seed=header["seed"],
+                    event_count=index.event_count,
+                    chunks=index.chunk_count,
+                    stream_sha256=index.stream_sha256,
+                )
+            row.update(key=path.stem, bytes=st.st_size, mtime=st.st_mtime)
             rows.append(row)
         rows.sort(key=lambda row: (row["mtime"], row["key"]))
         return rows
@@ -355,40 +250,26 @@ class ArtifactStore:
     def gc(self, budget_bytes: int, dry_run: bool = False) -> dict:
         """Evict least-recently-used traces until the corpus fits.
 
-        ``budget_bytes`` bounds the summed size of trace files, counting
-        each inode once (hardlinked dedup copies are free until their
-        last reference goes).  Eviction removes the trace file and its
-        manifest row; results are NOT
-        touched (they are keyed by content hash and stay servable for a
-        recaptured identical stream).  Returns a report dict; with
-        ``dry_run`` nothing is removed but the report shows what would
-        be.
+        ``budget_bytes`` bounds the summed size of the trace files.
+        Eviction removes trace files only; results are NOT touched (they
+        are keyed by content hash and stay servable for a recaptured
+        identical stream).  Returns a report dict; with ``dry_run``
+        nothing is removed but the report shows what would be.
         """
         rows = self.corpus_status()
-        inode_size: dict[int, int] = {}
-        inode_refs: dict[int, set[str]] = {}
-        for row in rows:
-            inode_size[row["inode"]] = row["bytes"]
-            inode_refs.setdefault(row["inode"], set()).add(row["key"])
-        total = sum(inode_size.values())
+        total = sum(row["bytes"] for row in rows)
         freed = 0
         evicted: list[str] = []
         for row in rows:  # oldest first
             if total - freed <= budget_bytes:
                 break
-            refs = inode_refs[row["inode"]]
-            refs.discard(row["key"])
-            if not refs:
-                freed += inode_size[row["inode"]]
+            freed += row["bytes"]
             evicted.append(row["key"])
-        if not dry_run and evicted:
+        if not dry_run:
             for key in evicted:
                 with contextlib.suppress(OSError):
                     self.trace_path(key).unlink()
                 _log.info("evicted trace %s", key)
-            self._update_manifest(
-                lambda entries: [entries.pop(key, None) for key in evicted]
-            )
         return {
             "budget_bytes": budget_bytes,
             "total_bytes": total,

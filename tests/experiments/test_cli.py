@@ -1,9 +1,14 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.__main__ import main
 
 
@@ -30,6 +35,31 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Figure 10(a)" in out
         assert "Table 1" in out
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["write", "flush"])
+    def test_no_traceback_when_the_reader_is_gone(self, tmp_path, unbuffered):
+        """stdout is a pipe whose read end is already closed (``| head``
+        after head exits): the run exits 1 with nothing on stderr, whether
+        the failure comes at a write or at the final flush."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "corpus", "ls",
+                 "--trace-dir", str(tmp_path)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1
 
 
 class TestTimelineCLI:

@@ -94,14 +94,6 @@ class TestStatsContainers:
         slow = MachineStats(cycles=250.0)
         assert fast.speedup_over(slow) == 2.5
 
-    def test_to_dict_roundtrips_key_fields(self):
-        stats = MachineStats(cycles=7.0, instructions=3)
-        data = stats.to_dict()
-        assert data["cycles"] == 7.0
-        assert data["instructions"] == 3
-        assert "load_misses_full" in data
-        assert "pool_bytes" in data
-
 
 class TestExperimentConfig:
     def test_line_size_sets(self):

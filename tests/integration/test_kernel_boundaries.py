@@ -122,7 +122,6 @@ def _capture(program, config, chunk_events):
         captured_stats=stats.dump(),
         event_count=recorder.event_count,
         chunks=recorder.finish(),
-        has_forwarded=recorder.has_forwarded,
     )
 
 

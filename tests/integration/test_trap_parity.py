@@ -63,7 +63,6 @@ def _capture(handler, config):
         captured_stats=stats.dump(),
         event_count=recorder.event_count,
         chunks=recorder.finish(),
-        has_forwarded=recorder.has_forwarded,
     )
     return trace, stats, timeline
 

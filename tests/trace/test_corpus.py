@@ -1,8 +1,8 @@
-"""The corpus layer: manifest, warm probes, dedup, eviction, stale files.
+"""The corpus layer: warm probes, eviction, stale files, the corpus CLI.
 
 Everything here sits on top of the plain key/value store contract
-(tested in test_store.py): ``corpus.json`` bookkeeping, the serve tier's
-:meth:`content_hash_for` probe, hardlink dedup across seeds, LRU
+(tested in test_store.py), and every answer comes from the trace files
+themselves: the serve tier's :meth:`content_hash_for` probe, LRU
 size-budget eviction, recapture over a trace file of another format
 version, and the ``python -m repro corpus`` CLI over all of it.
 """
@@ -18,6 +18,7 @@ from repro.experiments.config import experiment_config
 from repro.trace import (
     ArtifactStore,
     Trace,
+    TraceFormatError,
     capture_trace,
     load_index,
     trace_key,
@@ -59,70 +60,58 @@ def _as_version(path, version):
 
 
 class TestManifest:
-    def test_save_trace_writes_a_manifest_row(self, tmp_path, captured):
+    """Each trace file is its own manifest row: its header and footer."""
+
+    def test_save_trace_writes_only_the_trace(self, tmp_path, captured):
         trace, _ = captured
         store = ArtifactStore(tmp_path)
         key = _save(store, trace)
-        entry = store.read_manifest()["entries"][key]
-        assert entry["content_hash"] == trace.content_hash
-        assert entry["stream_sha256"] == trace.stream_sha256
-        assert entry["app"] == "mst"
-        assert entry["event_count"] == trace.event_count
-        assert entry["format"] == FORMAT_VERSION
-        assert entry["bytes"] == store.trace_path(key).stat().st_size
-
-    def test_corrupt_manifest_is_an_empty_one(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.manifest_path().write_text("{]")
-        assert store.read_manifest()["entries"] == {}
-
-    def test_content_hash_for_answers_from_the_manifest(
-        self, tmp_path, captured
-    ):
-        trace, _ = captured
-        store = ArtifactStore(tmp_path)
-        key = _save(store, trace)
-        assert store.content_hash_for(key) == trace.content_hash
-
-    def test_content_hash_for_heals_a_missing_row(self, tmp_path, captured):
-        """No manifest row: the answer comes from the footer (two seeks)
-        and the row is written back."""
-        trace, _ = captured
-        store = ArtifactStore(tmp_path)
-        key = _save(store, trace)
-        store.manifest_path().unlink()
-        assert store.content_hash_for(key) == trace.content_hash
-        assert (
-            store.read_manifest()["entries"][key]["content_hash"]
-            == trace.content_hash
+        files = sorted(
+            str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")
         )
+        assert files == ["locks", "results", "traces", f"traces/{key}.trace"]
+
+    def test_content_hash_for_answers_from_the_file(self, tmp_path, captured):
+        """The probe reads the file each time: replacing the file under
+        the same key changes the answer."""
+        trace, _ = captured
+        store = ArtifactStore(tmp_path)
+        key = _save(store, trace)
+        assert store.content_hash_for(key) == trace.content_hash
+        other = Trace.from_bytes(trace.to_bytes())
+        other.seed = 2
+        store.save_trace(key, other)
+        assert other.content_hash != trace.content_hash
+        assert store.content_hash_for(key) == other.content_hash
 
     def test_content_hash_for_misses(self, tmp_path, captured):
         trace, _ = captured
         store = ArtifactStore(tmp_path)
         assert store.content_hash_for(_key()) is None
-        # A manifest row whose trace was evicted is also a miss.
+        # A trace evicted since it was saved is a miss.
         key = _save(store, trace)
         store.trace_path(key).unlink()
         assert store.content_hash_for(key) is None
-        # So is a file of another format version with no manifest row.
+        # So is a file of another format version, however recently
+        # this build saved the key.
         _save(store, trace)
-        store.manifest_path().unlink()
+        assert store.content_hash_for(key) == trace.content_hash
         _as_version(store.trace_path(key), FORMAT_VERSION - 1)
         assert store.content_hash_for(key) is None
-
-
-class TestDedup:
-    def test_identical_streams_share_the_trace_file(self, tmp_path, captured):
-        trace, _ = captured
-        store = ArtifactStore(tmp_path)
-        first = _save(store, trace, seed=1)
-        second = _save(store, trace, seed=2)
-        assert first != second
-        assert (
-            store.trace_path(first).stat().st_ino
-            == store.trace_path(second).stat().st_ino
+        # And a file that is not a trace at all, or whose footer holds
+        # a digest that is not a string.
+        store.trace_path(key).write_bytes(b"garbage")
+        assert store.content_hash_for(key) is None
+        data = trace.to_bytes()
+        digest = f'"stream_sha256": "{trace.stream_sha256}"'.encode()
+        assert data.count(digest) == 1
+        path = store.trace_path(key)
+        path.write_bytes(
+            data.replace(digest, b'"stream_sha256": 5'.ljust(len(digest)))
         )
+        with pytest.raises(TraceFormatError, match="wrong type"):
+            load_index(path)
+        assert store.content_hash_for(key) is None
 
 
 class TestGc:
@@ -131,8 +120,6 @@ class TestGc:
         store = ArtifactStore(tmp_path)
         old, new = _key(1), _key(2)
         store.save_trace(old, trace)
-        # Distinct bytes for the second key (different header -> no
-        # content-hash dedup): tweak the seed field.
         other = Trace.from_bytes(trace.to_bytes())
         other.seed = 2
         store.save_trace(new, other)
@@ -142,8 +129,6 @@ class TestGc:
         assert report["evicted"] == [old]
         assert not store.has_trace(old)
         assert store.has_trace(new)
-        assert old not in store.read_manifest()["entries"]
-        assert new in store.read_manifest()["entries"]
         assert report["after_bytes"] <= size
 
     def test_load_bumps_the_lru_clock(self, tmp_path, captured):
@@ -169,19 +154,6 @@ class TestGc:
         assert report["evicted"] == [key]
         assert report["dry_run"]
         assert store.has_trace(key)
-        assert key in store.read_manifest()["entries"]
-
-    def test_hardlinked_copies_are_charged_once(self, tmp_path, captured):
-        """Two keys sharing one inode fit a budget sized for one copy."""
-        trace, _ = captured
-        store = ArtifactStore(tmp_path)
-        first = _save(store, trace, seed=1)
-        second = _save(store, trace, seed=2)  # hardlinked to first
-        size = store.trace_path(first).stat().st_size
-        report = store.gc(size)
-        assert report["total_bytes"] == size  # one inode, counted once
-        assert report["evicted"] == []
-        assert store.has_trace(first) and store.has_trace(second)
 
     def test_evicted_trace_recaptures_transparently(self, tmp_path):
         from repro.trace.sweep import SweepTask, run_task
@@ -254,6 +226,36 @@ class TestCorpusCli:
         digest = entry["stream_digest"]
         assert isinstance(digest, str) and len(digest) == 64
         assert set(digest) <= set("0123456789abcdef")
+
+    def test_stat_census_reads_each_file(self, tmp_path, captured, capsys):
+        """A file restamped to version 3 counts as version 3, its probe
+        misses, and ``ls`` still lists it."""
+        from repro.__main__ import main
+
+        trace, _ = captured
+        store = ArtifactStore(tmp_path)
+        current = _save(store, trace, seed=1)
+        other = Trace.from_bytes(trace.to_bytes())
+        other.seed = 2
+        stale = _key(seed=2)
+        store.save_trace(stale, other)
+        _as_version(store.trace_path(stale), 3)
+        assert main(
+            ["corpus", "stat", "--trace-dir", str(tmp_path), "--json"]
+        ) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["format_versions"] == {str(FORMAT_VERSION): 1, "3": 1}
+        assert summary["traces"] == 2
+        assert summary["bytes"] == sum(
+            store.trace_path(key).stat().st_size for key in (current, stale)
+        )
+        formats = {entry["key"]: entry["format"] for entry in summary["entries"]}
+        assert formats == {current: FORMAT_VERSION, stale: 3}
+        assert store.content_hash_for(stale) is None
+        assert store.content_hash_for(current) == trace.content_hash
+        assert main(["corpus", "ls", "--trace-dir", str(tmp_path)]) == 0
+        listing = capsys.readouterr().out
+        assert current[:12] in listing and stale[:12] in listing
 
     def test_gc_subcommand(self, tmp_path, captured, capsys):
         from repro.__main__ import main

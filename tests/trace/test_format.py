@@ -8,8 +8,9 @@ and off it, and pin the stream it emits -- read back from bytes, under
 every chunking, including streams that straddle chunk boundaries -- to a
 short reference resolver; programs whose chains form cycles must raise
 the typed error.  The validation tests cover every rejection path of
-:meth:`Trace.from_bytes`, :meth:`Chunk.unpack`, and the random-access
-index, plus a byte-mutation fuzz of the whole file.
+:meth:`Trace.from_bytes` and :meth:`Chunk.unpack`, check that
+:func:`load_index` rejects each header or footer corruption exactly as
+:meth:`Trace.from_bytes` does, and fuzz the whole file byte by byte.
 """
 
 import dataclasses
@@ -41,8 +42,9 @@ from repro.trace import FORMAT_VERSION, Trace, TraceFormatError, TraceRecorder
 from repro.trace.format import (
     CHUNK_EVENTS,
     COLUMN_NAMES,
+    FOOTER_MAGIC,
     MAGIC,
-    _parse_header,
+    _read_container,
     _seal,
     append_uvarint,
     load_index,
@@ -223,7 +225,6 @@ def _run(program, chunk_events=CHUNK_EVENTS, fast_path=True):
         captured_stats={"forwarding_hops": 0},
         event_count=recorder.event_count,
         chunks=recorder.finish(),
-        has_forwarded=recorder.has_forwarded,
     )
 
 
@@ -300,9 +301,6 @@ class TestRoundTrip:
                 clone = Trace.from_bytes(trace.to_bytes())
                 assert _entries(clone) == expected
                 assert trace.event_count == len(expected)
-                assert trace.has_forwarded == any(
-                    entry[0] in (LOAD_FWD, STORE_FWD) for entry in expected
-                )
                 if chunk_events == 1:
                     assert len(trace.chunks) == len(expected)
 
@@ -315,7 +313,6 @@ class TestRoundTrip:
         clone = Trace.from_bytes(trace.to_bytes())
         assert clone == trace
         assert clone.content_hash == trace.content_hash
-        assert clone.has_forwarded == trace.has_forwarded
         assert _entries(clone) == _entries(trace)
 
     def test_empty_stream(self):
@@ -421,17 +418,6 @@ class TestIndex:
         assert index.chunk_count == len(trace.chunks)
         assert index.stream_sha256 == trace.stream_sha256
         assert index.content_hash == trace.content_hash
-        assert index.has_forwarded == trace.has_forwarded
-
-    def test_random_access_chunk_read(self, tmp_path):
-        trace = _valid_trace(chunk_events=2)
-        path = tmp_path / "t.trace"
-        trace.save(path)
-        index = load_index(path)
-        for i, chunk in enumerate(trace.chunks):
-            assert index.read_chunk(i) == chunk
-        with pytest.raises(TraceFormatError, match="out of range"):
-            index.read_chunk(len(trace.chunks))
 
     def test_load_index_rejects_v2_with_path_and_version(self, tmp_path):
         path = tmp_path / "v2.trace"
@@ -442,6 +428,120 @@ class TestIndex:
             load_index(path)
         assert excinfo.value.path == str(path)
         assert excinfo.value.version == 2
+
+
+def _chunk_start(data):
+    """Where a valid container's chunk region starts."""
+    return _read_container(lambda offset, n: data[offset : offset + n], len(data))[2]
+
+
+def _parts():
+    """A valid trace's header dict, chunk region bytes and footer dict."""
+    trace = _valid_trace(chunk_events=2)
+    region = b"".join(blob for chunk in trace.chunks for blob in chunk.data)
+    return trace.header_dict(), region, trace.footer_dict()
+
+
+def _assemble(header, region, footer):
+    """A container around ``header`` and ``footer``: dicts, or raw JSON."""
+    header, footer = (
+        part if isinstance(part, bytes) else json.dumps(part, sort_keys=True).encode()
+        for part in (header, footer)
+    )
+    out = bytearray(MAGIC)
+    out.append(FORMAT_VERSION)
+    append_uvarint(out, len(header))
+    out += header + region + footer
+    out += struct.pack("<I4s", len(footer), FOOTER_MAGIC)
+    return bytes(out)
+
+
+def _without(mapping, key):
+    return {name: value for name, value in mapping.items() if name != key}
+
+
+def _restamp(version, data):
+    return data[: len(MAGIC)] + bytes([version]) + data[len(MAGIC) + 1 :]
+
+
+#: Each header or footer corruption: ``(header, region, footer) -> bytes``
+#: and a fragment of the message it must fail with.
+CORRUPTIONS = {
+    "bad magic": (
+        lambda h, r, f: b"NOPE" + _assemble(h, r, f)[len(MAGIC) :],
+        "not a trace: bad magic",
+    ),
+    **{
+        f"version {version}": (
+            lambda h, r, f, version=version: _restamp(version, _assemble(h, r, f)),
+            f"unsupported trace format version {version} ",
+        )
+        for version in (0, 2, 3, FORMAT_VERSION - 1, FORMAT_VERSION + 1, 255)
+    },
+    # The header is over 127 bytes, so its length takes two varint bytes.
+    "cut inside the length varint": (
+        lambda h, r, f: _assemble(h, r, f)[: len(MAGIC) + 2],
+        "truncated varint in trace header",
+    ),
+    "header cut short": (
+        lambda h, r, f: _assemble(h, r, f)[: len(MAGIC) + 3 + 10],
+        "truncated trace header",
+    ),
+    "header not an object": (
+        lambda h, r, f: _assemble(b"[1]", r, f),
+        "corrupt trace header: not a JSON object",
+    ),
+    "missing header field": (
+        lambda h, r, f: _assemble(_without(h, "checksum"), r, f),
+        "trace header missing fields ['checksum']",
+    ),
+    "no trailer": (
+        lambda h, r, f: _assemble(h, b"", b"")[: -len(FOOTER_MAGIC) - 4],
+        "truncated trace: missing footer trailer",
+    ),
+    "bad footer magic": (
+        lambda h, r, f: _assemble(h, r, f)[:-1] + b"?",
+        "corrupt trace: bad footer magic",
+    ),
+    "footer overlaps chunk region": (
+        lambda h, r, f: _assemble(h, r, f)[: -len(FOOTER_MAGIC) - 4]
+        + struct.pack("<I4s", len(_assemble(h, r, f)), FOOTER_MAGIC),
+        "corrupt trace: footer overlaps chunk region",
+    ),
+    "missing footer field": (
+        lambda h, r, f: _assemble(h, r, _without(f, "stream_sha256")),
+        "trace footer missing fields ['stream_sha256']",
+    ),
+    "footer field of the wrong type": (
+        lambda h, r, f: _assemble(h, r, {**f, "stream_sha256": 5}),
+        "trace footer fields of the wrong type ['stream_sha256']",
+    ),
+}
+
+
+class TestOneReader:
+    """:meth:`Trace.from_bytes` and :func:`load_index` parse the
+    container with one parser, so they reject the same bytes alike."""
+
+    def test_assembler_rebuilds_a_valid_trace(self):
+        assert _assemble(*_parts()) == _valid_trace(chunk_events=2).to_bytes()
+
+    @pytest.mark.parametrize("case", list(CORRUPTIONS))
+    def test_same_message_and_version(self, case, tmp_path):
+        corrupt, message = CORRUPTIONS[case]
+        data = corrupt(*_parts())
+        with pytest.raises(TraceFormatError) as from_bytes:
+            Trace.from_bytes(data)
+        path = tmp_path / "corrupt.trace"
+        path.write_bytes(data)
+        with pytest.raises(TraceFormatError) as from_file:
+            load_index(path)
+        assert message in from_bytes.value.args[0]
+        assert from_file.value.args == from_bytes.value.args
+        assert from_file.value.version == from_bytes.value.version
+        assert from_file.value.path == str(path)
+        if case.startswith("version"):
+            assert from_bytes.value.version == data[len(MAGIC)]
 
 
 def _le_int64(*values):
@@ -482,7 +582,7 @@ class TestValidation:
         """A byte missing from the chunk region fails as truncation."""
         trace = _valid_trace()
         data = trace.to_bytes()
-        _, chunk_start = _parse_header(data)
+        chunk_start = _chunk_start(data)
         # Drop the first byte of the chunk region; offsets in the footer
         # now overrun it.
         cut = data[: chunk_start] + data[chunk_start + 1 :]
@@ -511,24 +611,15 @@ class TestValidation:
     def test_file_level_corruption_names_chunk_and_column(self):
         trace = _valid_trace()
         data = bytearray(trace.to_bytes())
-        _, chunk_start = _parse_header(bytes(data))
-        data[chunk_start] ^= 0xFF  # first byte of chunk 0's kinds blob
+        data[_chunk_start(bytes(data))] ^= 0xFF  # first byte of chunk 0's kinds blob
         with pytest.raises(TraceFormatError, match="chunk 0 column 'kinds'"):
             Trace.from_bytes(bytes(data))
 
     def test_missing_header_field(self):
-        trace = _valid_trace()
-        data = trace.to_bytes()
-        header, chunk_start = _parse_header(data)
-        del header["event_count"]
-        blob = json.dumps(header, sort_keys=True).encode()
-        out = bytearray(MAGIC)
-        out.append(FORMAT_VERSION)
-        append_uvarint(out, len(blob))
-        out += blob
-        out += data[chunk_start:]
+        header, region, footer = _parts()
+        data = _assemble(_without(header, "event_count"), region, footer)
         with pytest.raises(TraceFormatError, match="missing fields"):
-            Trace.from_bytes(bytes(out))
+            Trace.from_bytes(data)
 
     def test_corrupt_header_json(self):
         out = bytearray(MAGIC)
