@@ -118,54 +118,27 @@ class _CLIError(Exception):
     """A user-facing CLI failure: one line on stderr, nonzero exit."""
 
 
-def _run_extension(name: str) -> str:
-    if name == "false-sharing":
-        from repro.smp import run_false_sharing_experiment
-        from repro.smp.false_sharing import run_adaptive_false_sharing
-
-        before, after = run_false_sharing_experiment()
-        triple = run_adaptive_false_sharing()
-        lines = [
-            "False sharing (Section 2.2 extension)",
-            f"  {before.label:32s} cycles={before.cycles:12.0f} "
-            f"coherence misses={before.coherence_misses}",
-            f"  {after.label:32s} cycles={after.cycles:12.0f} "
-            f"coherence misses={after.coherence_misses}",
-            f"  speedup: {before.cycles / after.cycles:.2f}x",
-            "  adaptive segregation (repro.adapt policy feedback):",
-        ]
-        for result in (triple.never, triple.once, triple.adaptive):
-            lines.append(
-                f"  {result.label:32s} cycles={result.cycles:12.0f} "
-                f"coherence misses={result.coherence_misses}"
-            )
-        lines.append(
-            f"  trigger round: {triple.trigger_round}, segregation cost: "
-            f"{triple.segregation_cost:.0f} cycles, checksums equal: "
-            f"{triple.checksums_equal}"
-        )
-        return "\n".join(lines)
-    from repro.vm import run_out_of_core_experiment
-
-    scattered, linearized = run_out_of_core_experiment()
-    return (
-        "Out-of-core linearization (Section 2.2 extension)\n"
-        f"  {scattered.label:11s} cycles={scattered.cycles:14.0f} "
-        f"page faults={scattered.page_faults}\n"
-        f"  {linearized.label:11s} cycles={linearized.cycles:14.0f} "
-        f"page faults={linearized.page_faults}\n"
-        f"  speedup: {scattered.cycles / linearized.cycles:.1f}x"
-    )
+#: Per extension: report title, label and cycles column widths, the
+#: result's counted value, and the speedup's decimal places.
+_EXTENSIONS = {
+    "false-sharing": (
+        "False sharing (Section 2.2 extension)", 32, 12, "coherence_misses", 2
+    ),
+    "out-of-core": (
+        "Out-of-core linearization (Section 2.2 extension)", 11, 14,
+        "page_faults", 1,
+    ),
+}
 
 
-def _extension_manifest(name: str, scale: float) -> dict:
-    """Run manifest for the SMP / out-of-core extensions.
+def _extension(name: str) -> tuple[list[dict], dict]:
+    """Run the SMP or out-of-core extension: its manifest cells and summary.
 
     These experiments use their own purpose-built machines rather than
-    the uniprocessor registry, so the aggregate metric tree is empty and
-    each cell carries the experiment's headline numbers directly.
+    the uniprocessor registry, so each cell carries the experiment's
+    headline numbers directly.
     """
-    from repro.obs import build_manifest, cell
+    from repro.obs import cell
 
     if name == "false-sharing":
         from repro.smp import run_false_sharing_experiment
@@ -173,18 +146,7 @@ def _extension_manifest(name: str, scale: float) -> dict:
 
         before, after = run_false_sharing_experiment()
         triple = run_adaptive_false_sharing()
-        cells = [
-            cell(
-                result.label,
-                values={
-                    "cycles": result.cycles,
-                    "coherence_misses": result.coherence_misses,
-                },
-            )
-            for result in (
-                before, after, triple.never, triple.once, triple.adaptive
-            )
-        ]
+        results = (before, after, triple.never, triple.once, triple.adaptive)
         summary = {
             "speedup": before.cycles / after.cycles,
             "adaptive_trigger_round": float(
@@ -198,18 +160,51 @@ def _extension_manifest(name: str, scale: float) -> dict:
     else:
         from repro.vm import run_out_of_core_experiment
 
-        scattered, linearized = run_out_of_core_experiment()
-        cells = [
-            cell(
-                result.label,
-                values={
-                    "cycles": result.cycles,
-                    "page_faults": result.page_faults,
-                },
-            )
-            for result in (scattered, linearized)
+        results = run_out_of_core_experiment()
+        summary = {"speedup": results[0].cycles / results[1].cycles}
+    counted = _EXTENSIONS[name][3]
+    cells = [
+        cell(
+            result.label,
+            values={"cycles": result.cycles, counted: getattr(result, counted)},
+        )
+        for result in results
+    ]
+    return cells, summary
+
+
+def _extension_text(name: str) -> str:
+    """The text report of one extension, rendered from :func:`_extension`."""
+    cells, summary = _extension(name)
+    title, width, cycles_width, counted, digits = _EXTENSIONS[name]
+    rows = [
+        f"  {entry['id']:{width}s} "
+        f"cycles={entry['values']['cycles']:{cycles_width}.0f} "
+        f"{counted.replace('_', ' ')}={entry['values'][counted]}"
+        for entry in cells
+    ]
+    lines = [title, *rows[:2], f"  speedup: {summary['speedup']:.{digits}f}x"]
+    if name == "false-sharing":
+        trigger = int(summary["adaptive_trigger_round"])
+        lines += [
+            "  adaptive segregation (repro.adapt policy feedback):",
+            *rows[2:],
+            f"  trigger round: {None if trigger < 0 else trigger}, "
+            "segregation cost: "
+            f"{summary['adaptive_segregation_cost']:.0f} cycles, "
+            f"checksums equal: {summary['adaptive_checksums_equal'] == 1.0}",
         ]
-        summary = {"speedup": scattered.cycles / linearized.cycles}
+    return "\n".join(lines)
+
+
+def _extension_manifest(name: str, scale: float) -> dict:
+    """Run manifest for the SMP / out-of-core extensions.
+
+    The aggregate metric tree is empty: see :func:`_extension`.
+    """
+    from repro.obs import build_manifest
+
+    cells, summary = _extension(name)
     return build_manifest(
         name,
         run={"scale": scale, "jobs": 1, "cache": False, "trace_dir": None},
@@ -730,7 +725,7 @@ def _artifacts_main(argv: list[str]) -> int:
         elif emit_json:
             manifests[artifact] = _extension_manifest(artifact, args.scale)
         else:
-            print(_run_extension(artifact))
+            print(_extension_text(artifact))
         if not emit_json:
             print()
     if emit_json:

@@ -30,12 +30,14 @@ for exactly where the cycles went.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.adapt.config import POLICIES, AdaptConfig
 from repro.apps import PHASE_APPS
 from repro.apps.base import Variant
 from repro.experiments.report import render_table
-from repro.experiments.runner import ExperimentRunner, RunSpec
+from repro.experiments.runner import ExperimentRunner, make_task
+from repro.trace.sweep import SweepTask
 
 #: Line size for the whole matrix: the largest Figure-5 line, where
 #: traversal-order locality (and therefore a stale layout) matters most.
@@ -46,7 +48,7 @@ STATIC_NEVER = "static-never"
 STATIC_ONCE = "static-once"
 
 
-def adapt_config(policy: str) -> AdaptConfig:
+def tuned_config(policy: str) -> AdaptConfig:
     """The tuned engine configuration used for every adaptive cell.
 
     One shared config across apps and policies (only ``policy``
@@ -157,27 +159,26 @@ class AdaptResult:
         return f"{table}\n\n{footer}"
 
 
+def arms(
+    app: str, scale: float, policies: tuple[str, ...] = POLICIES
+) -> Iterator[tuple[str, SweepTask]]:
+    """One app's ``(arm, cell)`` pairs: the two static arms, then a
+    ``policies`` arm each."""
+    yield STATIC_NEVER, make_task(app, Variant.N, LINE_SIZE, scale)
+    yield STATIC_ONCE, make_task(app, Variant.L, LINE_SIZE, scale)
+    for policy in policies:
+        yield policy, make_task(
+            app, Variant.L, LINE_SIZE, scale, adapt=tuned_config(policy)
+        )
+
+
 def specs(
     scale: float,
     policies: tuple[str, ...] = POLICIES,
     apps: tuple[str, ...] = PHASE_APPS,
-) -> list[RunSpec]:
+) -> list[SweepTask]:
     """The full run matrix (used by the CLI's parallel prime)."""
-    out: list[RunSpec] = []
-    for app in apps:
-        out.append(RunSpec.make(app, Variant.N, LINE_SIZE, scale))
-        out.append(RunSpec.make(app, Variant.L, LINE_SIZE, scale))
-        for policy in policies:
-            out.append(
-                RunSpec.make(
-                    app,
-                    Variant.L,
-                    LINE_SIZE,
-                    scale,
-                    adapt=adapt_config(policy),
-                )
-            )
-    return out
+    return [task for app in apps for _, task in arms(app, scale, policies)]
 
 
 def run(
@@ -196,33 +197,16 @@ def run(
         policies = policy_matrix(runner.adapt_policy)
     result = AdaptResult()
     for app in apps:
-        arms: list[tuple[str, RunSpec]] = [
-            (STATIC_NEVER, RunSpec.make(app, Variant.N, LINE_SIZE, runner.scale)),
-            (STATIC_ONCE, RunSpec.make(app, Variant.L, LINE_SIZE, runner.scale)),
-        ]
-        for policy in policies:
-            arms.append(
-                (
-                    policy,
-                    RunSpec.make(
-                        app,
-                        Variant.L,
-                        LINE_SIZE,
-                        runner.scale,
-                        adapt=adapt_config(policy),
-                    ),
-                )
-            )
         app_cells: list[AdaptCell] = []
-        for arm, spec in arms:
-            outcome = runner.run_spec(spec)
+        for arm, task in arms(app, runner.scale, policies):
+            outcome = runner.run_spec(task)
             payload = outcome.extras.get("adapt") or {}
             counters = payload.get("counters", {})
             app_cells.append(
                 AdaptCell(
                     app=app,
                     arm=arm,
-                    variant=spec.variant,
+                    variant=Variant(task.variant),
                     cycles=outcome.stats.cycles,
                     l1_misses=(
                         outcome.stats.l1_load_misses_full

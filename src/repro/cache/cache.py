@@ -30,24 +30,24 @@ address is negative.
 
 Replacement is inlined (no per-access policy-object dispatch): LRU
 moves the hit slot to the front of its segment, FIFO and random leave
-hit order alone, and random picks its victim with the same deterministic
-xorshift sequence as :class:`repro.cache.replacement.PseudoRandomPolicy`.
-That module remains the readable reference semantics of the three
-policies; this module is their hot representation.
+hit order alone, and random picks its victim from a deterministic
+32-bit xorshift sequence (``state ^= state << 13; state ^= state >> 17;
+state ^= state << 5``, seeded with :data:`_RANDOM_SEED`), taken modulo
+the set's occupancy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Inlined replacement modes (see repro.cache.replacement for semantics).
+# Inlined replacement modes (semantics in the module docstring).
 _LRU = 0
 _FIFO = 1
 _RANDOM = 2
 _MODES = {"lru": _LRU, "fifo": _FIFO, "random": _RANDOM}
 
-#: Seed of the deterministic xorshift victim sequence; identical to
-#: ``PseudoRandomPolicy``'s default so simulations stay reproducible.
+#: Seed of the deterministic xorshift victim sequence, fixed so
+#: simulations stay reproducible.
 _RANDOM_SEED = 0x9E3779B9
 
 

@@ -394,10 +394,6 @@ class MemoryHierarchy:
             f"{bw_prefix}.l2_mem.bytes", lambda: self.traffic.l2_mem_bytes
         )
 
-    def load_miss_count(self) -> int:
-        """Total load D-cache misses (full + partial), as in Figure 6(a)."""
-        return self.miss_classes.load_misses
-
     def reset_stats(self) -> None:
         """Zero all counters while keeping cache contents intact."""
         self.traffic = TrafficStats()

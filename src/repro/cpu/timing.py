@@ -204,7 +204,3 @@ class TimingModel:
             store_stall=self.store_stall_cycles * width,
             inst_stall=self.inst_stall_cycles * width,
         )
-
-    @property
-    def total_cycles(self) -> float:
-        return self.cycle

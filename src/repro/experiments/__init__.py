@@ -25,7 +25,7 @@ from repro.experiments.config import (
     experiment_config,
     line_sizes_for,
 )
-from repro.experiments.runner import ExperimentRunner, RunSpec
+from repro.experiments.runner import ExperimentRunner
 
 __all__ = [
     "APP_SEEDS",
@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_LINE_SIZES",
     "FIGURE7_LINE_SIZE",
     "ExperimentRunner",
-    "RunSpec",
     "experiment_config",
     "line_sizes_for",
 ]

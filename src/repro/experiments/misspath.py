@@ -23,14 +23,15 @@ their memo entries -- with Figure 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.apps import FIGURE5_APPS
 from repro.apps.base import Variant
 from repro.cache.misspath import MECHANISMS
 from repro.experiments.config import line_sizes_for
 from repro.experiments.report import percent, render_table
-from repro.experiments.runner import ExperimentRunner, RunSpec
+from repro.experiments.runner import ExperimentRunner, make_task
+from repro.trace.sweep import SweepTask
 
 #: Matrix order: baseline first so every later row normalizes against it.
 DEFAULT_MECHANISMS = MECHANISMS
@@ -140,28 +141,20 @@ def specs(
     scale: float,
     mechanisms: tuple[str, ...] = DEFAULT_MECHANISMS,
     apps: tuple[str, ...] = FIGURE5_APPS,
-    vc_entries: int = 8,
-    mc_entries: int = 8,
-    sb_count: int = 4,
-    sb_depth: int = 4,
-) -> list[RunSpec]:
-    """The full run matrix (used by the CLI's parallel prime)."""
-    out: list[RunSpec] = []
+    **sizes: int,
+) -> list[SweepTask]:
+    """The full run matrix (used by the CLI's parallel prime).
+
+    ``sizes`` (the :class:`SweepTask` sizing knobs) ride only on the
+    mechanism cells; the ``none`` baseline cells keep the defaults.
+    """
+    out: list[SweepTask] = []
     for mechanism in mechanisms:
+        knobs = {} if mechanism == "none" else dict(mechanism=mechanism, **sizes)
         for app in apps:
             for line_size in line_sizes_for(app):
                 for variant in (Variant.N, Variant.L):
-                    spec = RunSpec.make(app, variant, line_size, scale)
-                    if mechanism != "none":
-                        spec = replace(
-                            spec,
-                            mechanism=mechanism,
-                            vc_entries=vc_entries,
-                            mc_entries=mc_entries,
-                            sb_count=sb_count,
-                            sb_depth=sb_depth,
-                        )
-                    out.append(spec)
+                    out.append(make_task(app, variant, line_size, scale, **knobs))
     return out
 
 
@@ -182,22 +175,16 @@ def run(
     result = MisspathResult()
     baselines: dict[tuple[str, int, Variant], MisspathCell] = {}
     for mechanism in mechanisms:
-        for spec in specs(
-            runner.scale,
-            mechanisms=(mechanism,),
-            apps=apps,
-            vc_entries=runner.vc_entries,
-            mc_entries=runner.mc_entries,
-            sb_count=runner.sb_count,
-            sb_depth=runner.sb_depth,
+        for task in specs(
+            runner.scale, mechanisms=(mechanism,), apps=apps, **runner.sizes
         ):
-            stats = runner.run_spec(spec).stats
+            stats = runner.run_spec(task).stats
             full = stats.l1_load_misses_full + stats.l1_store_misses_full
             cell = MisspathCell(
                 mechanism=mechanism,
-                app=spec.app,
-                line_size=spec.line_size,
-                variant=spec.variant,
+                app=task.app,
+                line_size=task.line_size,
+                variant=Variant(task.variant),
                 cycles=stats.cycles,
                 full_misses=full,
                 absorbed=stats.misspath.get("hits", 0),

@@ -1,4 +1,4 @@
-"""Shared experiment runner: capture-once-replay-many over run specs.
+"""Shared experiment runner: capture-once-replay-many over sweep cells.
 
 Experiments describe *what* to run as a matrix of
 ``(application, variant, line size)``; this module executes the matrix.
@@ -23,10 +23,10 @@ span`.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Iterable
 
-from repro.adapt.config import DEFAULT_HEATMAP_REGION, AdaptConfig
+from repro.adapt.config import DEFAULT_HEATMAP_REGION
 from repro.apps.base import AppResult, Variant
 from repro.experiments.config import APP_SEEDS
 from repro.obs import Registry, Tracer, configure_logging, trace_context
@@ -34,102 +34,32 @@ from repro.trace.store import ArtifactStore
 from repro.trace.sweep import SweepTask, execute_sweep
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """One simulation to perform.
+def make_task(
+    app: str,
+    variant: Variant | str,
+    line_size: int,
+    scale: float,
+    **knobs,
+) -> SweepTask:
+    """The cell ``(app, variant, line_size, scale)`` at the app's seed.
 
-    The seed is an explicit field (not derived on the fly) so the memo
-    key -- and every cache key downstream of it -- stays correct even if
-    per-app seeds are ever varied by the caller.
+    The seed is resolved here, from :data:`APP_SEEDS`, and travels as an
+    explicit field, so the memo key -- and every cache key downstream of
+    it -- stays correct even if per-app seeds are ever varied by the
+    caller.  ``knobs`` are any other :class:`SweepTask` fields.
     """
-
-    app: str
-    variant: Variant
-    line_size: int
-    scale: float = 1.0
-    seed: int = 1
-    timeline_interval: int = 0
-    events_capacity: int = 0
-    #: L1 miss-path mechanism and sizing knobs (see
-    #: :mod:`repro.cache.misspath`); machine config, like the timeline
-    #: knobs above.
-    mechanism: str = "none"
-    vc_entries: int = 8
-    mc_entries: int = 8
-    sb_count: int = 4
-    sb_depth: int = 4
-    #: Adaptive relocation policy config (``None`` = no engine); flows
-    #: into the cell's workload identity via the sweep task.
-    adapt: AdaptConfig | None = None
-    #: Heatmap region granularity (bytes) for timeline/adapt sampling.
-    heatmap_region: int = DEFAULT_HEATMAP_REGION
-
-    @classmethod
-    def make(
-        cls,
-        app: str,
-        variant: Variant,
-        line_size: int,
-        scale: float,
-        timeline_interval: int = 0,
-        events_capacity: int = 0,
-        mechanism: str = "none",
-        vc_entries: int = 8,
-        mc_entries: int = 8,
-        sb_count: int = 4,
-        sb_depth: int = 4,
-        adapt: AdaptConfig | None = None,
-        heatmap_region: int = DEFAULT_HEATMAP_REGION,
-    ) -> "RunSpec":
-        """Build a spec with the app's canonical seed resolved."""
-        return cls(
-            app,
-            variant,
-            line_size,
-            scale,
-            APP_SEEDS.get(app, 1),
-            timeline_interval,
-            events_capacity,
-            mechanism,
-            vc_entries,
-            mc_entries,
-            sb_count,
-            sb_depth,
-            adapt,
-            heatmap_region,
-        )
-
-    def task(self) -> SweepTask:
-        return SweepTask(
-            app=self.app,
-            variant=self.variant.value,
-            line_size=self.line_size,
-            scale=self.scale,
-            seed=self.seed,
-            timeline_interval=self.timeline_interval,
-            events_capacity=self.events_capacity,
-            mechanism=self.mechanism,
-            vc_entries=self.vc_entries,
-            mc_entries=self.mc_entries,
-            sb_count=self.sb_count,
-            sb_depth=self.sb_depth,
-            adapt=self.adapt,
-            heatmap_region=self.heatmap_region,
-        )
-
-    @property
-    def cell_id(self) -> str:
-        """Human-readable cell identity used to key timeline sections."""
-        base = f"{self.app}/{self.line_size}B/{self.variant.value}"
-        if self.mechanism != "none":
-            base = f"{base}/{self.mechanism}"
-        if self.adapt is not None:
-            base = f"{base}/{self.adapt.policy}"
-        return base
+    return SweepTask(
+        app,
+        Variant(variant).value,
+        line_size,
+        scale,
+        APP_SEEDS.get(app, 1),
+        **knobs,
+    )
 
 
 class ExperimentRunner:
-    """Executes run specs with memoisation, caching, and sharding.
+    """Executes sweep cells with memoisation, caching, and sharding.
 
     Parameters
     ----------
@@ -182,35 +112,38 @@ class ExperimentRunner:
         self.heatmap_region = heatmap_region
         #: CLI narrowing for the adapt experiment (``None`` = full
         #: policy matrix); recorded in the manifest when set.  Explicit
-        #: specs carry their own :class:`AdaptConfig` -- this is not a
+        #: cells carry their own :class:`AdaptConfig` -- this is not a
         #: per-run override.
         self.adapt_policy = adapt_policy
         #: Miss-path mechanism applied to runs built via :meth:`run`
-        #: ("none" = baseline hierarchy).  Explicit specs handed to
+        #: ("none" = baseline hierarchy).  Explicit cells handed to
         #: :meth:`run_spec`/:meth:`prime` keep their own mechanism --
         #: the misspath experiment mixes baseline and mechanism cells in
         #: one runner.
         self.mechanism = mechanism
-        self.vc_entries = vc_entries
-        self.mc_entries = mc_entries
-        self.sb_count = sb_count
-        self.sb_depth = sb_depth
-        #: Per-cell timeline payloads keyed by ``RunSpec.cell_id``.
+        #: The mechanism's sizing knobs, as :class:`SweepTask` fields.
+        self.sizes = dict(
+            vc_entries=vc_entries,
+            mc_entries=mc_entries,
+            sb_count=sb_count,
+            sb_depth=sb_depth,
+        )
+        #: Per-cell timeline payloads keyed by ``SweepTask.cell_id``.
         self.timelines: dict[str, dict] = {}
         #: Per-cell adaptive-engine payloads (decisions, ledger,
-        #: counters) keyed by ``RunSpec.cell_id``.
+        #: counters) keyed by ``SweepTask.cell_id``.
         self.adapt_payloads: dict[str, dict] = {}
         if verbose:
             configure_logging(logging.INFO)
         self.store = (
             ArtifactStore(trace_dir) if (trace_dir and use_cache) else None
         )
-        self._cache: dict[RunSpec, AppResult] = {}
+        self._cache: dict[SweepTask, AppResult] = {}
         self._traces: dict = {}
         #: Content hash of every trace a sweep of this runner used, by
         #: trace key, wherever its group ran.
         self._trace_hashes: dict[str, str] = {}
-        #: Engine per simulated cell (``RunSpec.cell_id`` -> label from
+        #: Engine per simulated cell (``SweepTask.cell_id`` -> label from
         #: :mod:`repro.trace.batch`; cached cells have none); manifests
         #: annotate their cells with it.
         self.engines: dict[str, str] = {}
@@ -221,34 +154,32 @@ class ExperimentRunner:
         self.tracer = Tracer()
 
     # ------------------------------------------------------------------
-    def _with_knobs(self, spec: RunSpec) -> RunSpec:
-        """Apply this runner's timeline/events/heatmap knobs to a spec."""
+    def _with_knobs(self, task: SweepTask) -> SweepTask:
+        """Apply this runner's timeline/events/heatmap knobs to a cell."""
         if (
-            spec.timeline_interval == self.timeline_interval
-            and spec.events_capacity == self.events_capacity
-            and spec.heatmap_region == self.heatmap_region
+            task.timeline_interval == self.timeline_interval
+            and task.events_capacity == self.events_capacity
+            and task.heatmap_region == self.heatmap_region
         ):
-            return spec
-        from dataclasses import replace
-
+            return task
         return replace(
-            spec,
+            task,
             timeline_interval=self.timeline_interval,
             events_capacity=self.events_capacity,
             heatmap_region=self.heatmap_region,
         )
 
     def _record(
-        self, spec: RunSpec, result: AppResult, how: str, engine: str | None
+        self, task: SweepTask, result: AppResult, how: str, engine: str | None
     ) -> None:
         """Fold one completed simulation into the runner's registry."""
         self.obs.counter(f"runs.{how}").inc()
         if engine is not None:
             self.obs.counter(f"runs.engine.{engine}").inc()
-            self.engines[spec.cell_id] = engine
+            self.engines[task.cell_id] = engine
         self.obs.absorb(result.stats.to_snapshot())
         if result.timeline is not None:
-            self.timelines[spec.cell_id] = result.timeline
+            self.timelines[task.cell_id] = result.timeline
         adapt_payload = result.extras.get("adapt")
         if adapt_payload:
             # Adaptive cells surface their engine counters in the
@@ -257,67 +188,59 @@ class ExperimentRunner:
             # audit trail rides the experiment's own cells/summary.
             for name, value in sorted(adapt_payload["counters"].items()):
                 self.obs.counter(f"adapt.{name}").inc(value)
-            self.adapt_payloads[spec.cell_id] = adapt_payload
+            self.adapt_payloads[task.cell_id] = adapt_payload
 
     def run(self, app: str, variant: Variant, line_size: int) -> AppResult:
         return self.run_spec(
-            RunSpec.make(
+            make_task(
                 app,
                 variant,
                 line_size,
                 self.scale,
-                self.timeline_interval,
-                self.events_capacity,
-                self.mechanism,
-                self.vc_entries,
-                self.mc_entries,
-                self.sb_count,
-                self.sb_depth,
+                mechanism=self.mechanism,
+                **self.sizes,
             )
         )
 
-    def run_spec(self, spec: RunSpec) -> AppResult:
-        """Execute one explicit spec (memoised), keeping all its fields.
+    def run_spec(self, task: SweepTask) -> AppResult:
+        """Execute one explicit cell (memoised), keeping all its fields.
 
         Unlike :meth:`run` this does not substitute the runner's
         mechanism knobs, only its timeline knobs -- it is how the
         misspath experiment runs a mixed mechanism matrix through one
         memo/metric tree.
         """
-        spec = self._with_knobs(spec)
-        if spec in self._cache:
+        task = self._with_knobs(task)
+        if task in self._cache:
             # Memo hits are counted but not re-absorbed: the metric tree
             # reflects simulation work, and a memoized cell did none.
             self.obs.counter("runs.memoized").inc()
         else:
-            self.prime([spec])
-        return self._cache[spec]
+            self.prime([task])
+        return self._cache[task]
 
-    def prime(self, specs: Iterable[RunSpec]) -> None:
-        """Fill the memo for ``specs``, sharding across ``jobs`` workers.
+    def prime(self, tasks: Iterable[SweepTask]) -> None:
+        """Fill the memo for ``tasks``, sharding across ``jobs`` workers.
 
         Figures then assemble their matrices through :meth:`run` at
         memo-hit speed.  Cells group by trace key so each stream is
         decoded once for all of its configs -- in-process (against the
         runner's store and trace cache) when ``jobs == 1``, sharded by
-        group otherwise.  Results are recorded in spec order, whatever
+        group otherwise.  Results are recorded in task order, whatever
         order the pool finishes them in, so the merged metric tree does
         not depend on ``jobs``.
         """
         todo = [
-            spec
-            for spec in dict.fromkeys(
-                self._with_knobs(spec) for spec in specs
-            )
-            if spec not in self._cache
+            task
+            for task in dict.fromkeys(self._with_knobs(task) for task in tasks)
+            if task not in self._cache
         ]
         if not todo:
             return
-        by_task = {spec.task(): spec for spec in todo}
         engines: dict = {}
         with trace_context(self.tracer.trace_id), self.tracer.span("prime"):
             outcomes = execute_sweep(
-                list(by_task),
+                todo,
                 self.store,
                 jobs=self.jobs,
                 verbose=self.verbose,
@@ -326,10 +249,10 @@ class ExperimentRunner:
                 tracer=self.tracer,
                 hashes=self._trace_hashes,
             )
-            for task, spec in by_task.items():
+            for task in todo:
                 result, how = outcomes[task]
-                self._cache[spec] = result
-                self._record(spec, result, how, engines.get(task))
+                self._cache[task] = result
+                self._record(task, result, how, engines.get(task))
 
     # ------------------------------------------------------------------
     def span(self, name: str):
@@ -351,8 +274,8 @@ class ExperimentRunner:
     def seeds(self) -> dict[str, int]:
         """Workload seed for every app this runner has simulated."""
         return {
-            spec.app: spec.seed
-            for spec in sorted(self._cache, key=lambda s: s.app)
+            task.app: task.seed
+            for task in sorted(self._cache, key=lambda task: task.app)
         }
 
     def manifest(
@@ -397,13 +320,7 @@ class ExperimentRunner:
         if self.mechanism != "none":
             # Only mechanism-carrying runs grow the section, so baseline
             # manifests stay byte-identical to pre-misspath ones.
-            run_section.update(
-                mechanism=self.mechanism,
-                vc_entries=self.vc_entries,
-                mc_entries=self.mc_entries,
-                sb_count=self.sb_count,
-                sb_depth=self.sb_depth,
-            )
+            run_section.update(mechanism=self.mechanism, **self.sizes)
         if self.heatmap_region != DEFAULT_HEATMAP_REGION:
             # Same gate style: default-region runs stay byte-identical.
             run_section["heatmap_region_bytes"] = self.heatmap_region
@@ -452,70 +369,58 @@ def specs_for_artifacts(
     artifacts: Iterable[str],
     scale: float,
     mechanism: str = "none",
-    vc_entries: int = 8,
-    mc_entries: int = 8,
-    sb_count: int = 4,
-    sb_depth: int = 4,
     adapt_policy: str | None = None,
-) -> list[RunSpec]:
+    **sizes: int,
+) -> list[SweepTask]:
     """The union run matrix behind the named paper artifacts.
 
     Used by the CLI to prime the runner (in parallel, when ``--jobs`` is
     given) before the figure drivers assemble their tables from the memo.
-    ``mechanism`` and the sizing knobs apply to every paper-artifact
-    cell (the CLI's ``--mechanism`` semantics); the ``misspath``
-    artifact instead expands its own mechanism matrix -- the full zoo,
-    or ``("none", mechanism)`` when one was requested.
+    ``mechanism`` and the sizing knobs (``vc_entries``, ``mc_entries``,
+    ``sb_count``, ``sb_depth``; :class:`SweepTask`'s defaults when not
+    given) apply to every paper-artifact cell (the CLI's ``--mechanism``
+    semantics); the ``misspath`` artifact instead expands its own
+    mechanism matrix -- the full zoo, or ``("none", mechanism)`` when one
+    was requested.
     """
     from repro.apps import FIGURE5_APPS
     from repro.adapt import experiment as adapt_experiment
     from repro.experiments import figure7, figure10, misspath, table1
     from repro.experiments.config import FIGURE7_LINE_SIZE, line_sizes_for
 
-    knobs = dict(
-        mechanism=mechanism,
-        vc_entries=vc_entries,
-        mc_entries=mc_entries,
-        sb_count=sb_count,
-        sb_depth=sb_depth,
-    )
-    specs: list[RunSpec] = []
+    knobs = dict(mechanism=mechanism, **sizes)
+    tasks: list[SweepTask] = []
     for artifact in artifacts:
         if artifact == "misspath":
-            specs += misspath.specs(
-                scale,
-                mechanisms=misspath.mechanism_matrix(mechanism),
-                vc_entries=vc_entries,
-                mc_entries=mc_entries,
-                sb_count=sb_count,
-                sb_depth=sb_depth,
+            tasks += misspath.specs(
+                scale, mechanisms=misspath.mechanism_matrix(mechanism), **sizes
             )
         elif artifact == "adapt":
-            specs += adapt_experiment.specs(
+            tasks += adapt_experiment.specs(
                 scale,
                 policies=adapt_experiment.policy_matrix(adapt_policy),
             )
         elif artifact == "table1":
-            specs += [
-                RunSpec.make(app, Variant.L, table1.LINE_SIZE, scale, **knobs)
+            tasks += [
+                make_task(app, Variant.L, table1.LINE_SIZE, scale, **knobs)
                 for app in table1.TABLE1_APPS
             ]
         elif artifact in ("figure5", "figure6"):
-            specs += [
-                RunSpec.make(app, variant, line_size, scale, **knobs)
+            tasks += [
+                make_task(app, variant, line_size, scale, **knobs)
                 for app in FIGURE5_APPS
                 for line_size in line_sizes_for(app)
                 for variant in (Variant.N, Variant.L)
             ]
         elif artifact == "figure7":
-            specs += [
-                RunSpec.make(app, variant, FIGURE7_LINE_SIZE, scale, **knobs)
+            tasks += [
+                make_task(app, variant, FIGURE7_LINE_SIZE, scale, **knobs)
                 for app in FIGURE5_APPS
                 for variant in figure7.SCHEMES
             ]
         elif artifact == "figure10":
-            specs += [
-                RunSpec.make("smv", variant, figure10.LINE_SIZE, scale, **knobs)
+            tasks += [
+                make_task("smv", variant, figure10.LINE_SIZE, scale, **knobs)
                 for variant in figure10.SCHEMES
             ]
-    return list(dict.fromkeys(specs))
+    return list(dict.fromkeys(tasks))

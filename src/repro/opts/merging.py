@@ -43,9 +43,6 @@ class MergedTable:
     a_offset: int
     b_offset: int
 
-    def entry_address(self, index: int) -> int:
-        return self.base + index * self.stride
-
     def a_address(self, index: int) -> int:
         return self.base + index * self.stride + self.a_offset
 

@@ -16,7 +16,7 @@ Service latency is measured by the ``serve_closed`` workload of
 
 from repro.serve.http import HttpServer, serve_main
 from repro.serve.jobs import DONE, FAILED, QUEUED, RUNNING, Job, JobTable
-from repro.serve.protocol import JobSpec, ProtocolError
+from repro.serve.protocol import ProtocolError, job_key, parse_job
 from repro.serve.scheduler import QueueFull, Scheduler
 from repro.serve.service import ServiceClosed, SimulationService
 from repro.serve.workers import JobTimeout, WorkerPool
@@ -26,7 +26,6 @@ __all__ = [
     "FAILED",
     "HttpServer",
     "Job",
-    "JobSpec",
     "JobTable",
     "JobTimeout",
     "ProtocolError",
@@ -37,5 +36,7 @@ __all__ = [
     "ServiceClosed",
     "SimulationService",
     "WorkerPool",
+    "job_key",
+    "parse_job",
     "serve_main",
 ]

@@ -1,6 +1,6 @@
 """Job objects and the bounded job table of the simulation service.
 
-A :class:`Job` is the unit the service schedules: one validated spec,
+A :class:`Job` is the unit the service schedules: one validated cell,
 one lifecycle (``queued -> running -> done | failed``), and -- because
 identical requests coalesce -- possibly many waiting clients.  Jobs are
 created on the event loop and mutated only from it; worker processes
@@ -28,10 +28,10 @@ import itertools
 import json
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from repro.serve.protocol import JobSpec
+from repro.trace.sweep import SweepTask
 
 #: Lifecycle states (terminal: done, failed).
 QUEUED = "queued"
@@ -55,7 +55,7 @@ class Job:
     """
 
     id: str
-    spec: JobSpec
+    task: SweepTask
     state: str = QUEUED
     #: How the result was obtained: ``cached`` / ``captured`` /
     #: ``replayed`` (worker outcomes), plus ``coalesced`` recorded on the
@@ -199,8 +199,8 @@ class Job:
         out: dict[str, Any] = {
             "id": self.id,
             "state": self.state,
-            "spec": self.spec.to_dict(),
-            "cell": self.spec.cell_id,
+            "spec": asdict(self.task),
+            "cell": self.task.cell_id,
             "subscribers": self.subscribers,
             "attempts": self.attempts,
         }
@@ -247,8 +247,8 @@ class JobTable:
             job.stream_dropped for job in self._jobs.values()
         )
 
-    def create(self, spec: JobSpec) -> Job:
-        job = Job(id=f"job-{next(self._ids)}", spec=spec)
+    def create(self, task: SweepTask) -> Job:
+        job = Job(id=f"job-{next(self._ids)}", task=task)
         self._jobs[job.id] = job
         self._evict()
         return job

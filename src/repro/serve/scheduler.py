@@ -3,11 +3,11 @@
 Three policies live here, all keyed off the content-hash identities the
 trace subsystem already defines:
 
-**Coalescing.**  Jobs are indexed by :attr:`JobSpec.job_key` while
-queued or running; a second identical submission attaches to the
-in-flight job (one more subscriber) instead of consuming a queue slot or
-a worker.  N identical concurrent requests for an uncached cell trigger
-exactly one simulation.
+**Coalescing.**  Jobs are indexed by their cell's
+:func:`~repro.serve.protocol.job_key` while queued or running; a second
+identical submission attaches to the in-flight job (one more subscriber)
+instead of consuming a queue slot or a worker.  N identical concurrent
+requests for an uncached cell trigger exactly one simulation.
 
 **Backpressure.**  The queue is bounded.  A submission that would exceed
 the bound raises :class:`QueueFull`, which the HTTP layer turns into
@@ -31,7 +31,9 @@ scheduler.
 from __future__ import annotations
 
 import asyncio
+
 from repro.serve.jobs import Job
+from repro.serve.protocol import job_key
 from repro.trace.store import ArtifactStore
 
 
@@ -80,14 +82,14 @@ class Scheduler:
         return len(self._inflight)
 
     # ------------------------------------------------------------------
-    def coalesce(self, job_key: str) -> Job | None:
+    def coalesce(self, key: str) -> Job | None:
         """Attach to an identical queued-or-running job, if one exists."""
-        existing = self._inflight.get(job_key)
+        existing = self._inflight.get(key)
         if existing is not None:
             existing.subscribers += 1
         return existing
 
-    def submit(self, job_factory, job_key: str) -> tuple[Job, str]:
+    def submit(self, job_factory, key: str) -> tuple[Job, str]:
         """Admit one request; returns ``(job, outcome)``.
 
         ``outcome`` is ``"queued"`` for a new job or ``"coalesced"``
@@ -95,14 +97,14 @@ class Scheduler:
         ``job_factory`` is only invoked on admission, so rejected
         requests allocate nothing.
         """
-        existing = self.coalesce(job_key)
+        existing = self.coalesce(key)
         if existing is not None:
             return existing, "coalesced"
         if len(self._queue) >= self.queue_limit:
             raise QueueFull(len(self._queue), self.retry_after)
         job = job_factory()
-        self._inflight[job_key] = job
-        self._queue.append((job, job.spec.task().key()))
+        self._inflight[key] = job
+        self._queue.append((job, job.task.key()))
         self._wakeup.set()
         return job, "queued"
 
@@ -135,7 +137,7 @@ class Scheduler:
         """
         leader = await self.pop()
         batch = [leader]
-        key = leader.spec.task().key()
+        key = leader.task.key()
         index = 0
         while index < len(self._queue):
             if self._queue[index][1] == key:
@@ -181,8 +183,8 @@ class Scheduler:
         failed capture merely lifts the gate so another job may retry
         the stream.
         """
-        trace_key = job.spec.task().key()
-        self._inflight.pop(job.spec.job_key, None)
+        trace_key = job.task.key()
+        self._inflight.pop(job_key(job.task), None)
         self._capturing.discard(trace_key)
         if captured:
             self._warm.add(trace_key)

@@ -1,7 +1,7 @@
 """The simulation service: queue, workers, cache, and live metrics.
 
 :class:`SimulationService` is the long-lived object behind
-``python -m repro serve``.  It accepts validated job specs, serves warm
+``python -m repro serve``.  It accepts validated job payloads, serves warm
 cells straight from the artifact store (O(ms), no worker round-trip),
 coalesces identical in-flight requests, and feeds everything else
 through the cache-aware scheduler into the worker pool: each pop takes
@@ -62,11 +62,13 @@ from repro.obs import (
     render_prometheus,
 )
 from repro.adapt.config import DEFAULT_HEATMAP_REGION
+from repro.cache.misspath import KNOB_MECHANISMS
 from repro.serve.jobs import Job, JobTable
-from repro.serve.protocol import JobSpec
+from repro.serve.protocol import ADAPT_KNOBS, job_key, parse_job
 from repro.serve.scheduler import QueueFull, Scheduler
 from repro.serve.workers import JobTimeout, WorkerPool
 from repro.trace.store import ArtifactStore, config_fingerprint
+from repro.trace.sweep import SweepTask
 
 __all__ = ["QueueFull", "ServiceClosed", "SimulationService"]
 
@@ -200,8 +202,9 @@ class SimulationService:
         """
         if self._draining:
             raise ServiceClosed("service is draining")
-        spec = JobSpec.from_payload(payload)
-        existing = self.scheduler.coalesce(spec.job_key)
+        task = parse_job(payload)
+        key = job_key(task)
+        existing = self.scheduler.coalesce(key)
         if existing is not None:
             self.obs.counter("serve.jobs.coalesced").inc()
             self._record_join(existing)
@@ -209,7 +212,7 @@ class SimulationService:
         tracer = Tracer()
         root = tracer.begin("serve.request")
         probe_started = time.perf_counter()
-        warm = await asyncio.to_thread(self._warm_probe, spec)
+        warm = await asyncio.to_thread(self._warm_probe, task)
         tracer.record(
             "serve.probe",
             time.perf_counter() - probe_started,
@@ -217,12 +220,12 @@ class SimulationService:
         )
         if warm is not None:
             self.obs.counter("serve.cache.hit").inc()
-            job = self.table.create(spec)
+            job = self.table.create(task)
             job.attempts = 0
             self._adopt(job, tracer, root)
             tracer.end(root)
             manifest = self._success_manifest(
-                spec, warm, "cached", tracer=tracer
+                task, warm, "cached", tracer=tracer
             )
             job.complete("cached", manifest)
             self._observe_latency("cached", root.wall_seconds)
@@ -230,12 +233,12 @@ class SimulationService:
         self.obs.counter("serve.cache.miss").inc()
 
         def _factory() -> Job:
-            job = self.table.create(spec)
+            job = self.table.create(task)
             self._adopt(job, tracer, root)
             return job
 
         try:
-            job, outcome = self.scheduler.submit(_factory, spec.job_key)
+            job, outcome = self.scheduler.submit(_factory, key)
         except QueueFull:
             self.obs.counter("serve.jobs.rejected").inc()
             raise
@@ -260,7 +263,7 @@ class SimulationService:
                 metrics={"subscribers": job.subscribers},
             )
 
-    def _warm_probe(self, spec: JobSpec):
+    def _warm_probe(self, task: SweepTask):
         """Serve a fully cached cell without touching the worker tier.
 
         Runs in a thread (trace footers and result JSON come off disk).
@@ -270,7 +273,6 @@ class SimulationService:
         Returns the cached :class:`~repro.apps.base.AppResult` or None
         on any miss.
         """
-        task = spec.task()
         trace_key = task.key()
         content_hash = self._trace_hashes.get(trace_key)
         if content_hash is None:
@@ -312,7 +314,7 @@ class SimulationService:
 
     def _stream_token(self, job: Job) -> str | None:
         """The telemetry routing token -- only sampled cells stream."""
-        if job.spec.timeline_interval > 0:
+        if job.task.timeline_interval > 0:
             self._ensure_forwarder()
             return job.id
         return None
@@ -326,7 +328,7 @@ class SimulationService:
         traced member gets its own ``serve.execute`` span bracketing the
         shared round-trip, with its worker-side spans spliced under it.
         """
-        by_task = {job.spec.task(): job for job in jobs}
+        by_task = {job.task: job for job in jobs}
         tasks = list(by_task)
         if len(jobs) > 1:
             self.obs.counter("serve.jobs.batch_folded").inc(len(jobs) - 1)
@@ -369,7 +371,7 @@ class SimulationService:
                 self.obs.counter("serve.jobs.failed").inc()
                 job.fail(
                     error,
-                    self._failure_manifest(job.spec, error, tracer=job.tracer),
+                    self._failure_manifest(task, error, tracer=job.tracer),
                 )
                 self.scheduler.finished(job, captured=False)
             return
@@ -384,17 +386,17 @@ class SimulationService:
             if error is not None:
                 self.obs.counter("serve.jobs.failed").inc()
                 _log.warning(
-                    "job %s (%s) failed: %s", job.id, job.spec.cell_id, error
+                    "job %s (%s) failed: %s", job.id, task.cell_id, error
                 )
                 job.fail(
                     error,
-                    self._failure_manifest(job.spec, error, tracer=job.tracer),
+                    self._failure_manifest(task, error, tracer=job.tracer),
                 )
                 self.scheduler.finished(job, captured=False)
                 continue
             job.attempts = attempts
             manifest = self._success_manifest(
-                job.spec, result, how, tracer=job.tracer, engine=engine
+                task, result, how, tracer=job.tracer, engine=engine
             )
             job.complete(how, manifest)
             self.obs.counter("serve.jobs.completed").inc()
@@ -444,37 +446,30 @@ class SimulationService:
                 job.publish({"event": "window", **window})
 
     # -- manifests ------------------------------------------------------
-    def _run_section(self, spec: JobSpec) -> dict[str, Any]:
+    def _run_section(self, task: SweepTask) -> dict[str, Any]:
         section = {
-            "scale": spec.scale,
+            "scale": task.scale,
             "jobs": 1,
             "cache": True,
             "trace_dir": str(self.store.root),
-            "timeline_interval": spec.timeline_interval,
-            "events_capacity": spec.events_capacity,
+            "timeline_interval": task.timeline_interval,
+            "events_capacity": task.events_capacity,
         }
-        if spec.mechanism != "none":
+        if task.mechanism != "none":
             # Matches ExperimentRunner.manifest: mechanism keys appear
             # only for mechanism-carrying cells.
+            section["mechanism"] = task.mechanism
+            section.update({knob: getattr(task, knob) for knob in KNOB_MECHANISMS})
+        if task.adapt is not None:
+            # Under the payload's adapt_* names.
             section.update(
-                mechanism=spec.mechanism,
-                vc_entries=spec.vc_entries,
-                mc_entries=spec.mc_entries,
-                sb_count=spec.sb_count,
-                sb_depth=spec.sb_depth,
+                {
+                    knob: getattr(task.adapt, knob.removeprefix("adapt_"))
+                    for knob in ("adapt_policy", *ADAPT_KNOBS)
+                }
             )
-        if spec.adapt_policy is not None:
-            section.update(
-                adapt_policy=spec.adapt_policy,
-                adapt_interval=spec.adapt_interval,
-                adapt_miss_rate_threshold=spec.adapt_miss_rate_threshold,
-                adapt_chase_rate_threshold=spec.adapt_chase_rate_threshold,
-                adapt_patience=spec.adapt_patience,
-                adapt_cooldown=spec.adapt_cooldown,
-                adapt_epsilon=spec.adapt_epsilon,
-            )
-        if spec.heatmap_region != DEFAULT_HEATMAP_REGION:
-            section["heatmap_region"] = spec.heatmap_region
+        if task.heatmap_region != DEFAULT_HEATMAP_REGION:
+            section["heatmap_region"] = task.heatmap_region
         return section
 
     def _finish_trace(self, tracer: Tracer | None) -> tuple[list[dict], float]:
@@ -489,7 +484,7 @@ class SimulationService:
 
     def _success_manifest(
         self,
-        spec: JobSpec,
+        task: SweepTask,
         result,
         how: str,
         *,
@@ -500,19 +495,19 @@ class SimulationService:
         stats = result.stats
         adapt = getattr(result, "extras", {}).get("adapt")
         entry = cell(
-            spec.cell_id,
+            task.cell_id,
             labels={
-                "app": spec.app,
-                "variant": spec.variant,
-                "line_size": spec.line_size,
+                "app": task.app,
+                "variant": task.variant,
+                "line_size": task.line_size,
                 **(
-                    {"mechanism": spec.mechanism}
-                    if spec.mechanism != "none"
+                    {"mechanism": task.mechanism}
+                    if task.mechanism != "none"
                     else {}
                 ),
                 **(
-                    {"policy": spec.adapt_policy}
-                    if spec.adapt_policy is not None
+                    {"policy": task.adapt.policy}
+                    if task.adapt is not None
                     else {}
                 ),
             },
@@ -540,7 +535,7 @@ class SimulationService:
         if result.timeline is not None:
             timeline = {
                 "cells": {
-                    spec.cell_id: {
+                    task.cell_id: {
                         "sample_interval": result.timeline["sample_interval"],
                         "window_count": result.timeline["window_count"],
                         "windows": result.timeline["windows"],
@@ -549,9 +544,9 @@ class SimulationService:
                 }
             }
         return build_manifest(
-            f"serve/{spec.cell_id}",
-            run=self._run_section(spec),
-            seeds={spec.app: spec.seed},
+            f"serve/{task.cell_id}",
+            run=self._run_section(task),
+            seeds={task.app: task.seed},
             metrics=stats.to_snapshot(),
             spans=spans,
             cells=[entry],
@@ -568,16 +563,16 @@ class SimulationService:
 
     def _failure_manifest(
         self,
-        spec: JobSpec,
+        task: SweepTask,
         error: str,
         *,
         tracer: Tracer | None = None,
     ) -> dict[str, Any]:
         spans, _ = self._finish_trace(tracer)
         return build_manifest(
-            f"serve/{spec.cell_id}",
-            run=self._run_section(spec),
-            seeds={spec.app: spec.seed},
+            f"serve/{task.cell_id}",
+            run=self._run_section(task),
+            seeds={task.app: task.seed},
             metrics={},
             spans=spans,
             cells=[],

@@ -486,16 +486,21 @@ def _content_digest(header: dict[str, Any], stream_sha256: str) -> str:
 # ----------------------------------------------------------------------
 # The container parser
 # ----------------------------------------------------------------------
-#: Each part's required fields and their JSON types.  The footer's are
-#: checked because :class:`TraceIndex` answers from them unverified.
-_HEADER_FIELDS = dict.fromkeys(
-    (
-        "app", "variant", "scale", "seed", "line_size",
-        "line_size_sensitive", "checksum", "extras", "captured_stats",
-        "event_count",
-    ),
-    object,
-)
+#: Each part's required fields and their JSON types (a JSON ``true`` is
+#: no number).  Both are checked because :class:`TraceIndex` answers
+#: from them unverified.
+_HEADER_FIELDS = {
+    "app": str,
+    "variant": str,
+    "scale": (int, float),
+    "seed": int,
+    "line_size": int,
+    "line_size_sensitive": bool,
+    "checksum": int,
+    "extras": dict,
+    "captured_stats": dict,
+    "event_count": int,
+}
 _FOOTER_FIELDS = {"event_count": int, "stream_sha256": str, "chunks": list}
 #: The longest header-length varint: ten bytes encode any 64-bit length.
 _MAX_VARINT = 10
@@ -545,7 +550,9 @@ def _read_container(read, size: int) -> tuple[dict, dict, int, int]:
     return header, footer, chunk_start, footer_start
 
 
-def _json_object(blob: bytes, part: str, fields: dict[str, type]) -> dict:
+def _json_object(
+    blob: bytes, part: str, fields: dict[str, type | tuple[type, ...]]
+) -> dict:
     """Decode the header or footer JSON and check its required fields."""
     try:
         value = json.loads(blob)
@@ -556,7 +563,12 @@ def _json_object(blob: bytes, part: str, fields: dict[str, type]) -> dict:
     missing = [key for key in fields if key not in value]
     if missing:
         raise TraceFormatError(f"trace {part} missing fields {missing}")
-    mistyped = [key for key, kind in fields.items() if not isinstance(value[key], kind)]
+    mistyped = [
+        key
+        for key, kind in fields.items()
+        if not isinstance(value[key], kind)
+        or (isinstance(value[key], bool) and kind is not bool)
+    ]
     if mistyped:
         raise TraceFormatError(f"trace {part} fields of the wrong type {mistyped}")
     return value

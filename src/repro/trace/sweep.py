@@ -70,7 +70,12 @@ class SweepError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepTask:
-    """One cell of a sweep matrix (picklable, hashable)."""
+    """One simulation cell (picklable, hashable).
+
+    The only description of a cell: the CLI runner, every experiment,
+    the sweep executor and the serve tier all pass these around, and
+    the trace key, config fingerprint and cell id all derive from it.
+    """
 
     app: str
     variant: str
@@ -105,6 +110,16 @@ class SweepTask:
     #: Heatmap region granularity (bytes); machine config, not workload
     #: identity for plain cells (the sampler never issues references).
     heatmap_region: int = DEFAULT_HEATMAP_REGION
+
+    @property
+    def cell_id(self) -> str:
+        """Human-readable cell identity (keys manifest cells and timelines)."""
+        base = f"{self.app}/{self.line_size}B/{self.variant}"
+        if self.mechanism != "none":
+            base = f"{base}/{self.mechanism}"
+        if self.adapt is not None:
+            base = f"{base}/{self.adapt.policy}"
+        return base
 
     def key(self) -> str:
         """Trace key this cell's stream lives under."""

@@ -58,9 +58,6 @@ class Pager:
         self._resident: OrderedDict[int, None] = OrderedDict()
         self.stats = PagerStats()
 
-    def page_of(self, address: int) -> int:
-        return address >> self._shift
-
     def access(self, address: int) -> float:
         """Touch ``address``; returns the fault latency charged (0 if hit)."""
         page = address >> self._shift

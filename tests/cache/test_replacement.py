@@ -1,47 +1,25 @@
-"""Unit tests for replacement policies."""
-
-import pytest
+"""Replacement behaviour of the flat-array cache: LRU, FIFO, random."""
 
 from repro.cache.cache import Cache
-from repro.cache.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    PseudoRandomPolicy,
-    make_policy,
-)
 
 
-class TestFactory:
-    @pytest.mark.parametrize("name,cls", [
-        ("lru", LRUPolicy), ("fifo", FIFOPolicy), ("random", PseudoRandomPolicy),
-    ])
-    def test_make_policy(self, name, cls):
-        assert isinstance(make_policy(name), cls)
+class _ReferenceXorshift:
+    """The random policy's reference semantics: a 32-bit xorshift stream
+    from the cache's seed, each victim the next value modulo the set size."""
 
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            make_policy("plru")
+    def __init__(self, seed: int = 0x9E3779B9) -> None:
+        self._state = seed
 
-
-class TestLRU:
-    def test_hit_moves_to_front(self):
-        policy = LRUPolicy()
-        cache_set = [[1, 0], [2, 0], [3, 0]]
-        policy.on_hit(cache_set, 2)
-        assert [entry[0] for entry in cache_set] == [3, 1, 2]
-
-    def test_victim_is_last(self):
-        policy = LRUPolicy()
-        assert policy.victim_index([[1, 0], [2, 0]]) == 1
+    def victim_index(self, cache_set: list) -> int:
+        state = self._state
+        state ^= (state << 13) & 0xFFFFFFFF
+        state ^= state >> 17
+        state ^= (state << 5) & 0xFFFFFFFF
+        self._state = state
+        return state % len(cache_set)
 
 
 class TestFIFO:
-    def test_hit_does_not_reorder(self):
-        policy = FIFOPolicy()
-        cache_set = [[1, 0], [2, 0]]
-        policy.on_hit(cache_set, 1)
-        assert [entry[0] for entry in cache_set] == [1, 2]
-
     def test_fifo_cache_differs_from_lru(self):
         """A pattern where refreshing matters: LRU keeps the hot line."""
         lru = Cache(64, 32, 2, "lru")
@@ -53,26 +31,6 @@ class TestFIFO:
             cache.fill(0x800)
         assert lru.contains(0x0)
         assert not fifo.contains(0x0)
-
-
-class TestPseudoRandom:
-    def test_deterministic_sequence(self):
-        a = PseudoRandomPolicy(seed=42)
-        b = PseudoRandomPolicy(seed=42)
-        cache_set = [[i, 0] for i in range(8)]
-        seq_a = [a.victim_index(cache_set) for _ in range(20)]
-        seq_b = [b.victim_index(cache_set) for _ in range(20)]
-        assert seq_a == seq_b
-
-    def test_victims_in_range(self):
-        policy = PseudoRandomPolicy()
-        cache_set = [[i, 0] for i in range(4)]
-        for _ in range(100):
-            assert 0 <= policy.victim_index(cache_set) < 4
-
-    def test_zero_seed_survives(self):
-        policy = PseudoRandomPolicy(seed=0)
-        assert 0 <= policy.victim_index([[0, 0], [1, 0]]) < 2
 
 
 class TestCacheVictimSelection:
@@ -98,9 +56,9 @@ class TestCacheVictimSelection:
         assert evicted.line_address == 0x0
 
     def test_random_matches_reference_policy_sequence(self):
-        """Cache's inlined xorshift tracks PseudoRandomPolicy exactly."""
+        """Cache's inlined xorshift tracks the reference stream exactly."""
         cache = Cache(128, 32, 4, "random")
-        reference = PseudoRandomPolicy()
+        reference = _ReferenceXorshift()
         for way in range(4):            # fill one set: lines 0,1,2,3 of set 0
             cache.fill(way * 128)
         filled = [3 * 128, 2 * 128, 1 * 128, 0]   # front-insertion order

@@ -12,6 +12,14 @@ import repro
 from repro.__main__ import main
 
 
+@pytest.fixture(autouse=True)
+def _run_in_tmp_path(tmp_path, monkeypatch):
+    """Each test runs in its own directory, so the CLI's default
+    ``--trace-dir results/trace-cache`` lands there, not in the checkout
+    (where it would persist, and could answer a later run's cells)."""
+    monkeypatch.chdir(tmp_path)
+
+
 class TestCLI:
     def test_single_artifact(self, capsys):
         assert main(["table1", "--scale", "0.1", "--quiet"]) == 0

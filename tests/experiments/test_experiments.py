@@ -108,7 +108,7 @@ class TestRunTrace:
         cells = roots[0]["children"]
         assert [node["name"] for node in cells] == ["worker.execute"] * len(specs)
         assert len(manifest["trace_hashes"]) == len(
-            {spec.task().key() for spec in specs}
+            {spec.key() for spec in specs}
         )
 
     def test_pooled_prime_records_the_same_spans(self, tmp_path):

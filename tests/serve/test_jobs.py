@@ -2,11 +2,12 @@
 
 import asyncio
 import json
+from dataclasses import asdict
 
 import pytest
 
 from repro.obs.tracing import Tracer
-from repro.serve import JobSpec, JobTable
+from repro.serve import JobTable, parse_job
 
 MANIFEST = {"schema": "test", "summary": {"how": "captured"}, "spans": []}
 
@@ -14,7 +15,7 @@ MANIFEST = {"schema": "test", "summary": {"how": "captured"}, "spans": []}
 def _traced_job():
     table = JobTable()
     job = table.create(
-        JobSpec.from_payload(
+        parse_job(
             {"app": "health", "variant": "N", "line_size": 32, "scale": 0.05}
         )
     )
@@ -47,8 +48,8 @@ def test_finished_job_drops_tracer_span_and_event(outcome):
         expected = {
             "id": job.id,
             "state": outcome,
-            "spec": job.spec.to_dict(),
-            "cell": job.spec.cell_id,
+            "spec": asdict(job.task),
+            "cell": job.task.cell_id,
             "subscribers": 1,
             "attempts": 0,
             "latency_seconds": round(job.latency_seconds, 6),

@@ -4,14 +4,14 @@ import asyncio
 
 import pytest
 
-from repro.serve import JobSpec, JobTable, QueueFull, Scheduler
+from repro.serve import JobTable, QueueFull, Scheduler, job_key, parse_job
 from repro.trace import ArtifactStore, run_task
 
 SCALE = 0.05
 
 
 def _spec(app="health", variant="N", line_size=32, seed=1):
-    return JobSpec.from_payload(
+    return parse_job(
         {
             "app": app,
             "variant": variant,
@@ -23,7 +23,7 @@ def _spec(app="health", variant="N", line_size=32, seed=1):
 
 
 def _submit(scheduler, table, spec):
-    return scheduler.submit(lambda: table.create(spec), spec.job_key)
+    return scheduler.submit(lambda: table.create(spec), job_key(spec))
 
 
 class TestCoalescing:
@@ -87,7 +87,7 @@ class TestBackpressure:
             with pytest.raises(QueueFull):
                 scheduler.submit(
                     lambda: pytest.fail("factory ran on rejection"),
-                    _spec(seed=2).job_key,
+                    job_key(_spec(seed=2)),
                 )
 
         asyncio.run(scenario())
@@ -97,7 +97,7 @@ class TestCacheAwareOrdering:
     def test_warm_cells_pop_before_cold(self, tmp_path):
         store = ArtifactStore(tmp_path)
         warm_spec = _spec(app="health", line_size=32)
-        run_task(warm_spec.task(), store)  # make health's trace warm
+        run_task(warm_spec, store)  # make health's trace warm
 
         async def scenario():
             scheduler = Scheduler(store)
@@ -164,7 +164,7 @@ class TestBatchFold:
     def test_pop_batch_warm_leader_still_folds(self, tmp_path):
         store = ArtifactStore(tmp_path)
         warm_spec = _spec(line_size=32)
-        run_task(warm_spec.task(), store)
+        run_task(warm_spec, store)
 
         async def scenario():
             scheduler = Scheduler(store)

@@ -12,9 +12,9 @@ from repro.obs.logging import AtomicLineHandler, configure_logging, iter_log_lin
 from repro.serve import (
     DONE,
     FAILED,
-    JobSpec,
     ServiceClosed,
     SimulationService,
+    parse_job,
 )
 from repro.trace import ArtifactStore, run_task
 
@@ -111,7 +111,7 @@ class TestLifecycle:
         async def scenario():
             service = _service(tmp_path)
             # Batch-side write into the same store.
-            run_task(JobSpec.from_payload(_payload()).task(), service.store)
+            run_task(parse_job(_payload()), service.store)
             await service.start()
             try:
                 job, outcome = await service.submit(_payload())
@@ -284,7 +284,7 @@ class TestObservability:
         # A corrupted trace is discarded (and recaptured) inside the
         # worker; the warning names the job's trace.
         store = ArtifactStore(tmp_path / "store")
-        key = JobSpec.from_payload(_payload()).task().key()
+        key = parse_job(_payload()).key()
         store.trace_path(key).write_bytes(b"not a trace")
         stream = io.StringIO()
         logger = configure_logging("INFO", stream=stream, force=True)
@@ -345,6 +345,29 @@ class TestBatchFold:
                 snapshot = service.obs.snapshot()
                 assert snapshot["serve.jobs.batch_folded"] == 2
                 assert snapshot["serve.jobs.completed"] == 3
+            finally:
+                await service.drain(timeout=10.0)
+
+        asyncio.run(scenario())
+
+
+    def test_two_spellings_of_one_cell_share_one_job(self, tmp_path):
+        """The default heatmap_region written as a float is the same
+        cell, so it coalesces; folded into one batch as a second job
+        with an equal cell, one of the two never finished."""
+        async def scenario():
+            service = _service(tmp_path, workers=1)
+            plain = _payload(timeline_interval=500)
+            first, _ = await service.submit(plain)
+            second, outcome = await service.submit(
+                {**plain, "heatmap_region": 65536.0}
+            )
+            assert outcome == "coalesced"
+            assert second is first
+            await service.start()
+            try:
+                assert await first.wait(60.0)
+                assert first.state == DONE
             finally:
                 await service.drain(timeout=10.0)
 

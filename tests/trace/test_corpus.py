@@ -257,6 +257,24 @@ class TestCorpusCli:
         listing = capsys.readouterr().out
         assert current[:12] in listing and stale[:12] in listing
 
+    def test_ls_lists_a_file_with_a_mistyped_header(
+        self, tmp_path, captured, capsys
+    ):
+        """A stored trace whose header ``scale`` is a string is unreadable:
+        ``ls`` lists its key and exits 0, and its probe misses."""
+        from repro.__main__ import main
+
+        trace, _ = captured
+        store = ArtifactStore(tmp_path)
+        mistyped = Trace.from_bytes(trace.to_bytes())
+        mistyped.scale = "0.05"
+        key = _save(store, mistyped, seed=3)
+        assert main(["corpus", "ls", "--trace-dir", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert key[:12] in out
+        assert err == ""
+        assert store.content_hash_for(key) is None
+
     def test_gc_subcommand(self, tmp_path, captured, capsys):
         from repro.__main__ import main
 

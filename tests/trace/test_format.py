@@ -464,6 +464,21 @@ def _restamp(version, data):
     return data[: len(MAGIC)] + bytes([version]) + data[len(MAGIC) + 1 :]
 
 
+#: One value of the wrong JSON type per header field (a JSON ``true`` is
+#: no number).
+MISTYPED_HEADER = {
+    "app": 5,
+    "variant": None,
+    "scale": "0.05",
+    "seed": True,
+    "line_size": 32.0,
+    "line_size_sensitive": 0,
+    "checksum": "7",
+    "extras": [],
+    "captured_stats": "{}",
+    "event_count": 1.5,
+}
+
 #: Each header or footer corruption: ``(header, region, footer) -> bytes``
 #: and a fragment of the message it must fail with.
 CORRUPTIONS = {
@@ -495,6 +510,15 @@ CORRUPTIONS = {
         lambda h, r, f: _assemble(_without(h, "checksum"), r, f),
         "trace header missing fields ['checksum']",
     ),
+    **{
+        f"header {field} of the wrong type": (
+            lambda h, r, f, field=field, value=value: _assemble(
+                {**h, field: value}, r, f
+            ),
+            f"trace header fields of the wrong type [{field!r}]",
+        )
+        for field, value in MISTYPED_HEADER.items()
+    },
     "no trailer": (
         lambda h, r, f: _assemble(h, b"", b"")[: -len(FOOTER_MAGIC) - 4],
         "truncated trace: missing footer trailer",
